@@ -5,6 +5,12 @@ lines, # comments) with command-line flags taking precedence, echoes the
 fully resolved configuration into its output directory, and never
 overwrites a non-empty output directory unless --force is given.
 
+The train command's hyperparameter keys are the ``ModelSpec`` fields that
+hold one value (``--batch-size`` sets ``batch_size``), with three names of
+its own: ``method`` is the spec's ``kind``, ``schedule`` is the schedule's
+text form (constant | step:P:G | cosine:T0:ETA), and ``toy_widths`` selects
+``ArchWidths.toy()``. The echo pins every one of them, as resolved.
+
 Exit codes: 0 success, 2 input/config error, 3 numerical abort.
 """
 
@@ -22,6 +28,7 @@ import numpy as np
 
 from yieldgraph.data import (
     DataFormatError,
+    WindowUnavailableError,
     YearSplit,
     generate_synthetic,
     load_dataset,
@@ -41,8 +48,11 @@ from yieldgraph.models import (
     ArchWidths,
     ConfigurationError,
     ModelCheckpoint,
+    ModelSpec,
     TrainingAbort,
     default_spec,
+    format_field,
+    parse_field,
 )
 from yieldgraph.models import train as train_model
 from yieldgraph.optim import LrSchedule
@@ -52,8 +62,8 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 _INPUT_ERRORS = (
-    DataFormatError, GeoFormatError, GraphFormatError, ConfigurationError,
-    MetricError, FileNotFoundError, NotADirectoryError, ValueError, KeyError,
+    DataFormatError, GeoFormatError, GraphFormatError, ConfigurationError, MetricError,
+    WindowUnavailableError, FileNotFoundError, NotADirectoryError, ValueError, KeyError,
 )
 
 
@@ -85,8 +95,15 @@ def read_config_file(path):
     return values
 
 
-def resolve_config(args, keys, required=()):
-    """File values first, then CLI flags on top; returns {key: str}."""
+# Parsed attributes that are not config keys. --early is a switch of
+# evaluate and benchmark; evaluate echoes it by hand.
+_NOT_KEYS = ("command", "func", "config", "force", "early")
+
+
+def resolve_config(args, required=()):
+    """File values first, then CLI flags on top; returns {key: str}. The
+    config keys are the command's flag names."""
+    keys = [key for key in vars(args) if key not in _NOT_KEYS]
     resolved = {}
     if getattr(args, "config", None):
         file_values = read_config_file(args.config)
@@ -136,8 +153,7 @@ def parse_schedule(text, lr):
 
 
 def cmd_synth(args):
-    keys = ["counties", "years", "seed", "start_year", "out"]
-    cfg = resolve_config(args, keys, required=("counties", "years", "out"))
+    cfg = resolve_config(args, required=("counties", "years", "out"))
     counties = int(cfg["counties"])
     years = int(cfg["years"])
     seed = int(cfg.get("seed", "0"))
@@ -174,8 +190,7 @@ def _read_manifest(path):
 
 
 def cmd_aggregate(args):
-    keys = ["rasters", "weights", "manifest", "year", "out"]
-    cfg = resolve_config(args, keys, required=keys)
+    cfg = resolve_config(args, required=("rasters", "weights", "manifest", "year", "out"))
     weights = build_weight_map(cfg["weights"], None)
     counties = sorted(weights)
     year = int(cfg["year"])
@@ -237,33 +252,20 @@ def cmd_aggregate(args):
 # -- train -----------------------------------------------------------------------
 
 
-_TRAIN_KEYS = [
-    "features", "yields", "adjacency", "method", "crop", "test_year", "seed",
-    "epochs", "lr", "batch_size", "weight_decay", "schedule", "fanout",
-    "edge_dropout", "aggregator", "head_dropout", "ridge_lambda", "lasso_lambda",
-    "toy_widths", "out",
-]
+# {train key: field} for the ModelSpec fields set from one value. Each is
+# a flag and config key of its own name, except kind, called method here.
+_SPEC_FIELDS = {
+    "method" if f.name == "kind" else f.name: f
+    for f in dataclasses.fields(ModelSpec) if f.type in ("int", "float", "str")
+}
 
 
 def _spec_from_config(cfg):
-    kind = cfg["method"]
-    if kind not in ALL_KINDS:
-        raise CliError(f"unknown method {kind!r}; choose from {', '.join(ALL_KINDS)}")
-    crop = cfg.get("crop", "corn")
+    values = {f.name: parse_field(f, cfg[key]) for key, f in _SPEC_FIELDS.items() if key in cfg}
     test_year = int(cfg["test_year"])
-    overrides = {}
-    for key, cast in (
-        ("seed", int), ("epochs", int), ("lr", float), ("batch_size", int),
-        ("weight_decay", float), ("fanout", int), ("edge_dropout", float),
-        ("head_dropout", float), ("ridge_lambda", float), ("lasso_lambda", float),
-    ):
-        if key in cfg:
-            overrides[key] = cast(cfg[key])
-    if cfg.get("aggregator"):
-        overrides["aggregator"] = cfg["aggregator"]
     if cfg.get("toy_widths", "false").lower() in ("1", "true", "yes"):
-        overrides["widths"] = ArchWidths.toy()
-    spec = default_spec(kind, crop, test_year, **overrides)
+        values["widths"] = ArchWidths.toy()
+    spec = default_spec(values.pop("kind"), values.pop("crop", "corn"), test_year, **values)
     if "schedule" in cfg:
         spec = dataclasses.replace(spec, schedule=parse_schedule(cfg["schedule"], spec.lr))
     return spec, test_year
@@ -277,32 +279,13 @@ def _schedule_text(schedule):
     return f"cosine:{schedule.t0}:{schedule.eta_min!r}"
 
 
-def _fill_from_spec(cfg, spec):
-    """Pin every effective hyperparameter into the echoed config."""
-    cfg.setdefault("crop", spec.crop)
-    cfg.setdefault("seed", str(spec.seed))
-    cfg.setdefault("epochs", str(spec.epochs))
-    cfg.setdefault("lr", repr(spec.lr))
-    cfg.setdefault("batch_size", str(spec.batch_size))
-    cfg.setdefault("weight_decay", repr(spec.weight_decay))
-    cfg.setdefault("schedule", _schedule_text(spec.schedule))
-    cfg.setdefault("fanout", str(spec.fanout))
-    cfg.setdefault("edge_dropout", repr(spec.edge_dropout))
-    cfg.setdefault("aggregator", spec.aggregator)
-    cfg.setdefault("head_dropout", repr(spec.head_dropout))
-    cfg.setdefault("ridge_lambda", repr(spec.ridge_lambda))
-    cfg.setdefault("lasso_lambda", repr(spec.lasso_lambda))
-    cfg.setdefault("toy_widths", str(spec.widths == ArchWidths.toy()).lower())
-
-
 def _load_dataset_cfg(cfg):
     return load_dataset(cfg["features"], cfg["yields"], cfg["adjacency"])
 
 
 def cmd_train(args):
     cfg = resolve_config(
-        args, _TRAIN_KEYS,
-        required=("features", "yields", "adjacency", "method", "test_year", "out"),
+        args, required=("features", "yields", "adjacency", "method", "test_year", "out"),
     )
     spec, test_year = _spec_from_config(cfg)
     prepare_out_dir(cfg["out"], args.force)
@@ -317,7 +300,10 @@ def cmd_train(args):
         for h in checkpoint.history:
             writer.writerow([h["epoch"], repr(h["train_loss"]), repr(h["val_rmse"]),
                              repr(h["lr"])])
-    _fill_from_spec(cfg, spec)
+    for key, f in _SPEC_FIELDS.items():  # pin every effective hyperparameter
+        cfg.setdefault(key, format_field(f, getattr(spec, f.name)))
+    cfg.setdefault("schedule", _schedule_text(spec.schedule))
+    cfg.setdefault("toy_widths", str(spec.widths == ArchWidths.toy()).lower())
     echo_config(cfg, "train", cfg["out"])
     best = checkpoint.history[checkpoint.best_epoch]
     print(f"trained {spec.kind} ({spec.crop}, test {test_year}); "
@@ -330,8 +316,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    keys = ["checkpoint", "features", "yields", "adjacency", "test_year", "out"]
-    cfg = resolve_config(args, keys,
+    cfg = resolve_config(args,
                          required=("checkpoint", "features", "yields", "adjacency", "out"))
     checkpoint = ModelCheckpoint.load(cfg["checkpoint"])
     dataset = _load_dataset_cfg(cfg)
@@ -360,11 +345,8 @@ def _benchmark_cell(spec, dataset, split, early):
 
 
 def cmd_benchmark(args):
-    keys = ["features", "yields", "adjacency", "methods", "seeds", "crop",
-            "test_year", "epochs", "out"]
     cfg = resolve_config(
-        args, keys,
-        required=("features", "yields", "adjacency", "methods", "test_year", "out"),
+        args, required=("features", "yields", "adjacency", "methods", "test_year", "out"),
     )
     methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     seeds = [int(s) for s in cfg.get("seeds", "0").split(",")]
@@ -506,21 +488,12 @@ def build_parser():
     p.add_argument("--features")
     p.add_argument("--yields", dest="yields")
     p.add_argument("--adjacency")
-    p.add_argument("--method", choices=ALL_KINDS)
-    p.add_argument("--crop", choices=("corn", "soybean"))
     p.add_argument("--test-year", dest="test_year", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
+    for key, f in _SPEC_FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type={"int": int, "float": float}.get(f.type),
+                       choices=f.metadata.get("choices"))
     p.add_argument("--schedule", help="constant | step:P:G | cosine:T0:ETA")
-    p.add_argument("--fanout", type=int)
-    p.add_argument("--edge-dropout", dest="edge_dropout", type=float)
-    p.add_argument("--aggregator", choices=("mean", "pool"))
-    p.add_argument("--head-dropout", dest="head_dropout", type=float)
-    p.add_argument("--ridge-lambda", dest="ridge_lambda", type=float)
-    p.add_argument("--lasso-lambda", dest="lasso_lambda", type=float)
     p.add_argument("--toy-widths", dest="toy_widths", action="store_const", const="true",
                    help="tiny architecture for smoke runs")
     p.set_defaults(func=cmd_train)

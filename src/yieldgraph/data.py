@@ -129,13 +129,6 @@ class YieldTable:
     def counties_with(self, year, crop):
         return sorted(c for (c, y, k) in self.entries if y == year and k == crop)
 
-    def coverage(self, crop):
-        counts = {}
-        for (_, y, k) in self.entries:
-            if k == crop:
-                counts[y] = counts.get(y, 0) + 1
-        return dict(sorted(counts.items()))
-
     def national_mean(self, year, crop):
         vals = [v for (c, y, k), v in self.entries.items() if y == year and k == crop]
         return float(np.mean(vals)) if vals else None
@@ -145,11 +138,6 @@ class YieldTable:
         if len(vals) < 2:
             raise DataFormatError(f"not enough {crop} yields to compute a spread")
         return float(np.std(vals))
-
-    def values_for_years(self, years, crop):
-        return np.array(
-            [v for (c, y, k), v in sorted(self.entries.items()) if k == crop and y in years]
-        )
 
 
 @dataclass(frozen=True)

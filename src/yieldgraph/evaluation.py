@@ -71,6 +71,7 @@ class EvalReport:
     n_counties: int
     yield_std: float
     records: list = field(default_factory=list)  # (county, true, predicted, residual)
+    skipped: int = 0  # labeled counties without a complete feature window
 
 
 @dataclass
@@ -143,8 +144,10 @@ def evaluate(predictor, dataset, split, early=False):
     ``predictor`` needs: crop, history_years, seed, method_name,
     norm_stats (None to skip normalization), and
     predict_year(dataset, counties, year) -> raw-unit predictions.
-    Predictions cover every labeled test-year county with sufficient
-    history; unlabeled counties stay available as graph message sources.
+    Predictions cover every labeled test-year county whose window years
+    all have a record with every stored cell finite (the rule of
+    enumerate_windows); the rest are counted as skipped. Unlabeled
+    counties stay available as graph message sources.
     """
     test_year = split.test_year
     if predictor.norm_stats is not None:
@@ -156,11 +159,10 @@ def evaluate(predictor, dataset, split, early=False):
         ds = mask_dataset_year(ds, plan, test_year)
 
     crop = predictor.crop
-    counties = []
-    for county in ds.labeled_counties(test_year, crop):
-        history = range(test_year - predictor.history_years, test_year + 1)
-        if all(ds.has_record(county, y) for y in history):
-            counties.append(county)
+    labeled = ds.labeled_counties(test_year, crop)
+    history = range(test_year - predictor.history_years, test_year + 1)
+    complete = _complete_windows(ds, labeled, history)
+    counties = [c for c, ok in zip(labeled, complete) if ok]
     if not counties:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}")
 
@@ -185,7 +187,21 @@ def evaluate(predictor, dataset, split, early=False):
         n_counties=len(counties),
         yield_std=yield_std,
         records=records,
+        skipped=len(labeled) - len(counties),
     )
+
+
+def _complete_windows(ds, counties, years):
+    """Per county: a record in every year, with every stored cell finite."""
+    if any(y not in ds.year_index for y in years):
+        return np.zeros(len(counties), dtype=bool)
+    ci = np.array([ds.county_index[c] for c in counties], dtype=np.intp)[:, None]
+    yi = np.array([ds.year_index[y] for y in years], dtype=np.intp)
+    ok = ds.present[ci, yi]
+    for block in (ds.weather, ds.land, ds.soil, ds.extras):
+        finite = np.isfinite(block[ci, yi])
+        ok &= finite.all(axis=tuple(range(2, finite.ndim)))
+    return ok.all(axis=1)
 
 
 # -- report emission ----------------------------------------------------------
@@ -206,6 +222,7 @@ def emit_report(report, out_dir):
         f.write(f"method = {report.method}\n")
         f.write(f"seed = {report.seed}\n")
         f.write(f"yield_std = {report.yield_std!r}\n")
+        f.write(f"skipped = {report.skipped}\n")
 
     csv_path = os.path.join(out_dir, "predictions.csv")
     with open(csv_path, "w", encoding="utf-8") as f:

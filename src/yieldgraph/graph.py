@@ -23,6 +23,8 @@ import numpy as np
 from yieldgraph.autodiff import ShapeError, Tensor, apply_op, concat, take_rows
 from yieldgraph.layers import Dense
 
+AGGREGATORS = ("mean", "pool")
+
 
 class GraphFormatError(ValueError):
     """Adjacency input violates the edge-list format."""
@@ -160,7 +162,7 @@ class SageLayer:
     """One message-passing layer: relu(W . concat(self, aggregated))."""
 
     def __init__(self, in_dim, out_dim, aggregator, rng, activation="relu"):
-        if aggregator not in ("mean", "pool"):
+        if aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {aggregator!r}")
         self.aggregator = aggregator
         self.in_dim = in_dim

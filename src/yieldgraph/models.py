@@ -16,7 +16,8 @@ for bit.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,12 +25,19 @@ from yieldgraph.autodiff import NonFiniteError, Tensor, concat, take_rows
 from yieldgraph.data import (
     CROPS,
     N_EXTRA_STORED,
+    NormStats,
     WindowUnavailableError,
     enumerate_windows,
     normalize,
 )
 from yieldgraph.evaluation import rmse
-from yieldgraph.graph import build_sage_stack, full_block, gnn_forward, sample_block
+from yieldgraph.graph import (
+    AGGREGATORS,
+    build_sage_stack,
+    full_block,
+    gnn_forward,
+    sample_block,
+)
 from yieldgraph.layers import (
     Dense,
     RecurrentCell,
@@ -87,8 +95,13 @@ class ArchWidths:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str
-    crop: str = "corn"
+    """Every hyperparameter of a run. The train command's flags and config
+    keys, its config echo and the checkpoint header are made from these
+    fields (and those of LrSchedule and ArchWidths); a field's ``choices``
+    metadata is checked here and offered on the command line."""
+
+    kind: str = field(metadata={"choices": ALL_KINDS})
+    crop: str = field(default="corn", metadata={"choices": CROPS})
     lr: float = 1e-4
     batch_size: int = 64
     epochs: int = 100
@@ -96,7 +109,7 @@ class ModelSpec:
     schedule: LrSchedule | None = None  # None -> constant at lr
     fanout: int = 10
     edge_dropout: float = 0.1
-    aggregator: str = "pool"
+    aggregator: str = field(default="pool", metadata={"choices": AGGREGATORS})
     seed: int = 0
     head_dropout: float = 0.0
     ridge_lambda: float = 1.0
@@ -104,16 +117,42 @@ class ModelSpec:
     widths: ArchWidths = field(default_factory=ArchWidths)
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ConfigurationError(f"unknown model kind {self.kind!r}")
-        if self.crop not in CROPS:
-            raise ConfigurationError(f"unknown crop {self.crop!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices", ())
+            value = getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigurationError(
+                    f"unknown {f.name} {value!r}; choose from {', '.join(choices)}"
+                )
         if self.schedule is None:
             object.__setattr__(self, "schedule", LrSchedule(kind="constant", lr_max=self.lr))
 
     @property
     def history_years(self):
         return 4 if self.kind in KINDS_5Y else 0
+
+
+# A hyperparameter's text form follows its field's annotation. This module
+# and optim postpone annotations, so each annotation is the type's name.
+_PARSERS = {
+    "int": int, "float": float, "str": str,
+    "tuple": lambda text: tuple(int(x) for x in text.split(",")),
+}
+
+
+def format_field(f, value):
+    """Text of a hyperparameter in config echoes and checkpoint headers:
+    floats by repr, tuples comma-joined, ints and strs bare."""
+    if f.type == "float":
+        return repr(value)
+    if f.type == "tuple":
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def parse_field(f, text):
+    """Inverse of format_field."""
+    return _PARSERS[f.type](text)
 
 
 # Final configurations from the hyperparameter study, keyed by
@@ -219,8 +258,14 @@ class RegressionHead:
 # -- deep models ----------------------------------------------------------------
 
 
-class _DeepModel:
-    """Shared surface: forward_samples(ds, [(county, target_year)]) -> Tensor[B]."""
+class _Model:
+    """Shared surface: forward_samples(ds, [(county, target_year)]) -> Tensor[B].
+
+    A non-graph model reads only each sample's own records, so its forward
+    is ``forward_blocks(years)``: one (weather, land, soil, extras) tuple of
+    [B, ...] arrays per window year, oldest first. Graph models override
+    forward_samples, since they also read the neighbouring counties.
+    """
 
     def __init__(self, spec):
         self.spec = spec
@@ -228,14 +273,13 @@ class _DeepModel:
     def parameters(self):
         raise NotImplementedError
 
-    def forward_samples(self, ds, samples, training=False, rng=None):
+    def forward_blocks(self, years, training=False, rng=None):
         raise NotImplementedError
 
-    def _check_single_year(self, samples):
-        years = {y for _, y in samples}
-        if len(years) != 1:
-            raise ConfigurationError(f"graph batches must share one target year, got {sorted(years)}")
-        return years.pop()
+    def forward_samples(self, ds, samples, training=False, rng=None):
+        years = [gather_year_blocks(ds, samples, self.spec.crop, offset)
+                 for offset in range(-self.spec.history_years, 1)]
+        return self.forward_blocks(years, training, rng)
 
 
 def _make_embedder(spec, rng):
@@ -246,27 +290,47 @@ def _make_embedder(spec, rng):
     return YearEmbedder(rng, weekly=weekly, soil=soil)
 
 
-class CnnModel(_DeepModel):
-    """Single-year: conv embedder -> head."""
+def _year_head(spec, in_dim, rng):
+    """(cell, head): for five-year kinds a GRU/LSTM over the window years
+    (cell is None otherwise), then the regression head."""
+    cell = None
+    if spec.history_years:
+        cell_kind = "gru" if spec.kind.startswith("gru") else "lstm"
+        cell = RecurrentCell(cell_kind, in_dim, spec.widths.rnn_hidden, rng)
+        in_dim = spec.widths.rnn_hidden
+    return cell, RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
+
+
+def _over_years(cell, steps):
+    return steps[0] if cell is None else rnn_forward(cell, steps)
+
+
+def _collect(**parts):
+    """{name: Tensor} of each part's parameters under its prefix; skips None."""
+    params = {}
+    for prefix, part in parts.items():
+        if part is not None:
+            params.update(part.parameters(prefix))
+    return params
+
+
+class CnnModel(_Model):
+    """Conv embedder per year -> (five-year kinds) LSTM over the years -> head."""
 
     def __init__(self, spec, rng):
         super().__init__(spec)
         self.embedder = _make_embedder(spec, rng)
-        self.head = RegressionHead(self.embedder.out_dim, spec.widths.head_hidden, rng,
-                                   spec.head_dropout)
+        self.cell, self.head = _year_head(spec, self.embedder.out_dim, rng)
 
     def parameters(self):
-        params = self.embedder.parameters("embed")
-        params.update(self.head.parameters("head"))
-        return params
+        return _collect(embed=self.embedder, cell=self.cell, head=self.head)
 
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop)
-        h = self.embedder.embed(Tensor(w), Tensor(l), Tensor(s), Tensor(e))
-        return self.head(h, training, rng)
+    def forward_blocks(self, years, training=False, rng=None):
+        steps = [self.embedder.embed(*(Tensor(b) for b in blocks)) for blocks in years]
+        return self.head(_over_years(self.cell, steps), training, rng)
 
 
-class RecurrentWeeklyModel(_DeepModel):
+class RecurrentWeeklyModel(_Model):
     """Single-year GRU/LSTM over the 52-week series, plus the soil encoder."""
 
     def __init__(self, spec, rng):
@@ -279,77 +343,60 @@ class RecurrentWeeklyModel(_DeepModel):
         self.head = RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
 
     def parameters(self):
-        params = self.cell.parameters("cell")
-        params.update(self.soil.parameters("soil"))
-        params.update(self.head.parameters("head"))
-        return params
+        return _collect(cell=self.cell, soil=self.soil, head=self.head)
 
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop)
+    def forward_blocks(self, years, training=False, rng=None):
+        ((w, l, s, e),) = years
         h_wl = rnn_forward(self.cell, _weekly_sequence(w, l))
         h = concat([h_wl, self.soil(Tensor(s)), Tensor(e)], axis=1)
         return self.head(h, training, rng)
 
 
-class FlatHistoryModel(_DeepModel):
+class FlatHistoryModel(_Model):
     """5-year GRU/LSTM over per-year flattened feature vectors."""
 
     def __init__(self, spec, rng):
         super().__init__(spec)
-        cell_kind = "gru" if spec.kind.startswith("gru") else "lstm"
-        self.cell = RecurrentCell(cell_kind, FLAT_WIDTH, spec.widths.rnn_hidden, rng)
-        self.head = RegressionHead(spec.widths.rnn_hidden, spec.widths.head_hidden, rng,
-                                   spec.head_dropout)
+        self.cell, self.head = _year_head(spec, FLAT_WIDTH, rng)
 
     def parameters(self):
-        params = self.cell.parameters("cell")
-        params.update(self.head.parameters("head"))
-        return params
+        return _collect(cell=self.cell, head=self.head)
 
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        steps = []
-        for offset in range(-4, 1):
-            w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop, offset)
-            steps.append(Tensor(flatten_blocks(w, l, s, e)))
-        return self.head(rnn_forward(self.cell, steps), training, rng)
+    def forward_blocks(self, years, training=False, rng=None):
+        steps = [Tensor(flatten_blocks(*blocks)) for blocks in years]
+        return self.head(_over_years(self.cell, steps), training, rng)
 
 
-class CnnHistoryModel(_DeepModel):
-    """5-year: shared conv embedder per year -> LSTM -> head."""
+class GnnModel(_Model):
+    """Conv embedder -> 2 aggregation layers, per year with shared weights
+    -> (five-year kinds) LSTM over the years -> head."""
 
-    def __init__(self, spec, rng):
-        super().__init__(spec)
-        self.embedder = _make_embedder(spec, rng)
-        self.cell = RecurrentCell("lstm", self.embedder.out_dim, spec.widths.rnn_hidden, rng)
-        self.head = RegressionHead(spec.widths.rnn_hidden, spec.widths.head_hidden, rng,
-                                   spec.head_dropout)
-
-    def parameters(self):
-        params = self.embedder.parameters("embed")
-        params.update(self.cell.parameters("cell"))
-        params.update(self.head.parameters("head"))
-        return params
-
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        steps = []
-        for offset in range(-4, 1):
-            w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop, offset)
-            steps.append(self.embedder.embed(Tensor(w), Tensor(l), Tensor(s), Tensor(e)))
-        return self.head(rnn_forward(self.cell, steps), training, rng)
-
-
-class _GraphModelBase(_DeepModel):
     def __init__(self, spec, rng):
         super().__init__(spec)
         self.embedder = _make_embedder(spec, rng)
         self.stack = build_sage_stack(self.embedder.out_dim, spec.widths.gnn_hidden,
                                       spec.aggregator, rng)
+        self.cell, self.head = _year_head(spec, spec.widths.gnn_hidden, rng)
 
-    def _graph_params(self, prefix="gnn"):
-        params = {}
+    def parameters(self):
+        params = _collect(embed=self.embedder, cell=self.cell, head=self.head)
         for i, layer in enumerate(self.stack):
-            params.update(layer.parameters(f"{prefix}.layer{i}"))
+            params.update(layer.parameters(f"gnn.layer{i}"))
         return params
+
+    def forward_samples(self, ds, samples, training=False, rng=None):
+        targets = {y for _, y in samples}
+        if len(targets) != 1:
+            raise ConfigurationError(f"graph batches must share one target year, got {sorted(targets)}")
+        year = targets.pop()
+        counties = [c for c, _ in samples]
+        years = list(range(year - self.spec.history_years, year + 1))
+        block = self._block(ds, counties, years, training, rng)
+        input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
+        zs = [gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y))
+              for y in years]
+        h = self._reorder(block, ds, counties, _over_years(self.cell, zs))
+        return self.head(h, training, rng)
 
     def _block(self, ds, counties, years, training, rng):
         allowed = set(ds.usable_counties(years[0]))
@@ -381,59 +428,6 @@ class _GraphModelBase(_DeepModel):
         return take_rows(z, order)
 
 
-class GnnModel(_GraphModelBase):
-    """Single-year: conv embedder -> 2 aggregation layers -> head."""
-
-    def __init__(self, spec, rng):
-        super().__init__(spec, rng)
-        self.head = RegressionHead(spec.widths.gnn_hidden, spec.widths.head_hidden, rng,
-                                   spec.head_dropout)
-
-    def parameters(self):
-        params = self.embedder.parameters("embed")
-        params.update(self._graph_params())
-        params.update(self.head.parameters("head"))
-        return params
-
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        year = self._check_single_year(samples)
-        counties = [c for c, _ in samples]
-        block = self._block(ds, counties, [year], training, rng)
-        input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
-        h = self._embed_nodes(ds, input_ids, year)
-        z = gnn_forward(self.stack, block, h)
-        return self.head(self._reorder(block, ds, counties, z), training, rng)
-
-
-class GnnHistoryModel(_GraphModelBase):
-    """5-year: per-year graph-refined embeddings (shared weights) -> LSTM -> head."""
-
-    def __init__(self, spec, rng):
-        super().__init__(spec, rng)
-        self.cell = RecurrentCell("lstm", spec.widths.gnn_hidden, spec.widths.rnn_hidden, rng)
-        self.head = RegressionHead(spec.widths.rnn_hidden, spec.widths.head_hidden, rng,
-                                   spec.head_dropout)
-
-    def parameters(self):
-        params = self.embedder.parameters("embed")
-        params.update(self._graph_params())
-        params.update(self.cell.parameters("cell"))
-        params.update(self.head.parameters("head"))
-        return params
-
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        year = self._check_single_year(samples)
-        counties = [c for c, _ in samples]
-        years = list(range(year - 4, year + 1))
-        block = self._block(ds, counties, years, training, rng)
-        input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
-        zs = [
-            gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y))
-            for y in years
-        ]
-        h = rnn_forward(self.cell, zs)
-        return self.head(self._reorder(block, ds, counties, h), training, rng)
-
 
 _MODEL_CLASSES = {
     "cnn-1y": CnnModel,
@@ -442,8 +436,8 @@ _MODEL_CLASSES = {
     "gnn-1y": GnnModel,
     "gru-5y": FlatHistoryModel,
     "lstm-5y": FlatHistoryModel,
-    "cnn-rnn-5y": CnnHistoryModel,
-    "gnn-rnn-5y": GnnHistoryModel,
+    "cnn-rnn-5y": CnnModel,
+    "gnn-rnn-5y": GnnModel,
 }
 
 
@@ -534,19 +528,19 @@ def lasso_objective(X, y, model):
     return float(resid @ resid / (2 * n) + model.lam * np.abs(model.coef).sum())
 
 
-class LinearWrapper:
+class LinearWrapper(_Model):
     """Adapts a fitted LinearModel to the forward_samples surface."""
 
     def __init__(self, spec, linear):
-        self.spec = spec
+        super().__init__(spec)
         self.linear = linear
 
     def parameters(self):
         return {}
 
-    def forward_samples(self, ds, samples, training=False, rng=None):
-        w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop)
-        return Tensor(self.linear.predict(flatten_blocks(w, l, s, e)))
+    def forward_blocks(self, years, training=False, rng=None):
+        (blocks,) = years
+        return Tensor(self.linear.predict(flatten_blocks(*blocks)))
 
 
 # -- training -------------------------------------------------------------------
@@ -580,23 +574,17 @@ def _standardized_targets(ds, samples, crop):
 
 
 def _predict_std(model, ds, samples, batch_size):
-    """Inference-mode standardized predictions, batched, deterministic."""
+    """Inference-mode standardized predictions, batched, deterministic;
+    graph kinds batch each target year apart."""
     by_year = model.spec.kind in GRAPH_KINDS
+    groups = {}
+    for i, (_, y) in enumerate(samples):
+        groups.setdefault(y if by_year else None, []).append(i)
     out = np.empty(len(samples))
-    if by_year:
-        groups = {}
-        for i, (c, y) in enumerate(samples):
-            groups.setdefault(y, []).append(i)
-        for year, idx in sorted(groups.items()):
-            for start in range(0, len(idx), batch_size):
-                chunk = idx[start : start + batch_size]
-                preds = model.forward_samples(ds, [samples[i] for i in chunk])
-                out[chunk] = preds.data
-    else:
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start : start + batch_size]
-            preds = model.forward_samples(ds, chunk)
-            out[start : start + len(chunk)] = preds.data
+    for _, idx in sorted(groups.items()):
+        for start in range(0, len(idx), batch_size):
+            chunk = idx[start : start + batch_size]
+            out[chunk] = model.forward_samples(ds, [samples[i] for i in chunk]).data
     return out
 
 
@@ -689,6 +677,44 @@ def _train_linear(spec, ds, split, stats, samples, val_samples, skipped):
 
 _MAGIC = "yieldgraph-checkpoint v1"
 
+# ModelSpec fields that hold a dataclass, with the header prefix of its fields.
+_NESTED = {"schedule": (LrSchedule, "schedule_"), "widths": (ArchWidths, "")}
+
+
+def _header_fields():
+    """(header key, enclosing ModelSpec field or None, field) for every
+    hyperparameter, in declaration order."""
+    for f in fields(ModelSpec):
+        if f.name in _NESTED:
+            cls, prefix = _NESTED[f.name]
+            for inner in fields(cls):
+                yield prefix + inner.name, f.name, inner
+        else:
+            yield f.name, None, f
+
+
+def _spec_header(spec):
+    """(key, text) header lines for a spec."""
+    for key, outer, f in _header_fields():
+        owner = getattr(spec, outer) if outer else spec
+        yield key, format_field(f, getattr(owner, f.name))
+
+
+def _spec_from_header(kv):
+    top, nested = {}, {name: {} for name in _NESTED}
+    for key, outer, f in _header_fields():
+        (nested[outer] if outer else top)[f.name] = parse_field(f, kv[key])
+    for name, args in nested.items():
+        top[name] = _NESTED[name][0](**args)
+    return ModelSpec(**top)
+
+
+_HEADER_KEYS = tuple(key for key, _, _ in _header_fields()) + (
+    "best_epoch", "test_year", "skipped_windows", "lasso_converged", "train_years", "blocks",
+)
+_NORM_ARRAYS = tuple(f.name for f in fields(NormStats) if f.type == "np.ndarray")
+_HISTORY = ("train_loss", "val_rmse", "lr")
+
 
 class ModelCheckpoint:
     """Serialized parameters + spec + normalization stats + history."""
@@ -754,56 +780,27 @@ class ModelCheckpoint:
     def save(self, path):
         header = io.StringIO()
         header.write(_MAGIC + "\n")
-        spec = self.spec
-        fields = {
-            "kind": spec.kind, "crop": spec.crop, "lr": repr(spec.lr),
-            "batch_size": spec.batch_size, "epochs": spec.epochs,
-            "weight_decay": repr(spec.weight_decay),
-            "schedule_kind": spec.schedule.kind,
-            "schedule_lr_max": repr(spec.schedule.lr_max),
-            "schedule_period": spec.schedule.period,
-            "schedule_gamma": repr(spec.schedule.gamma),
-            "schedule_t0": spec.schedule.t0,
-            "schedule_eta_min": repr(spec.schedule.eta_min),
-            "fanout": spec.fanout, "edge_dropout": repr(spec.edge_dropout),
-            "aggregator": spec.aggregator, "seed": spec.seed,
-            "head_dropout": repr(spec.head_dropout),
-            "ridge_lambda": repr(spec.ridge_lambda),
-            "lasso_lambda": repr(spec.lasso_lambda),
-            "weekly_channels": ",".join(map(str, spec.widths.weekly_channels)),
-            "weekly_kernels": ",".join(map(str, spec.widths.weekly_kernels)),
-            "weekly_out": spec.widths.weekly_out,
-            "soil_channels": ",".join(map(str, spec.widths.soil_channels)),
-            "soil_out": spec.widths.soil_out,
-            "rnn_hidden": spec.widths.rnn_hidden,
-            "gnn_hidden": spec.widths.gnn_hidden,
-            "head_hidden": spec.widths.head_hidden,
+        run = {
             "best_epoch": self.best_epoch,
             "test_year": self.test_year,
             "skipped_windows": self.skipped_windows,
             "lasso_converged": self.lasso_converged,
             "train_years": ",".join(map(str, self.norm_stats.train_years)),
         }
-        for key, value in fields.items():
+        for key, value in [*_spec_header(self.spec), *run.items()]:
             header.write(f"{key} = {value}\n")
 
         blocks = {f"param/{k}": v for k, v in sorted(self.params.items())}
         ns = self.norm_stats
-        blocks.update({
-            "norm/weather_mean": ns.weather_mean, "norm/weather_std": ns.weather_std,
-            "norm/land_mean": ns.land_mean, "norm/land_std": ns.land_std,
-            "norm/soil_mean": ns.soil_mean, "norm/soil_std": ns.soil_std,
-            "norm/extras_mean": ns.extras_mean, "norm/extras_std": ns.extras_std,
-        })
+        blocks.update({f"norm/{name}": getattr(ns, name) for name in _NORM_ARRAYS})
         for block_name, flags in sorted(ns.constant_flags.items()):
             blocks[f"norm/const_{block_name}"] = flags.astype(np.float64)
         for crop in sorted(ns.target_mean):
             blocks[f"norm/target_{crop}"] = np.array(
                 [ns.target_mean[crop], ns.target_std[crop]]
             )
-        blocks["history/train_loss"] = np.array([h["train_loss"] for h in self.history])
-        blocks["history/val_rmse"] = np.array([h["val_rmse"] for h in self.history])
-        blocks["history/lr"] = np.array([h["lr"] for h in self.history])
+        for key in _HISTORY:
+            blocks[f"history/{key}"] = np.array([h[key] for h in self.history])
 
         header.write(f"blocks = {len(blocks)}\n\n")
         with open(path, "wb") as f:
@@ -817,90 +814,79 @@ class ModelCheckpoint:
 
     @staticmethod
     def load(path):
-        from yieldgraph.data import NormStats
-
+        """Read a v1 checkpoint; a truncated or garbled file raises
+        ConfigurationError naming what is wrong."""
         with open(path, "rb") as f:
             raw = f.read()
-        head_end = raw.index(b"\n\n")
-        header_lines = raw[:head_end].decode("utf-8").splitlines()
-        if header_lines[0] != _MAGIC:
+        head_end = raw.find(b"\n\n")
+        header_lines = raw[: max(head_end, 0)].decode("utf-8", "replace").splitlines()
+        if head_end < 0 or header_lines[:1] != [_MAGIC]:
             raise ConfigurationError(f"{path}: not a checkpoint file")
-        kv = {}
-        for line in header_lines[1:]:
-            key, _, value = line.partition(" = ")
-            kv[key] = value
-
-        widths = ArchWidths(
-            weekly_channels=tuple(int(x) for x in kv["weekly_channels"].split(",")),
-            weekly_kernels=tuple(int(x) for x in kv["weekly_kernels"].split(",")),
-            weekly_out=int(kv["weekly_out"]),
-            soil_channels=tuple(int(x) for x in kv["soil_channels"].split(",")),
-            soil_out=int(kv["soil_out"]),
-            rnn_hidden=int(kv["rnn_hidden"]),
-            gnn_hidden=int(kv["gnn_hidden"]),
-            head_hidden=int(kv["head_hidden"]),
-        )
-        schedule = LrSchedule(
-            kind=kv["schedule_kind"], lr_max=float(kv["schedule_lr_max"]),
-            period=int(kv["schedule_period"]), gamma=float(kv["schedule_gamma"]),
-            t0=int(kv["schedule_t0"]), eta_min=float(kv["schedule_eta_min"]),
-        )
-        spec = ModelSpec(
-            kind=kv["kind"], crop=kv["crop"], lr=float(kv["lr"]),
-            batch_size=int(kv["batch_size"]), epochs=int(kv["epochs"]),
-            weight_decay=float(kv["weight_decay"]), schedule=schedule,
-            fanout=int(kv["fanout"]), edge_dropout=float(kv["edge_dropout"]),
-            aggregator=kv["aggregator"], seed=int(kv["seed"]),
-            head_dropout=float(kv["head_dropout"]),
-            ridge_lambda=float(kv["ridge_lambda"]),
-            lasso_lambda=float(kv["lasso_lambda"]), widths=widths,
-        )
+        kv = dict(line.partition(" = ")[::2] for line in header_lines[1:])
+        missing = sorted(set(_HEADER_KEYS) - set(kv))
+        unknown = sorted(set(kv) - set(_HEADER_KEYS))
+        if missing or unknown or len(header_lines) - 1 != len(kv):
+            raise ConfigurationError(
+                f"{path}: bad checkpoint header (missing {missing}, unknown {unknown})"
+            )
+        try:
+            spec = _spec_from_header(kv)
+            train_years = tuple(int(x) for x in kv["train_years"].split(","))
+            run = dict(best_epoch=int(kv["best_epoch"]), test_year=int(kv["test_year"]),
+                       skipped_windows=int(kv["skipped_windows"]),
+                       lasso_converged=kv["lasso_converged"] == "True")
+            n_blocks = int(kv["blocks"])
+        except ValueError as e:
+            raise ConfigurationError(f"{path}: bad checkpoint header value: {e}") from e
 
         blocks = {}
         pos = head_end + 2
-        for _ in range(int(kv["blocks"])):
-            line_end = raw.index(b"\n", pos)
-            parts = raw[pos:line_end].decode("utf-8").split(" ")
-            name, ndim = parts[0], int(parts[1])
-            shape = tuple(int(x) for x in parts[2 : 2 + ndim])
-            count = int(np.prod(shape)) if shape else 1
+        for index in range(n_blocks):
+            line_end = raw.find(b"\n", pos)
+            try:
+                if line_end < 0:
+                    raise ValueError("no line end")
+                name, ndim, *dims = raw[pos:line_end].decode("utf-8").split(" ")
+                shape = tuple(int(x) for x in dims)
+                if int(ndim) != len(shape) or min(shape, default=0) < 0:
+                    raise ValueError("bad shape")
+            except ValueError as e:
+                raise ConfigurationError(
+                    f"{path}: block {index} of {n_blocks} has a bad header line"
+                ) from e
+            count = math.prod(shape)
             pos = line_end + 1
+            if pos + 8 * count > len(raw):
+                raise ConfigurationError(f"{path}: block {name!r} is truncated")
             arr = np.frombuffer(raw[pos : pos + 8 * count], dtype="<f8").reshape(shape)
             blocks[name] = arr.copy()
             pos += 8 * count
+        if pos != len(raw):
+            raise ConfigurationError(
+                f"{path}: {len(raw) - pos} trailing bytes after {n_blocks} blocks"
+            )
+        lacking = [name for name in [f"norm/{n}" for n in _NORM_ARRAYS]
+                   + [f"history/{k}" for k in _HISTORY] if name not in blocks]
+        if lacking:
+            raise ConfigurationError(f"{path}: checkpoint lacks blocks {lacking}")
 
         params = {k[len("param/"):]: v for k, v in blocks.items() if k.startswith("param/")}
         constant_flags = {
             k[len("norm/const_"):]: blocks[k].astype(bool)
             for k in blocks if k.startswith("norm/const_")
         }
-        stats = NormStats(
-            train_years=tuple(int(x) for x in kv["train_years"].split(",")),
-            weather_mean=blocks["norm/weather_mean"], weather_std=blocks["norm/weather_std"],
-            land_mean=blocks["norm/land_mean"], land_std=blocks["norm/land_std"],
-            soil_mean=blocks["norm/soil_mean"], soil_std=blocks["norm/soil_std"],
-            extras_mean=blocks["norm/extras_mean"], extras_std=blocks["norm/extras_std"],
-            constant_flags=constant_flags,
-        )
+        stats = NormStats(train_years=train_years, constant_flags=constant_flags,
+                          **{name: blocks[f"norm/{name}"] for name in _NORM_ARRAYS})
         for key in blocks:
             if key.startswith("norm/target_"):
                 crop = key[len("norm/target_"):]
                 stats.target_mean[crop] = float(blocks[key][0])
                 stats.target_std[crop] = float(blocks[key][1])
-
-        history = [
-            {"epoch": i, "train_loss": float(tl), "val_rmse": float(vr), "lr": float(lr)}
-            for i, (tl, vr, lr) in enumerate(
-                zip(blocks["history/train_loss"], blocks["history/val_rmse"],
-                    blocks["history/lr"])
-            )
-        ]
-        return ModelCheckpoint(
-            spec=spec, params=params, norm_stats=stats, history=history,
-            best_epoch=int(kv["best_epoch"]), test_year=int(kv["test_year"]),
-            skipped_windows=int(kv["skipped_windows"]),
-            lasso_converged=kv["lasso_converged"] == "True",
-        )
+        columns = zip(*(blocks[f"history/{key}"] for key in _HISTORY))
+        history = [{"epoch": i, **{k: float(v) for k, v in zip(_HISTORY, row)}}
+                   for i, row in enumerate(columns)]
+        return ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=history,
+                               **run)
 
 
 # -- single-sample prediction surface --------------------------------------------
@@ -912,14 +898,6 @@ class GraphContext:
     graph supplies the county adjacency."""
 
     dataset: object
-
-
-def _single_sample_blocks(window):
-    w = np.stack([f.weather for f in window])[None]
-    l = np.stack([f.land_surface for f in window])[None]
-    s = np.stack([f.soil for f in window])[None]
-    e = np.stack([f.extras for f in window])[None]
-    return w, l, s, e
 
 
 def predict_1y(checkpoint, features, graph_context=None):
@@ -952,30 +930,12 @@ def _predict_window(checkpoint, window, graph_context):
         raise ConfigurationError(f"{spec.kind} requires a graph context")
     if not is_graph and graph_context is not None:
         raise ConfigurationError(f"{spec.kind} does not accept a graph context")
-    county = window[-1].county
-    year = window[-1].year
     if is_graph:
-        preds = model.forward_samples(graph_context.dataset, [(county, year)])
-        return float(preds.data[0])
-    w, l, s, e = _single_sample_blocks(window)
-    if spec.kind in ("ridge-1y", "lasso-1y"):
-        X = flatten_blocks(w[:, 0], l[:, 0], s[:, 0], e[:, 0])
-        return float(model.linear.predict(X)[0])
-    if spec.history_years == 0:
-        sliced = (Tensor(w[:, 0]), Tensor(l[:, 0]), Tensor(s[:, 0]), Tensor(e[:, 0]))
-        if spec.kind == "cnn-1y":
-            h = model.embedder.embed(*sliced)
-            return float(model.head(h).data[0])
-        h_wl = rnn_forward(model.cell, _weekly_sequence(w[:, 0], l[:, 0]))
-        h = concat([h_wl, model.soil(sliced[2]), sliced[3]], axis=1)
-        return float(model.head(h).data[0])
-    steps = []
-    for t in range(5):
-        if spec.kind == "gru-5y" or spec.kind == "lstm-5y":
-            steps.append(Tensor(flatten_blocks(w[:, t], l[:, t], s[:, t], e[:, t])))
-        else:
-            steps.append(
-                model.embedder.embed(Tensor(w[:, t]), Tensor(l[:, t]), Tensor(s[:, t]),
-                                     Tensor(e[:, t]))
-            )
-    return float(model.head(rnn_forward(model.cell, steps)).data[0])
+        sample = (window[-1].county, window[-1].year)
+        preds = model.forward_samples(graph_context.dataset, [sample])
+    else:
+        preds = model.forward_blocks(
+            [(f.weather[None], f.land_surface[None], f.soil[None], f.extras[None])
+             for f in window]
+        )
+    return float(preds.data[0])

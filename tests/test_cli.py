@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from yieldgraph.cli import main
+from yieldgraph.cli import build_parser, main
 from yieldgraph.data import load_dataset
 from yieldgraph.evaluation import parse_metrics
 from yieldgraph.geo import RasterGrid, write_ascii_grid
@@ -271,3 +271,110 @@ def test_numerical_abort_exits_3(tmp_path):
     out = tmp_path / "run"
     code = run(train_args(data, out, extra=["--lr", "1e200", "--force"]))
     assert code == 3
+
+
+def test_train_config_echo_golden(tmp_path):
+    """config.txt of one train run, byte for byte: config-file values echo as
+    written, flags as parsed, and every other hyperparameter as resolved."""
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("# golden run\nmethod = cnn-1y\nlr = 1e-3\nfanout = 5\n", encoding="utf-8")
+    out = tmp_path / "run"
+    argv = (["train", "--config", str(cfg)] + dataset_flags(data)
+            + ["--test-year", "2009", "--epochs", "2", "--toy-widths", "--batch-size", "16",
+               "--schedule", "step:3:0.5", "--head-dropout", "0.25", "--out", str(out)])
+    assert run(argv) == 0
+    assert (out / "config.txt").read_text(encoding="utf-8") == (
+        "command = train\n"
+        f"adjacency = {data / 'adjacency.tsv'}\n"
+        "aggregator = pool\n"
+        "batch_size = 16\n"
+        "crop = corn\n"
+        "edge_dropout = 0.1\n"
+        "epochs = 2\n"
+        "fanout = 5\n"
+        f"features = {data / 'features.csv'}\n"
+        "head_dropout = 0.25\n"
+        "lasso_lambda = 0.01\n"
+        "lr = 1e-3\n"
+        "method = cnn-1y\n"
+        f"out = {out}\n"
+        "ridge_lambda = 1.0\n"
+        "schedule = step:3:0.5\n"
+        "seed = 0\n"
+        "test_year = 2009\n"
+        "toy_widths = true\n"
+        "weight_decay = 1e-05\n"
+        f"yields = {data / 'yields.csv'}\n"
+    )
+
+
+def test_train_option_set_golden():
+    """Every train option string with its config key, type, choices and const."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    got = sorted(
+        (opt, a.dest, getattr(a.type, "__name__", None),
+         tuple(a.choices) if a.choices else None, a.const)
+        for a in sub.choices["train"]._actions for opt in a.option_strings
+    )
+    kinds = ("ridge-1y", "lasso-1y", "gru-1y", "lstm-1y", "cnn-1y", "gnn-1y",
+             "gru-5y", "lstm-5y", "cnn-rnn-5y", "gnn-rnn-5y")
+    assert got == [
+        ("--adjacency", "adjacency", None, None, None),
+        ("--aggregator", "aggregator", None, ("mean", "pool"), None),
+        ("--batch-size", "batch_size", "int", None, None),
+        ("--config", "config", None, None, None),
+        ("--crop", "crop", None, ("corn", "soybean"), None),
+        ("--edge-dropout", "edge_dropout", "float", None, None),
+        ("--epochs", "epochs", "int", None, None),
+        ("--fanout", "fanout", "int", None, None),
+        ("--features", "features", None, None, None),
+        ("--force", "force", None, None, True),
+        ("--head-dropout", "head_dropout", "float", None, None),
+        ("--help", "help", None, None, None),
+        ("--lasso-lambda", "lasso_lambda", "float", None, None),
+        ("--lr", "lr", "float", None, None),
+        ("--method", "method", None, kinds, None),
+        ("--out", "out", None, None, None),
+        ("--ridge-lambda", "ridge_lambda", "float", None, None),
+        ("--schedule", "schedule", None, None, None),
+        ("--seed", "seed", "int", None, None),
+        ("--test-year", "test_year", "int", None, None),
+        ("--toy-widths", "toy_widths", None, None, "true"),
+        ("--weight-decay", "weight_decay", "float", None, None),
+        ("--yields", "yields", None, None, None),
+        ("-h", "help", None, None, None),
+    ]
+
+
+def test_train_rejects_unknown_aggregator_in_config(tmp_path):
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("aggregator = bogus\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run(train_args(data, out, extra=["--config", str(cfg)])) == 2
+    assert not (out / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("method", ["cnn-1y", "gnn-1y", "ridge-1y"])
+def test_evaluate_skips_county_with_blank_test_year_cell(tmp_path, method):
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    features = data / "features.csv"
+    lines = features.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.split(",")[1] == "2009")
+    cells = lines[row].split(",")
+    cells[2] = ""  # one blank weather cell in a present test-year record
+    lines[row] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert run(train_args(data, run_dir, method=method)) == 0
+    eval_dir = tmp_path / "eval"
+    code = run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.ckpt")]
+               + dataset_flags(data) + ["--out", str(eval_dir)])
+    assert code == 0
+    metrics = parse_metrics(eval_dir / "metrics.txt")
+    assert metrics["skipped"] == 1
+    assert metrics["n"] == 15

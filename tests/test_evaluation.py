@@ -138,6 +138,20 @@ def test_evaluate_oracle_checkpoint_perfect_metrics():
     assert report.n_counties == 4
 
 
+def test_evaluate_skips_county_with_a_blank_cell():
+    ds = _labeled_dataset()
+    ds.soil[ds.county_index["00001"], ds.year_index[2007], 0, 0] = np.nan
+    report = evaluate(OraclePredictor(ds), ds, YearSplit(test_year=2007))
+    assert (report.n_counties, report.skipped) == (3, 1)
+    assert [r[0] for r in report.records] == ["00000", "00002", "00003"]
+
+
+def test_evaluate_without_labeled_counties_raises_metric_error():
+    ds = _labeled_dataset()
+    with pytest.raises(MetricError):
+        evaluate(OraclePredictor(ds, crop="soybean"), ds, YearSplit(test_year=2007))
+
+
 def test_evaluate_constant_predictor_nonpositive_r2():
     ds = _labeled_dataset()
     report = evaluate(OraclePredictor(ds, mode="constant"), ds, YearSplit(test_year=2007))

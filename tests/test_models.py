@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from yieldgraph.data import YearSplit, generate_synthetic, normalize
+from yieldgraph.data import NormStats, YearSplit, assemble_window, generate_synthetic, normalize
 from yieldgraph.evaluation import evaluate
 from yieldgraph.graph import CountyGraph
 from yieldgraph.models import (
@@ -9,6 +11,8 @@ from yieldgraph.models import (
     ArchWidths,
     ConfigurationError,
     DEEP_KINDS,
+    FLAT_WIDTH,
+    GRAPH_KINDS,
     GraphContext,
     LrSchedule,
     ModelCheckpoint,
@@ -131,6 +135,8 @@ def test_spec_history_years_invariant():
         ModelSpec(kind="transformer-1y")
     with pytest.raises(ConfigurationError):
         ModelSpec(kind="cnn-1y", crop="wheat")
+    with pytest.raises(ConfigurationError):
+        ModelSpec(kind="cnn-1y", aggregator="bogus")
 
 
 def test_default_spec_matches_tuned_tables():
@@ -394,3 +400,147 @@ def test_mixed_year_graph_batch_rejected():
     model = build_model(tiny_spec("gnn-1y"), np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         model.forward_samples(ds_norm, [(ds.counties[0], 2008), (ds.counties[1], 2009)])
+
+
+def test_single_sample_prediction_equals_forward_samples():
+    """predict_1y / predict_5y on an assembled window give exactly the
+    batched forward's value, for every kind and county of a 3x3 grid."""
+    ds = tiny_dataset(side=3, years=10)
+    ds_norm, stats = normalize(ds, YearSplit(test_year=2009))
+    for kind in ALL_KINDS:
+        spec = tiny_spec(kind)
+        rng = np.random.default_rng(7)
+        if kind in DEEP_KINDS:
+            params = {k: v.data for k, v in build_model(spec, rng).parameters().items()}
+        else:
+            params = {"linear.coef": rng.normal(size=FLAT_WIDTH) * 0.01,
+                      "linear.intercept": np.array([0.3])}
+        ckpt = ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=[],
+                               best_epoch=0, test_year=2009)
+        context = GraphContext(ds_norm) if kind in GRAPH_KINDS else None
+        for county in ds_norm.counties:
+            window = assemble_window(ds_norm, county, 2009, spec.history_years, "corn")
+            if spec.history_years:
+                got = predict_5y(ckpt, window, context)
+            else:
+                got = predict_1y(ckpt, window[0], context)
+            want = ckpt.model().forward_samples(ds_norm, [(county, 2009)]).data[0]
+            assert got == want, (kind, county)
+
+
+# -- checkpoint format -------------------------------------------------------------
+
+
+def _all_fields_checkpoint():
+    """A checkpoint whose spec sets every hyperparameter away from its default."""
+    spec = ModelSpec(
+        kind="gnn-rnn-5y", crop="soybean", lr=3e-4, batch_size=16, epochs=7,
+        weight_decay=2.5e-5,
+        schedule=LrSchedule("step", 3e-4, period=5, gamma=0.7, t0=50, eta_min=2e-6),
+        fanout=3, edge_dropout=0.25, aggregator="mean", seed=11, head_dropout=0.125,
+        ridge_lambda=2.5, lasso_lambda=0.05,
+        widths=ArchWidths(weekly_channels=(3, 5, 6, 7), weekly_kernels=(5, 3, 3, 1),
+                          weekly_out=9, soil_channels=(2, 3, 4), soil_out=5, rnn_hidden=6,
+                          gnn_hidden=7, head_hidden=10),
+    )
+    z = np.zeros(1)
+    stats = NormStats(train_years=(2000, 2001, 2002), weather_mean=z, weather_std=z,
+                      land_mean=z, land_std=z, soil_mean=z, soil_std=z, extras_mean=z,
+                      extras_std=z, constant_flags={})
+    stats.target_mean["soybean"] = 40.0
+    stats.target_std["soybean"] = 5.0
+    return ModelCheckpoint(
+        spec=spec, params={"head.fc2.b": np.array([0.5])}, norm_stats=stats,
+        history=[{"epoch": 0, "train_loss": 0.25, "val_rmse": 0.5, "lr": 3e-4}],
+        best_epoch=0, test_year=2004, skipped_windows=2, lasso_converged=False,
+    )
+
+
+_GOLDEN_HEADER = """yieldgraph-checkpoint v1
+kind = gnn-rnn-5y
+crop = soybean
+lr = 0.0003
+batch_size = 16
+epochs = 7
+weight_decay = 2.5e-05
+schedule_kind = step
+schedule_lr_max = 0.0003
+schedule_period = 5
+schedule_gamma = 0.7
+schedule_t0 = 50
+schedule_eta_min = 2e-06
+fanout = 3
+edge_dropout = 0.25
+aggregator = mean
+seed = 11
+head_dropout = 0.125
+ridge_lambda = 2.5
+lasso_lambda = 0.05
+weekly_channels = 3,5,6,7
+weekly_kernels = 5,3,3,1
+weekly_out = 9
+soil_channels = 2,3,4
+soil_out = 5
+rnn_hidden = 6
+gnn_hidden = 7
+head_hidden = 10
+best_epoch = 0
+test_year = 2004
+skipped_windows = 2
+lasso_converged = False
+train_years = 2000,2001,2002
+blocks = 13
+
+"""
+
+
+def test_checkpoint_header_golden(tmp_path):
+    ckpt = _all_fields_checkpoint()
+    path = tmp_path / "golden.ckpt"
+    ckpt.save(path)
+    raw = path.read_bytes()
+    assert raw[: raw.index(b"\n\n") + 2].decode("utf-8") == _GOLDEN_HEADER
+    assert hashlib.sha256(raw).hexdigest() == (
+        "2d2cccfb4c28c4103dd3cd0f58875663fb7a7d051ed192fe844b4da924f49d2c"
+    )
+    loaded = ModelCheckpoint.load(path)
+    assert loaded.spec == ckpt.spec
+    assert (loaded.best_epoch, loaded.test_year, loaded.skipped_windows,
+            loaded.lasso_converged) == (0, 2004, 2, False)
+
+
+def _header_end(raw):
+    return raw.index(b"\n\n") + 2
+
+
+_CORRUPTIONS = {
+    "empty": lambda raw: b"",
+    "in-magic": lambda raw: raw[:10],
+    "mid-header": lambda raw: raw[: _header_end(raw) // 2],
+    "no-blank-line": lambda raw: raw[: _header_end(raw) - 1],
+    "no-blocks": lambda raw: raw[: _header_end(raw)],
+    "mid-block-line": lambda raw: raw[: _header_end(raw) + 6],
+    "mid-block": lambda raw: raw[: raw.index(b"\n", _header_end(raw)) + 5],
+    "last-byte": lambda raw: raw[:-1],
+    "dropped-line": lambda raw: raw.replace(b"fanout = 3\n", b""),
+    "extra-line": lambda raw: raw.replace(b"blocks = ", b"extra = 1\nblocks = "),
+    "bad-value": lambda raw: raw.replace(b"epochs = 7", b"epochs = seven"),
+    "fewer-blocks": lambda raw: raw.replace(b"blocks = 13", b"blocks = 12"),
+    "more-blocks": lambda raw: raw.replace(b"blocks = 13", b"blocks = 14"),
+    "trailing-bytes": lambda raw: raw + b"\0",
+    "bad-block-line": lambda raw: raw.replace(b"head.fc2.b 1 1", b"head.fc2.b 2 1"),
+    "renamed-block": lambda raw: raw.replace(b"history/lr", b"history/lx"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_CORRUPTIONS))
+def test_checkpoint_load_rejects_damaged_file(tmp_path, damage):
+    path = tmp_path / "good.ckpt"
+    _all_fields_checkpoint().save(path)
+    raw = path.read_bytes()
+    damaged = _CORRUPTIONS[damage](raw)
+    assert damaged != raw
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(damaged)
+    with pytest.raises(ConfigurationError):
+        ModelCheckpoint.load(bad)
