@@ -26,6 +26,7 @@ import sys
 
 import numpy as np
 
+from yieldgraph.autodiff import NonFiniteError
 from yieldgraph.data import (
     DataFormatError,
     WindowUnavailableError,
@@ -71,16 +72,6 @@ class CliError(ValueError):
     pass
 
 
-def worker_count():
-    """Worker-thread cap from YIELDGRAPH_THREADS (default 1)."""
-    raw = os.environ.get("YIELDGRAPH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"YIELDGRAPH_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def read_config_file(path):
     values = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -95,9 +86,8 @@ def read_config_file(path):
     return values
 
 
-# Parsed attributes that are not config keys. --early is a switch of
-# evaluate and benchmark; evaluate echoes it by hand.
-_NOT_KEYS = ("command", "func", "config", "force", "early")
+# Parsed attributes that are not config keys.
+_NOT_KEYS = ("command", "func", "config", "force")
 
 
 def resolve_config(args, required=()):
@@ -119,6 +109,12 @@ def resolve_config(args, required=()):
     if missing:
         raise CliError(f"missing required option(s): {missing}")
     return resolved
+
+
+def config_switch(cfg, key):
+    """A switch's resolved value: true when its flag was given or its
+    config value is 1, true or yes."""
+    return cfg.get(key, "false").lower() in ("1", "true", "yes")
 
 
 def echo_config(resolved, command, out_dir):
@@ -263,7 +259,7 @@ _SPEC_FIELDS = {
 def _spec_from_config(cfg):
     values = {f.name: parse_field(f, cfg[key]) for key, f in _SPEC_FIELDS.items() if key in cfg}
     test_year = int(cfg["test_year"])
-    if cfg.get("toy_widths", "false").lower() in ("1", "true", "yes"):
+    if config_switch(cfg, "toy_widths"):
         values["widths"] = ArchWidths.toy()
     spec = default_spec(values.pop("kind"), values.pop("crop", "corn"), test_year, **values)
     if "schedule" in cfg:
@@ -321,11 +317,11 @@ def cmd_evaluate(args):
     checkpoint = ModelCheckpoint.load(cfg["checkpoint"])
     dataset = _load_dataset_cfg(cfg)
     test_year = int(cfg.get("test_year", checkpoint.test_year))
+    early = config_switch(cfg, "early")
     prepare_out_dir(cfg["out"], args.force)
-    report = evaluate(checkpoint, dataset, YearSplit(test_year=test_year),
-                      early=args.early)
+    report = evaluate(checkpoint, dataset, YearSplit(test_year=test_year), early=early)
     emit_report(report, cfg["out"])
-    cfg["early"] = str(bool(args.early))
+    cfg.setdefault("early", "false")
     cfg.setdefault("test_year", str(test_year))
     echo_config(cfg, "evaluate", cfg["out"])
     print(f"{report.method} ({report.crop}, {report.test_year}): "
@@ -352,6 +348,7 @@ def cmd_benchmark(args):
     seeds = [int(s) for s in cfg.get("seeds", "0").split(",")]
     crop = cfg.get("crop", "corn")
     test_year = int(cfg["test_year"])
+    early = config_switch(cfg, "early")
     dataset = _load_dataset_cfg(cfg)
     split = YearSplit(test_year=test_year)
     prepare_out_dir(cfg["out"], args.force)
@@ -360,37 +357,18 @@ def cmd_benchmark(args):
     if "epochs" in cfg:
         overrides["epochs"] = int(cfg["epochs"])
 
-    jobs = []
-    for method in methods:
-        if method not in ALL_KINDS:
-            raise CliError(f"unknown method {method!r}")
-        for seed in seeds:
-            jobs.append((method, seed))
+    unknown = [m for m in methods if m not in ALL_KINDS]
+    if unknown:
+        raise CliError(f"unknown method {unknown[0]!r}")
 
     results = {}
-
-    def run(job):
-        method, seed = job
-        spec = default_spec(method, crop, test_year, seed=seed, **overrides)
-        return _benchmark_cell(spec, dataset, split, args.early)
-
-    n_workers = min(worker_count(), len(jobs))
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {job: pool.submit(run, job) for job in jobs}
-        for job, fut in futures.items():
+    for method in methods:
+        for seed in seeds:
             try:
-                results[job] = fut.result()
-            except Exception as e:  # cell failure must not sink the table
-                results[job] = e
-    else:
-        for job in jobs:
-            try:
-                results[job] = run(job)
-            except Exception as e:
-                results[job] = e
+                spec = default_spec(method, crop, test_year, seed=seed, **overrides)
+                results[(method, seed)] = _benchmark_cell(spec, dataset, split, early)
+            except Exception as e:  # a cell failure must not sink the table
+                results[(method, seed)] = e
 
     rows = []
     for method in methods:
@@ -407,7 +385,7 @@ def cmd_benchmark(args):
                 vals = np.array([pick(c) for c in good])
                 row[f"{name}_mean"] = float(vals.mean())
                 row[f"{name}_std"] = float(vals.std())
-            if args.early:
+            if early:
                 masked = np.array([c[1].r2 for c in good])
                 row["r2_masked_mean"] = float(masked.mean())
                 row["r2_masked_std"] = float(masked.std())
@@ -417,7 +395,7 @@ def cmd_benchmark(args):
         rows.append(row)
 
     metric_cols = ["rmse_mean", "rmse_std", "r2_mean", "r2_std", "corr_mean", "corr_std"]
-    if args.early:
+    if early:
         metric_cols += ["r2_masked_mean", "r2_masked_std"]
     csv_path = os.path.join(cfg["out"], "benchmark.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
@@ -446,6 +424,7 @@ def cmd_benchmark(args):
                 f.write(f"{row['method']:<14}{row['group']:<7}{cells}  {row['status']}\n")
     cfg.setdefault("seeds", ",".join(str(s) for s in seeds))
     cfg.setdefault("crop", crop)
+    cfg.setdefault("early", "false")
     echo_config(cfg, "benchmark", cfg["out"])
     print(open(txt_path, encoding="utf-8").read(), end="")
     return EXIT_OK
@@ -505,7 +484,7 @@ def build_parser():
     p.add_argument("--yields", dest="yields")
     p.add_argument("--adjacency")
     p.add_argument("--test-year", dest="test_year", type=int)
-    p.add_argument("--early", action="store_true",
+    p.add_argument("--early", action="store_const", const="true",
                    help="mask post-cutoff weather at test time")
     p.set_defaults(func=cmd_evaluate)
 
@@ -519,7 +498,8 @@ def build_parser():
     p.add_argument("--crop", choices=("corn", "soybean"))
     p.add_argument("--test-year", dest="test_year", type=int)
     p.add_argument("--epochs", type=int, help="epoch override applied to every cell")
-    p.add_argument("--early", action="store_true", help="also report masked-R2 columns")
+    p.add_argument("--early", action="store_const", const="true",
+                   help="also report masked-R2 columns")
     p.set_defaults(func=cmd_benchmark)
 
     return parser
@@ -530,7 +510,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TrainingAbort as e:
+    except (TrainingAbort, NonFiniteError) as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except CliError as e:

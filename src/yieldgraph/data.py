@@ -7,10 +7,18 @@ stored in the feature file, plus the previous year's national mean yield
 of the target crop, which is injected at window-assembly time (NaN until
 then — missing values are always explicit, never silently zero).
 
+Window rule. A county-year record is usable when it is present and every
+stored cell (weather, land, soil, the six stored extras) is finite. A
+window [year - dt .. year] is complete when the county's record is usable
+in every year of it. Training samples, evaluated counties and the nodes a
+graph block may draw from are exactly the counties with a complete
+window; ``Dataset.window_mask`` is the one place that decides it.
+
 Feature files are UTF-8 CSV with a mandatory header following the column
-manifest below; yields are sparse (county, year, crop) rows; adjacency is
-a tab-separated undirected edge list. The synthetic generator emits the
-same formats so real and synthetic paths share one ingestion code path.
+manifest below; a blank cell is the only missing-value marker. Yields are
+sparse (county, year, crop) rows; adjacency is a tab-separated undirected
+edge list. The synthetic generator emits the same formats so real and
+synthetic paths share one ingestion code path.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ N_WEATHER = len(WEATHER_VARS)
 N_LAND = len(LAND_VARS)
 N_SOIL = len(SOIL_VARS)
 N_EXTRA_STORED = len(EXTRA_VARS)
+N_EXTRAS = N_EXTRA_STORED + 1  # the stored extras and the previous-year mean
 
 
 def feature_columns():
@@ -87,7 +96,7 @@ class YearFeatures:
             (self.weather, (N_WEATHER, WEEKS), "weather"),
             (self.land_surface, (N_LAND, WEEKS), "land_surface"),
             (self.soil, (N_SOIL, DEPTHS), "soil"),
-            (self.extras, (N_EXTRA_STORED + 1,), "extras"),
+            (self.extras, (N_EXTRAS,), "extras"),
         )
         for arr, shape, name in checks:
             if arr.shape != shape:
@@ -95,15 +104,6 @@ class YearFeatures:
                     f"county {self.county} year {self.year}: {name} shape "
                     f"{arr.shape}, expected {shape}"
                 )
-
-    @property
-    def has_missing(self):
-        return bool(
-            np.isnan(self.weather).any()
-            or np.isnan(self.land_surface).any()
-            or np.isnan(self.soil).any()
-            or np.isnan(self.extras[:N_EXTRA_STORED]).any()
-        )
 
 
 class YieldTable:
@@ -200,32 +200,32 @@ class Dataset:
         self.graph = graph
         self.normalized = normalized
         self.norm_stats = norm_stats
-        self._usable = None
+        self._usable = {}
         self._prev_mean_cache = {}
 
     @property
     def n_records(self):
         return int(self.present.sum())
 
-    def _usable_mask(self):
-        """[county, year] True where a record exists with no missing cell."""
-        if self._usable is None:
-            finite = (
-                np.isfinite(self.weather).all(axis=(2, 3))
-                & np.isfinite(self.land).all(axis=(2, 3))
-                & np.isfinite(self.soil).all(axis=(2, 3))
-                & np.isfinite(self.extras).all(axis=2)
-            )
-            self._usable = finite & self.present
-        return self._usable
+    def _usable_records(self, year):
+        """[county] bool: the county has a usable record for the year (see
+        the window rule above). Computed once per year, then cached."""
+        if year not in self._usable:
+            yi = self.year_index.get(year)
+            mask = np.zeros(len(self.counties), dtype=bool)
+            if yi is not None:
+                mask = self.present[:, yi].copy()
+                for block in (self.weather, self.land, self.soil, self.extras):
+                    finite = np.isfinite(block[:, yi])
+                    mask &= finite.all(axis=tuple(range(1, finite.ndim)))
+            self._usable[year] = mask
+        return self._usable[year]
 
-    def usable_counties(self, year):
-        """Counties with complete features for the year (graph-eligible)."""
-        yi = self.year_index.get(year)
-        if yi is None:
-            return []
-        mask = self._usable_mask()[:, yi]
-        return [c for c, ok in zip(self.counties, mask) if ok]
+    def window_mask(self, year, dt):
+        """[county] bool, a fresh array: the window [year - dt .. year] is
+        complete (the window rule above)."""
+        years = range(year - dt, year + 1)
+        return np.logical_and.reduce([self._usable_records(y) for y in years])
 
     def has_record(self, county, year):
         ci = self.county_index.get(county)
@@ -236,7 +236,7 @@ class Dataset:
         if not self.has_record(county, year):
             raise KeyError(f"no features for county {county} year {year}")
         ci, yi = self.county_index[county], self.year_index[year]
-        extras = np.full(N_EXTRA_STORED + 1, np.nan)
+        extras = np.full(N_EXTRAS, np.nan)
         extras[:N_EXTRA_STORED] = self.extras[ci, yi]
         return YearFeatures(
             county=county,
@@ -264,22 +264,21 @@ class Dataset:
             self._prev_mean_cache[key] = m
         return self._prev_mean_cache[key]
 
+    def prev_mean_feature(self, crop, year):
+        """extras[6] of a window year: the previous-year national mean,
+        standardized when the dataset is normalized."""
+        prev = self.prev_year_national_mean(crop, year)
+        if self.normalized:
+            prev = self.norm_stats.standardize_target(crop, prev)
+        return prev
+
 
 # -- ingestion ----------------------------------------------------------------
 
 
-def _parse_cell(text, path, lineno):
-    if text == "":
-        return np.nan
-    try:
-        return float(text)
-    except ValueError as e:
-        raise DataFormatError(f"{path}:{lineno}: bad number {text!r}") from e
-
-
 def load_dataset(features_file, yields_file, adjacency_file):
     expected = feature_columns()
-    rows = []
+    rows, blanks, linenos = [], [], []
     with open(features_file, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -298,8 +297,22 @@ def load_dataset(features_file, yields_file, adjacency_file):
                 year = int(row[1])
             except ValueError as e:
                 raise DataFormatError(f"{features_file}:{lineno}: bad year {row[1]!r}") from e
-            values = [_parse_cell(cell, features_file, lineno) for cell in row[2:]]
-            rows.append((county, year, np.array(values)))
+            cells = row[2:]
+            try:
+                values = np.array([float(cell) if cell else np.nan for cell in cells])
+            except ValueError as e:
+                raise DataFormatError(f"{features_file}:{lineno}: bad number ({e})") from e
+            rows.append((county, year, values))
+            blanks.append(cells.count(""))
+            linenos.append(lineno)
+    if rows:  # a blank cell is the only missing-value marker: no inf or nan text
+        stacked = np.stack([vals for _, _, vals in rows])
+        bad = np.isinf(stacked).any(axis=1) | (np.isnan(stacked).sum(axis=1) != blanks)
+        if bad.any():
+            raise DataFormatError(
+                f"{features_file}:{linenos[np.argmax(bad)]}: non-finite number "
+                "(leave a missing value blank)"
+            )
 
     counties = sorted({c for c, _, _ in rows})
     years = sorted({y for _, y, _ in rows})
@@ -464,41 +477,34 @@ def normalize(dataset, split):
 def assemble_window(dataset, county, year, dt, crop="corn"):
     """Chronological [year-dt .. year] feature window, oldest first.
 
-    Each entry's extras[6] carries that year's previous-year national mean
-    yield (standardized with the dataset's target statistics when the
-    dataset is normalized). Any missing year or missing cell aborts the
-    window rather than fabricating data.
+    Each entry's extras[6] carries that year's ``prev_mean_feature``. An
+    incomplete window raises rather than fabricating data.
     """
-    span = range(year - dt, year + 1)
-    for y in span:
-        if not dataset.has_record(county, y):
-            raise WindowUnavailableError(f"county {county} lacks features for year {y}")
+    ci = dataset.county_index.get(county)
+    if ci is None or not dataset.window_mask(year, dt)[ci]:
+        raise WindowUnavailableError(
+            f"county {county} lacks a usable record in some year of {year - dt}..{year}"
+        )
     window = []
-    for y in span:
+    for y in range(year - dt, year + 1):
         feats = dataset.features(county, y)
-        if feats.has_missing:
-            raise WindowUnavailableError(f"county {county} year {y} has missing cells")
-        prev_mean = dataset.prev_year_national_mean(crop, y)
-        if dataset.normalized:
-            prev_mean = dataset.norm_stats.standardize_target(crop, prev_mean)
-        feats.extras[N_EXTRA_STORED] = prev_mean
+        feats.extras[N_EXTRA_STORED] = dataset.prev_mean_feature(crop, y)
         window.append(feats)
     return window
 
 
 def enumerate_windows(dataset, target_years, crop, dt):
-    """All (county, target_year) pairs with a label and a complete window;
-    returns (samples, skipped_count)."""
+    """All (county, target_year) pairs with a label and a complete window,
+    target years as given and counties sorted; returns (samples,
+    skipped_count)."""
     samples = []
     skipped = 0
     for year in target_years:
-        for county in dataset.labeled_counties(year, crop):
-            try:
-                assemble_window(dataset, county, year, dt, crop)
-            except WindowUnavailableError:
-                skipped += 1
-                continue
-            samples.append((county, year))
+        labeled = dataset.labeled_counties(year, crop)
+        rows = [dataset.county_index[c] for c in labeled]
+        complete = dataset.window_mask(year, dt)[rows]
+        samples += [(c, year) for c, ok in zip(labeled, complete) if ok]
+        skipped += len(labeled) - int(complete.sum())
     return samples, skipped
 
 

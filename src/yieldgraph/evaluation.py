@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from yieldgraph.data import apply_norm_stats
+from yieldgraph.data import apply_norm_stats, enumerate_windows
 
 CUTOFF_WEEK = 22  # June 1
 
@@ -99,26 +99,6 @@ def build_masking_plan(dataset, split, cutoff_week=CUTOFF_WEEK):
     return plan
 
 
-def apply_early_mask(features, plan):
-    """Copy of one county-year with weather/land weeks >= cutoff replaced by
-    the plan's training means; earlier weeks, soil, and extras unchanged."""
-    if features.county not in plan.weather_means:
-        raise KeyError(f"county {features.county} missing from the replacement table")
-    out_w = features.weather.copy()
-    out_l = features.land_surface.copy()
-    cut = plan.cutoff_week
-    out_w[:, cut:] = plan.weather_means[features.county][:, cut:]
-    out_l[:, cut:] = plan.land_means[features.county][:, cut:]
-    return type(features)(
-        county=features.county,
-        year=features.year,
-        weather=out_w,
-        land_surface=out_l,
-        soil=features.soil.copy(),
-        extras=features.extras.copy(),
-    )
-
-
 def mask_dataset_year(dataset, plan, year):
     """Dataset copy with one year's weather/land masked for every county."""
     weather = dataset.weather.copy()
@@ -144,10 +124,9 @@ def evaluate(predictor, dataset, split, early=False):
     ``predictor`` needs: crop, history_years, seed, method_name,
     norm_stats (None to skip normalization), and
     predict_year(dataset, counties, year) -> raw-unit predictions.
-    Predictions cover every labeled test-year county whose window years
-    all have a record with every stored cell finite (the rule of
-    enumerate_windows); the rest are counted as skipped. Unlabeled
-    counties stay available as graph message sources.
+    Predictions cover the test-year samples of ``enumerate_windows``:
+    every labeled county with a complete window; the rest are counted as
+    skipped. Unlabeled counties stay available as graph message sources.
     """
     test_year = split.test_year
     if predictor.norm_stats is not None:
@@ -159,10 +138,8 @@ def evaluate(predictor, dataset, split, early=False):
         ds = mask_dataset_year(ds, plan, test_year)
 
     crop = predictor.crop
-    labeled = ds.labeled_counties(test_year, crop)
-    history = range(test_year - predictor.history_years, test_year + 1)
-    complete = _complete_windows(ds, labeled, history)
-    counties = [c for c, ok in zip(labeled, complete) if ok]
+    samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.history_years)
+    counties = [c for c, _ in samples]
     if not counties:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}")
 
@@ -187,21 +164,8 @@ def evaluate(predictor, dataset, split, early=False):
         n_counties=len(counties),
         yield_std=yield_std,
         records=records,
-        skipped=len(labeled) - len(counties),
+        skipped=skipped,
     )
-
-
-def _complete_windows(ds, counties, years):
-    """Per county: a record in every year, with every stored cell finite."""
-    if any(y not in ds.year_index for y in years):
-        return np.zeros(len(counties), dtype=bool)
-    ci = np.array([ds.county_index[c] for c in counties], dtype=np.intp)[:, None]
-    yi = np.array([ds.year_index[y] for y in years], dtype=np.intp)
-    ok = ds.present[ci, yi]
-    for block in (ds.weather, ds.land, ds.soil, ds.extras):
-        finite = np.isfinite(block[ci, yi])
-        ok &= finite.all(axis=tuple(range(2, finite.ndim)))
-    return ok.all(axis=1)
 
 
 # -- report emission ----------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WEEKS = 52
+from yieldgraph.data import WEEKS
 
 TEXTURE_CLASSES = (
     "Sand", "Loamy Sand", "Sandy Loam", "Loam", "Silt Loam", "Silt",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from yieldgraph.autodiff import ShapeError, Tensor, apply_op, concat, take_rows
+from yieldgraph.autodiff import ShapeError, apply_op, concat, take_rows
 from yieldgraph.layers import Dense
 
 AGGREGATORS = ("mean", "pool")
@@ -189,31 +189,6 @@ class SageLayer:
         if self.pool_transform is not None:
             params.update(self.pool_transform.parameters(f"{prefix}.pool"))
         return params
-
-
-def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=None,
-                        pool_transform=None):
-    """Aggregate one county's neighbor embeddings (library surface for the
-    single-node contract; batched paths use the segment primitives).
-
-    embeddings: Tensor [N, d] aligned with graph.node_ids. Zero neighbors
-    aggregate to the zero vector.
-    """
-    i = graph.index[county]
-    nbrs = graph.neighbors[i] if active_neighbors is None else np.array(
-        sorted(graph.index[c] for c in active_neighbors), dtype=np.intp
-    )
-    d = embeddings.data.shape[1]
-    if nbrs.size == 0:
-        return Tensor(np.zeros(d))
-    rows = take_rows(embeddings, nbrs)
-    if aggregator == "mean":
-        return rows.mean(axis=0)
-    if aggregator == "pool":
-        if pool_transform is not None:
-            rows = pool_transform(rows).relu()
-        return rows.max(axis=0)
-    raise ValueError(f"unknown aggregator {aggregator!r}")
 
 
 # -- sampling -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Neural building blocks: 1-D conv encoders, recurrent cells, dense layers.
 
 Two encoders digest one county-year of raw features into a fixed-width
-embedding: a four-block conv/relu/avg-pool stack over the 52-week axis for
+embedding: a four-block conv/relu/avg-pool stack over the week axis for
 the weather + land-surface channels, and a three-conv stack (no pooling)
-over the 6 soil depth levels. The embedding is their concatenation plus
-the scalar extras passed through verbatim.
+over the soil depth levels. The embedding is their concatenation plus
+the scalar extras passed through verbatim. The feature sizes come from
+the caller (the dataset schema lives in ``yieldgraph.data``).
 
 All parameters initialize uniform(-a, a), a = sqrt(1/fan_in), from the
 caller's seeded generator.
@@ -25,13 +26,6 @@ from yieldgraph.autodiff import (
     matmul,
     narrow,
 )
-
-WEATHER_CHANNELS = 7
-LAND_CHANNELS = 16
-SOIL_CHANNELS = 20
-SOIL_DEPTHS = 6
-N_EXTRAS = 7
-WEEKS = 52
 
 
 def uniform_param(rng, shape, fan_in):
@@ -139,9 +133,8 @@ class WeeklyEncoder:
     linear projection. Input channels are the stacked weather and
     land-surface series."""
 
-    def __init__(self, rng, in_channels=WEATHER_CHANNELS + LAND_CHANNELS,
-                 channels=(32, 64, 96, 128), kernels=(7, 3, 3, 3),
-                 out_dim=64, weeks=WEEKS, pool_window=2):
+    def __init__(self, rng, in_channels, weeks, channels=(32, 64, 96, 128),
+                 kernels=(7, 3, 3, 3), out_dim=64, pool_window=2):
         if len(channels) != 4 or len(kernels) != 4:
             raise ValueError("weekly encoder is fixed at four pooled conv blocks")
         self.in_channels = in_channels
@@ -171,12 +164,8 @@ class WeeklyEncoder:
         return self.project(x.reshape((x.data.shape[0], self.flat_dim)))
 
     def encode(self, weather, land):
-        """weather: [B,7,52], land: [B,16,52] -> [B, out_dim]"""
-        if weather.data.shape[1] != WEATHER_CHANNELS or land.data.shape[1] != LAND_CHANNELS:
-            raise ShapeError(
-                f"expected {WEATHER_CHANNELS} weather and {LAND_CHANNELS} land channels, "
-                f"got {weather.shape} and {land.shape}"
-            )
+        """weather: [B,Cw,weeks], land: [B,Cl,weeks], Cw + Cl = in_channels
+        -> [B, out_dim]"""
         return self(concat([weather, land], axis=1))
 
     def parameters(self, prefix):
@@ -191,8 +180,8 @@ class SoilEncoder:
     """Three conv/relu blocks (no pooling) across the soil depth axis,
     flattened into a linear projection."""
 
-    def __init__(self, rng, in_channels=SOIL_CHANNELS, channels=(24, 28, 32),
-                 kernel=2, out_dim=32, depths=SOIL_DEPTHS):
+    def __init__(self, rng, in_channels, depths, channels=(24, 28, 32), kernel=2,
+                 out_dim=32):
         if len(channels) != 3:
             raise ValueError("soil encoder is fixed at three conv blocks")
         self.in_channels = in_channels
@@ -232,16 +221,16 @@ class YearEmbedder:
     """One county-year -> fixed-width embedding: (weekly encoding, soil
     encoding, extras verbatim)."""
 
-    def __init__(self, rng, weekly: WeeklyEncoder | None = None,
-                 soil: SoilEncoder | None = None):
-        self.weekly = weekly if weekly is not None else WeeklyEncoder(rng)
-        self.soil = soil if soil is not None else SoilEncoder(rng)
-        self.out_dim = self.weekly.out_dim + self.soil.out_dim + N_EXTRAS
+    def __init__(self, weekly: WeeklyEncoder, soil: SoilEncoder, n_extras):
+        self.weekly = weekly
+        self.soil = soil
+        self.n_extras = n_extras
+        self.out_dim = weekly.out_dim + soil.out_dim + n_extras
 
     def embed(self, weather, land, soil, extras):
-        """[B,7,52], [B,16,52], [B,20,6], [B,7] -> [B, out_dim]"""
-        if extras.data.ndim != 2 or extras.data.shape[1] != N_EXTRAS:
-            raise ShapeError(f"expected [B,{N_EXTRAS}] extras, got {extras.shape}")
+        """weekly encoder input, soil encoder input, [B, n_extras] -> [B, out_dim]"""
+        if extras.data.ndim != 2 or extras.data.shape[1] != self.n_extras:
+            raise ShapeError(f"expected [B,{self.n_extras}] extras, got {extras.shape}")
         return concat([self.weekly.encode(weather, land), self.soil(soil), extras], axis=1)
 
     def parameters(self, prefix):

@@ -24,7 +24,12 @@ import numpy as np
 from yieldgraph.autodiff import NonFiniteError, Tensor, concat, take_rows
 from yieldgraph.data import (
     CROPS,
-    N_EXTRA_STORED,
+    DEPTHS,
+    N_EXTRAS,
+    N_LAND,
+    N_SOIL,
+    N_WEATHER,
+    WEEKS,
     NormStats,
     WindowUnavailableError,
     enumerate_windows,
@@ -54,7 +59,8 @@ KINDS_5Y = ("gru-5y", "lstm-5y", "cnn-rnn-5y", "gnn-rnn-5y")
 ALL_KINDS = KINDS_1Y + KINDS_5Y
 DEEP_KINDS = tuple(k for k in ALL_KINDS if k not in ("ridge-1y", "lasso-1y"))
 GRAPH_KINDS = ("gnn-1y", "gnn-rnn-5y")
-FLAT_WIDTH = 7 * 52 + 16 * 52 + 20 * 6 + 7
+WEEKLY_CHANNELS = N_WEATHER + N_LAND  # weather and land series stacked per week
+FLAT_WIDTH = WEEKLY_CHANNELS * WEEKS + N_SOIL * DEPTHS + N_EXTRAS
 
 
 class ConfigurationError(ValueError):
@@ -198,13 +204,6 @@ def default_spec(kind, crop="corn", test_year=None, **overrides):
 # -- feature assembly ---------------------------------------------------------
 
 
-def _prev_mean_std(ds, crop, year):
-    prev = ds.prev_year_national_mean(crop, year)
-    if ds.normalized:
-        prev = ds.norm_stats.standardize_target(crop, prev)
-    return prev
-
-
 def gather_year_blocks(ds, samples, crop, year_offset=0):
     """Dense arrays for (county, target_year + offset) pairs.
 
@@ -215,7 +214,7 @@ def gather_year_blocks(ds, samples, crop, year_offset=0):
     extras = np.concatenate(
         [
             ds.extras[ci, yi],
-            np.array([[_prev_mean_std(ds, crop, y + year_offset)] for _, y in samples]),
+            np.array([[ds.prev_mean_feature(crop, y + year_offset)] for _, y in samples]),
         ],
         axis=1,
     )
@@ -282,12 +281,16 @@ class _Model:
         return self.forward_blocks(years, training, rng)
 
 
+def _make_soil(spec, rng):
+    return SoilEncoder(rng, N_SOIL, DEPTHS, channels=tuple(spec.widths.soil_channels),
+                       out_dim=spec.widths.soil_out)
+
+
 def _make_embedder(spec, rng):
     w = spec.widths
-    weekly = WeeklyEncoder(rng, channels=tuple(w.weekly_channels),
+    weekly = WeeklyEncoder(rng, WEEKLY_CHANNELS, WEEKS, channels=tuple(w.weekly_channels),
                            kernels=tuple(w.weekly_kernels), out_dim=w.weekly_out)
-    soil = SoilEncoder(rng, channels=tuple(w.soil_channels), out_dim=w.soil_out)
-    return YearEmbedder(rng, weekly=weekly, soil=soil)
+    return YearEmbedder(weekly, _make_soil(spec, rng), N_EXTRAS)
 
 
 def _year_head(spec, in_dim, rng):
@@ -336,10 +339,9 @@ class RecurrentWeeklyModel(_Model):
     def __init__(self, spec, rng):
         super().__init__(spec)
         cell_kind = "gru" if spec.kind.startswith("gru") else "lstm"
-        self.cell = RecurrentCell(cell_kind, 23, spec.widths.rnn_hidden, rng)
-        self.soil = SoilEncoder(rng, channels=tuple(spec.widths.soil_channels),
-                                out_dim=spec.widths.soil_out)
-        in_dim = spec.widths.rnn_hidden + spec.widths.soil_out + N_EXTRA_STORED + 1
+        self.cell = RecurrentCell(cell_kind, WEEKLY_CHANNELS, spec.widths.rnn_hidden, rng)
+        self.soil = _make_soil(spec, rng)
+        in_dim = spec.widths.rnn_hidden + spec.widths.soil_out + N_EXTRAS
         self.head = RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
 
     def parameters(self):
@@ -399,9 +401,8 @@ class GnnModel(_Model):
         return self.head(h, training, rng)
 
     def _block(self, ds, counties, years, training, rng):
-        allowed = set(ds.usable_counties(years[0]))
-        for y in years[1:]:
-            allowed &= set(ds.usable_counties(y))
+        complete = ds.window_mask(years[-1], len(years) - 1)
+        allowed = {c for c, ok in zip(ds.counties, complete) if ok}
         missing = [c for c in counties if c not in allowed]
         if missing:
             raise WindowUnavailableError(

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences and gradient comparison.
+"""Shared test oracles: finite differences and gradient comparison,
+single-node neighbour aggregation and single-record early masking.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -6,7 +7,7 @@ independent of the reverse-mode implementation it checks.
 
 import numpy as np
 
-from yieldgraph.autodiff import Tensor
+from yieldgraph.autodiff import Tensor, take_rows
 
 
 def fd_gradient(f, arrays, h=1e-5):
@@ -111,4 +112,50 @@ def check_tensor_gradients(build_loss, arrays, rtol=1e-4, h_schedule=(1e-5, 1e-6
             return err
     raise AssertionError(
         f"gradient mismatch: best rel err {min(errs):.3e} over h={list(h_schedule)}"
+    )
+
+
+def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=None,
+                        pool_transform=None):
+    """Aggregate one county's neighbour embeddings, one node at a time (the
+    batched paths use the segment primitives of ``yieldgraph.graph``).
+
+    embeddings: Tensor [N, d] aligned with graph.node_ids. Zero neighbours
+    aggregate to the zero vector.
+    """
+    i = graph.index[county]
+    nbrs = graph.neighbors[i] if active_neighbors is None else np.array(
+        sorted(graph.index[c] for c in active_neighbors), dtype=np.intp
+    )
+    d = embeddings.data.shape[1]
+    if nbrs.size == 0:
+        return Tensor(np.zeros(d))
+    rows = take_rows(embeddings, nbrs)
+    if aggregator == "mean":
+        return rows.mean(axis=0)
+    if aggregator == "pool":
+        if pool_transform is not None:
+            rows = pool_transform(rows).relu()
+        return rows.max(axis=0)
+    raise ValueError(f"unknown aggregator {aggregator!r}")
+
+
+def apply_early_mask(features, plan):
+    """Copy of one county-year with weather/land weeks >= cutoff replaced by
+    the plan's training means; earlier weeks, soil and extras unchanged.
+    The per-record form of ``evaluation.mask_dataset_year``."""
+    if features.county not in plan.weather_means:
+        raise KeyError(f"county {features.county} missing from the replacement table")
+    out_w = features.weather.copy()
+    out_l = features.land_surface.copy()
+    cut = plan.cutoff_week
+    out_w[:, cut:] = plan.weather_means[features.county][:, cut:]
+    out_l[:, cut:] = plan.land_means[features.county][:, cut:]
+    return type(features)(
+        county=features.county,
+        year=features.year,
+        weather=out_w,
+        land_surface=out_l,
+        soil=features.soil.copy(),
+        extras=features.extras.copy(),
     )

@@ -3,10 +3,14 @@ import os
 import numpy as np
 import pytest
 
-from yieldgraph.cli import build_parser, main
-from yieldgraph.data import load_dataset
-from yieldgraph.evaluation import parse_metrics
-from yieldgraph.geo import RasterGrid, write_ascii_grid
+from yieldgraph import cli
+from yieldgraph.autodiff import NonFiniteError
+from yieldgraph.cli import _INPUT_ERRORS, CliError, build_parser, main
+from yieldgraph.data import DataFormatError, WindowUnavailableError, load_dataset
+from yieldgraph.evaluation import MetricError, parse_metrics
+from yieldgraph.geo import GeoFormatError, RasterGrid, write_ascii_grid
+from yieldgraph.graph import GraphFormatError
+from yieldgraph.models import ConfigurationError, TrainingAbort
 
 
 def run(argv):
@@ -378,3 +382,129 @@ def test_evaluate_skips_county_with_blank_test_year_cell(tmp_path, method):
     metrics = parse_metrics(eval_dir / "metrics.txt")
     assert metrics["skipped"] == 1
     assert metrics["n"] == 15
+
+
+def test_evaluate_rerun_from_echoed_config(tmp_path):
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    run_dir = tmp_path / "run"
+    assert run(train_args(data, run_dir, method="ridge-1y")) == 0
+    base = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.ckpt")] + dataset_flags(data)
+    metrics = {}
+    for name, extra in (("plain", []), ("early", ["--early"])):
+        first, again = tmp_path / name, tmp_path / f"{name}-again"
+        assert run(base + extra + ["--out", str(first)]) == 0
+        assert run(["evaluate", "--config", str(first / "config.txt"),
+                    "--out", str(again)]) == 0
+        metrics[name] = (first / "metrics.txt").read_bytes()
+        assert (again / "metrics.txt").read_bytes() == metrics[name]
+    assert metrics["plain"] != metrics["early"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 16-county synth and a ridge-1y checkpoint for its 2009 test year."""
+    root = tmp_path_factory.mktemp("trained")
+    assert run(synth_args(root / "data")) == 0
+    assert run(train_args(root / "data", root / "run", method="ridge-1y")) == 0
+    return root / "data", root / "run" / "checkpoint.ckpt"
+
+
+def _copy_with(data, tmp, name, edit):
+    """Copy of the dataset directory with ``edit(text) -> text`` applied to one file."""
+    out = tmp / "edited"
+    out.mkdir(exist_ok=True)
+    for f in ("features.csv", "yields.csv", "adjacency.tsv"):
+        text = (data / f).read_text(encoding="utf-8")
+        (out / f).write_text(edit(text) if f == name else text, encoding="utf-8")
+    return out
+
+
+def _set_cell(text, value, year="2008"):
+    """Features text with the first weather cell of the first ``year`` row set."""
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.split(",")[1] == year)
+    cells = lines[row].split(",")
+    cells[2] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+def _train_on(edited, out):
+    return train_args(edited, out, method="ridge-1y")
+
+
+def _evaluate(data, ckpt, out, *extra):
+    return (["evaluate", "--checkpoint", str(ckpt)] + dataset_flags(data)
+            + ["--out", str(out)] + list(extra))
+
+
+def _truncated(ckpt, tmp):
+    path = tmp / "short.ckpt"
+    path.write_bytes(ckpt.read_bytes()[:-9])
+    return path
+
+
+# (error class, exit code, argv builder(data, ckpt, tmp, out), injected
+# evaluate failure or None). WindowUnavailableError and NonFiniteError are
+# injected: evaluate and training select counties by the same window rule
+# as the graph block, and a non-finite forward outside training needs a
+# value that normalization has not already turned non-finite.
+_ERROR_TABLE = {
+    "data-format": (DataFormatError, 2, lambda d, c, t, o: _train_on(
+        _copy_with(d, t, "features.csv", lambda s: _set_cell(s, "abc")), o), None),
+    "inf-cell": (DataFormatError, 2, lambda d, c, t, o: _train_on(
+        _copy_with(d, t, "features.csv", lambda s: _set_cell(s, "inf")), o), None),
+    "geo-format": (GeoFormatError, 2, lambda d, c, t, o: [
+        "aggregate", "--rasters", str(t), "--weights", str(d / "yields.csv"),
+        "--manifest", str(t / "m.csv"), "--year", "2000", "--out", str(o / "f.csv")], None),
+    "graph-format": (GraphFormatError, 2, lambda d, c, t, o: _train_on(
+        _copy_with(d, t, "adjacency.tsv", lambda s: s + "00000\t99999\n"), o), None),
+    "configuration": (ConfigurationError, 2, lambda d, c, t, o: _evaluate(
+        d, _truncated(c, t), o), None),
+    "metric": (MetricError, 2, lambda d, c, t, o: _evaluate(
+        d, c, o, "--test-year", "2015"), None),
+    "window-unavailable": (WindowUnavailableError, 2, lambda d, c, t, o: _evaluate(d, c, o),
+                           WindowUnavailableError("county 00000 lacks a usable record")),
+    "file-not-found": (FileNotFoundError, 2, lambda d, c, t, o: _train_on(t / "absent", o),
+                       None),
+    "not-a-directory": (NotADirectoryError, 2, lambda d, c, t, o: synth_args(
+        d / "features.csv" / "sub"), None),
+    "value": (ValueError, 2, lambda d, c, t, o: synth_args(o, counties=10), None),
+    "key": (KeyError, 2, lambda d, c, t, o: _evaluate(
+        d, c, o, "--test-year", "2015", "--early"), None),
+    "cli": (CliError, 2, lambda d, c, t, o: synth_args(o)[:3] + ["--out", str(o)], None),
+    "training-abort": (TrainingAbort, 3, lambda d, c, t, o: train_args(
+        d, o, extra=["--lr", "1e200"]), None),
+    "non-finite": (NonFiniteError, 3, lambda d, c, t, o: _evaluate(d, c, o),
+                   NonFiniteError("non-finite values in tensor construction")),
+}
+
+
+def test_error_table_covers_every_mapped_class():
+    covered = {cls for cls, _, _, _ in _ERROR_TABLE.values()}
+    assert covered >= set(_INPUT_ERRORS) | {CliError, TrainingAbort, NonFiniteError}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_TABLE))
+def test_bad_input_maps_to_exit_code_without_traceback(tmp_path, trained, monkeypatch,
+                                                       capsys, case):
+    cls, code, argv, injected = _ERROR_TABLE[case]
+    data, ckpt = trained
+    if injected is not None:
+        monkeypatch.setattr(cli, "evaluate", _raise(injected))
+    args = build_parser().parse_args(argv(data, ckpt, tmp_path, tmp_path / "first"))
+    with pytest.raises(cls) as raised:
+        args.func(args)
+    assert raised.type is cls
+    capsys.readouterr()
+    assert run(argv(data, ckpt, tmp_path, tmp_path / "second")) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical abort: " if code == 3 else "error: ")
+    assert "Traceback" not in out + err

@@ -66,7 +66,22 @@ def test_roundtrip_preserves_missing_cells(tmp_path):
     paths = save_dataset(ds, tmp_path / "gap")
     loaded = load_dataset(*paths)
     assert np.isnan(loaded.weather[0, 0, 3, 10])
-    assert loaded.features("00000", 2000).has_missing
+    assert not loaded.window_mask(2000, 0)[loaded.county_index["00000"]]
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", "NaN"])
+def test_load_rejects_non_finite_cell_text(tmp_path, text):
+    ds = make_dataset()
+    fpath, ypath, apath = save_dataset(ds, tmp_path / "nf")
+    lines = open(fpath, encoding="utf-8").read().splitlines()
+    for row in (4, 2):  # file lines 5 and 3; the header is line 1
+        cells = lines[row].split(",")
+        cells[5] = text
+        lines[row] = ",".join(cells)
+    open(fpath, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as e:
+        load_dataset(fpath, ypath, apath)
+    assert f"{fpath}:3:" in str(e.value)
 
 
 def test_load_rejects_wrong_week_count(tmp_path):
@@ -204,6 +219,18 @@ def test_enumerate_windows_counts_skips():
     samples, skipped = enumerate_windows(ds, [2001, 2002], "corn", 1)
     assert skipped == 1  # (00000, 2001) needs 2000
     assert ("00000", 2002) in samples and ("00001", 2001) in samples
+
+
+def test_infinite_cell_makes_a_record_unusable():
+    yields = {(c, y, "corn"): 100.0 for c in ("00000", "00001") for y in (2001, 2002)}
+    ds = make_dataset(years=(2000, 2001, 2002), yields=yields)
+    ds.extras[1, 2, 0] = np.inf  # county 1, 2002
+    assert ds.window_mask(2002, 0).tolist() == [True, False]
+    samples, skipped = enumerate_windows(ds, [2001, 2002], "corn", 0)
+    assert (samples, skipped) == ([("00000", 2001), ("00001", 2001), ("00000", 2002)], 1)
+    with pytest.raises(WindowUnavailableError):
+        assemble_window(ds, "00001", 2002, 1, "corn")
+    assert not ds.window_mask(2003, 0).any()  # a year outside the dataset
 
 
 def test_synthetic_rejects_non_square():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldgraph.data import YearSplit
+from yieldgraph import models
+from yieldgraph.data import YearSplit, enumerate_windows, generate_synthetic
 from yieldgraph.evaluation import (
     EvalReport,
     MetricError,
-    apply_early_mask,
     build_masking_plan,
     emit_report,
     evaluate,
@@ -19,6 +19,7 @@ from yieldgraph.evaluation import (
     r_squared,
     rmse,
 )
+from tests.helpers import apply_early_mask
 from tests.test_data import make_dataset
 
 
@@ -146,6 +147,63 @@ def test_evaluate_skips_county_with_a_blank_cell():
     assert [r[0] for r in report.records] == ["00000", "00002", "00003"]
 
 
+def _gappy_dataset():
+    """16 counties x 2000-2009 with one gap per kind: a NaN cell in each
+    block, a +inf cell and an absent record, over train (2000-2007),
+    validation (2008) and test (2009) years."""
+    ds = generate_synthetic(16, 10, 4, seed=5)
+    t = ds.year_index
+    ds.weather[1, t[2003], 2, 30] = np.nan
+    ds.land[5, t[2008], 0, 0] = np.nan
+    ds.soil[9, t[2009], 19, 5] = np.nan
+    ds.extras[12, t[2006], 3] = np.nan
+    ds.weather[3, t[2009], 6, 51] = np.inf
+    ds.present[7, t[2005]] = False
+    return ds
+
+
+def _complete_by_brute_force(ds, year, dt):
+    def usable(ci, y):
+        yi = ds.year_index.get(y)
+        return yi is not None and ds.present[ci, yi] and all(
+            np.isfinite(block[ci, yi]).all()
+            for block in (ds.weather, ds.land, ds.soil, ds.extras)
+        )
+    return [c for ci, c in enumerate(ds.counties)
+            if all(usable(ci, y) for y in range(year - dt, year + 1))]
+
+
+@pytest.mark.parametrize("dt,kind", [(0, "gnn-1y"), (4, "gnn-rnn-5y")])
+def test_window_rule_parity_across_training_evaluation_and_graph(monkeypatch, dt, kind):
+    """enumerate_windows, evaluate and the graph block select the same
+    counties: those whose every window year has a present, all-finite record."""
+    ds = _gappy_dataset()
+    allowed = []
+    real_full_block = models.full_block
+
+    def spy(*args, **kwargs):
+        allowed.append(set(kwargs["allowed_nodes"]))
+        return real_full_block(*args, **kwargs)
+
+    monkeypatch.setattr(models, "full_block", spy)
+    spec = models.default_spec(kind, widths=models.ArchWidths.toy(), batch_size=64)
+    model = models.build_model(spec, np.random.default_rng(0))
+    predictor = OraclePredictor(ds)
+    predictor.history_years = dt
+    for year in ds.years[dt:]:
+        expected = _complete_by_brute_force(ds, year, dt)
+        samples, skipped = enumerate_windows(ds, [year], "corn", dt)
+        assert samples == [(c, year) for c in expected]
+        assert skipped == len(ds.counties) - len(expected)
+        report = evaluate(predictor, ds, YearSplit(test_year=year))
+        assert [r[0] for r in report.records] == expected
+        assert report.skipped == skipped
+        model.forward_samples(ds, samples)
+        assert allowed.pop() == set(expected)
+    gaps = set(ds.counties) - set(_complete_by_brute_force(ds, 2009, 4))
+    assert gaps == {"00003", "00005", "00007", "00009", "00012"}
+
+
 def test_evaluate_without_labeled_counties_raises_metric_error():
     ds = _labeled_dataset()
     with pytest.raises(MetricError):
@@ -207,6 +265,18 @@ def test_masking_unknown_county_errors():
     feats.county = "99999"
     with pytest.raises(KeyError):
         apply_early_mask(feats, plan)
+
+
+def test_early_mask_oracle_matches_mask_dataset_year():
+    ds = _labeled_dataset()
+    plan = build_masking_plan(ds, YearSplit(test_year=2007))
+    masked = mask_dataset_year(ds, plan, 2007)
+    yi = ds.year_index[2007]
+    for ci, county in enumerate(ds.counties):
+        one = apply_early_mask(ds.features(county, 2007), plan)
+        assert np.array_equal(one.weather, masked.weather[ci, yi])
+        assert np.array_equal(one.land_surface, masked.land[ci, yi])
+        assert np.array_equal(one.soil, masked.soil[ci, yi])
 
 
 def test_mask_dataset_year_touches_only_target_year():

@@ -6,14 +6,13 @@ from yieldgraph.graph import (
     CountyGraph,
     GraphFormatError,
     SageLayer,
-    aggregate_neighbors,
     build_sage_stack,
     full_block,
     gnn_forward,
     load_graph,
     sample_block,
 )
-from tests.helpers import check_param_gradients
+from tests.helpers import aggregate_neighbors, check_param_gradients
 
 
 def _write(tmp_path, text, name="adj.tsv"):

@@ -14,6 +14,7 @@ from yieldgraph.layers import (
     rnn_forward,
     uniform_param,
 )
+from yieldgraph.data import DEPTHS, N_EXTRAS, N_LAND, N_SOIL, N_WEATHER, WEEKS
 from tests.helpers import check_param_gradients, check_tensor_gradients
 
 
@@ -69,16 +70,24 @@ def test_avg_pool_gradient():
     check_tensor_gradients(lambda t: avg_pool1d(t, 2).sum(), [x], rtol=1e-6)
 
 
+def _weekly(rng, **widths):
+    return WeeklyEncoder(rng, N_WEATHER + N_LAND, WEEKS, **widths)
+
+
+def _soil(rng, **widths):
+    return SoilEncoder(rng, N_SOIL, DEPTHS, **widths)
+
+
 def _toy_weekly(rng):
-    return WeeklyEncoder(rng, channels=(4, 4, 4, 4), kernels=(7, 3, 3, 3), out_dim=6)
+    return _weekly(rng, channels=(4, 4, 4, 4), kernels=(7, 3, 3, 3), out_dim=6)
 
 
 def _toy_soil(rng):
-    return SoilEncoder(rng, channels=(4, 4, 4), out_dim=5)
+    return _soil(rng, channels=(4, 4, 4), out_dim=5)
 
 
 def test_weekly_encoder_zero_input_zero_params_gives_zero():
-    enc = WeeklyEncoder(_rng(1), channels=(4, 4, 4, 4), kernels=(7, 3, 3, 3), out_dim=6)
+    enc = _toy_weekly(_rng(1))
     for p in enc.parameters("e").values():
         p.data[...] = 0.0
     out = enc.encode(Tensor(np.zeros((1, 7, 52))), Tensor(np.zeros((1, 16, 52))))
@@ -86,7 +95,7 @@ def test_weekly_encoder_zero_input_zero_params_gives_zero():
 
 
 def test_weekly_encoder_output_shape_contract():
-    enc = WeeklyEncoder(_rng(2))
+    enc = _weekly(_rng(2))
     out = enc.encode(Tensor(_rng(3).normal(size=(2, 7, 52))), Tensor(_rng(4).normal(size=(2, 16, 52))))
     assert out.data.shape == (2, 64)
 
@@ -110,7 +119,7 @@ def test_weekly_encoder_batch_permutation_equivariance():
 
 def test_soil_encoder_shape_and_zero_case():
     rng = _rng(7)
-    enc = SoilEncoder(rng)
+    enc = _soil(rng)
     out = enc(Tensor(rng.normal(size=(2, 20, 6))))
     assert out.data.shape == (2, 32)
     for p in enc.parameters("s").values():
@@ -131,7 +140,7 @@ def test_soil_encoder_gradient():
 
 def test_year_embedder_width_and_extras_passthrough():
     rng = _rng(9)
-    emb = YearEmbedder(rng)
+    emb = YearEmbedder(_weekly(rng), _soil(rng), N_EXTRAS)
     assert emb.out_dim == 64 + 32 + 7  # 103
     w = Tensor(rng.normal(size=(2, 7, 52)))
     l = Tensor(rng.normal(size=(2, 16, 52)))
@@ -143,7 +152,7 @@ def test_year_embedder_width_and_extras_passthrough():
 
 def test_year_embedder_deterministic_for_identical_counties():
     rng = _rng(10)
-    emb = YearEmbedder(rng, weekly=_toy_weekly(rng), soil=_toy_soil(rng))
+    emb = YearEmbedder(_toy_weekly(rng), _toy_soil(rng), N_EXTRAS)
     w = rng.normal(size=(1, 7, 52))
     l = rng.normal(size=(1, 16, 52))
     s = rng.normal(size=(1, 20, 6))
