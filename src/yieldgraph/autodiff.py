@@ -227,12 +227,12 @@ def _coerce(value):
 
 
 def _stable_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
+    never overflows. e = exp(-|x|) is the exponential of both branches and
+    is at most 1, so max(e, x >= 0) is the numerator of both: 1 where
+    x >= 0, e elsewhere. No boolean gather or select is needed."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _check_axis(data, axis):

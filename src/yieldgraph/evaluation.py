@@ -9,11 +9,13 @@ years are untouched), then evaluates the unmodified checkpoint.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from yieldgraph.autodiff import NonFiniteError
 from yieldgraph.data import apply_norm_stats, enumerate_windows
 
 CUTOFF_WEEK = 22  # June 1
@@ -127,8 +129,15 @@ def evaluate(predictor, dataset, split, early=False):
     Predictions cover the test-year samples of ``enumerate_windows``:
     every labeled county with a complete window; the rest are counted as
     skipped. Unlabeled counties stay available as graph message sources.
+    A test year outside the dataset raises ``MetricError``; a non-finite
+    prediction, RMSE or R^2 (an absurd but finite input can overflow them)
+    raises ``NonFiniteError``.
     """
     test_year = split.test_year
+    crop = predictor.crop
+    if test_year not in dataset.year_index:
+        raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
+                          f"not a dataset year")
     if predictor.norm_stats is not None:
         ds = apply_norm_stats(dataset, predictor.norm_stats)
     else:
@@ -137,7 +146,6 @@ def evaluate(predictor, dataset, split, early=False):
         plan = build_masking_plan(ds, split)
         ds = mask_dataset_year(ds, plan, test_year)
 
-    crop = predictor.crop
     samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.history_years)
     counties = [c for c, _ in samples]
     if not counties:
@@ -146,6 +154,14 @@ def evaluate(predictor, dataset, split, early=False):
     preds = np.asarray(predictor.predict_year(ds, counties, test_year), dtype=np.float64)
     true = np.array([ds.yields.get(c, test_year, crop) for c in counties])
     yield_std = ds.yields.std_all_years(crop)
+    where = f"{predictor.method_name} on {crop} {test_year}"
+    if not np.all(np.isfinite(preds)):
+        raise NonFiniteError(f"non-finite predictions from {where}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmse_value = rmse(true, preds, yield_std)
+        r2 = r_squared(true, preds)
+    if not (math.isfinite(rmse_value) and math.isfinite(r2)):
+        raise NonFiniteError(f"metrics of {where} overflowed: rmse {rmse_value}, r2 {r2}")
     records = [
         (c, float(t), float(p), float(t - p)) for c, t, p in zip(counties, true, preds)
     ]
@@ -158,8 +174,8 @@ def evaluate(predictor, dataset, split, early=False):
         test_year=test_year,
         method=predictor.method_name,
         seed=predictor.seed,
-        rmse_normalized=rmse(true, preds, yield_std),
-        r2=r_squared(true, preds),
+        rmse_normalized=rmse_value,
+        r2=r2,
         corr=corr,
         n_counties=len(counties),
         yield_std=yield_std,

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from yieldgraph import autodiff
 from yieldgraph.autodiff import (
     ShapeError,
     Tensor,
@@ -242,6 +243,17 @@ class YearEmbedder:
 class RecurrentCell:
     """Standard LSTM or GRU cell; hidden state is [batch, hidden_size].
 
+    One time step is one autodiff op with a hand-written vjp (``_lstm_step``
+    / ``_gru_step``), so a step records one tape node instead of one per
+    matmul, slice, gate and product. The forward keeps the op order of the
+    composed cell (``zx = x @ w_x.T + b_x``, ``zh = h @ w_h.T + b_h``, then
+    the gates), so its values are bit-identical to it. The LSTM op emits
+    [B, 2 * hidden_size] laid out h|c, and ``step`` splits it with two
+    ``narrow`` ops, 3 tape nodes per step in all. sigmoid and tanh
+    saturate an overflowed pre-activation into a finite gate, so the op
+    checks the pre-activations (``z`` for the LSTM, ``zx`` and ``zh`` for
+    the GRU) for NaN/Inf itself.
+
     Both biases b_x and b_h draw from U(-a, a), a = sqrt(1/hidden_size).
     For the LSTM, only the forget slice of b_x is then set to 1.0; the
     forget slice of b_h keeps its draw, so the forget-gate bias starts at
@@ -270,22 +282,16 @@ class RecurrentCell:
         return (h,)
 
     def step(self, x, state):
+        """One time step: x [B, input_size] and the state -> the next state,
+        ``(h, c)`` for the LSTM and ``(h,)`` for the GRU."""
+        if x.data.ndim != 2 or x.data.shape[1] != self.input_size:
+            raise ShapeError(f"cell expects [B,{self.input_size}] input, got {x.shape}")
+        params = (self.w_x, self.w_h, self.b_x, self.b_h)
+        if self.kind == "gru":
+            return (_gru_step(x, state[0], *params),)
         h = self.hidden_size
-        zx = add_rowvec(matmul(x, self.w_x.transpose()), self.b_x)
-        zh = add_rowvec(matmul(state[0], self.w_h.transpose()), self.b_h)
-        if self.kind == "lstm":
-            z = zx + zh
-            i = narrow(z, 1, 0, h).sigmoid()
-            f = narrow(z, 1, h, h).sigmoid()
-            g = narrow(z, 1, 2 * h, h).tanh()
-            o = narrow(z, 1, 3 * h, h).sigmoid()
-            c_new = f * state[1] + i * g
-            return o * c_new.tanh(), c_new
-        r = (narrow(zx, 1, 0, h) + narrow(zh, 1, 0, h)).sigmoid()
-        u = (narrow(zx, 1, h, h) + narrow(zh, 1, h, h)).sigmoid()
-        n = (narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h)).tanh()
-        ones = Tensor(np.ones((x.data.shape[0], h)))
-        return ((ones - u) * n + u * state[0],)
+        hc = _lstm_step(x, state[0], state[1], *params)
+        return narrow(hc, 1, 0, h), narrow(hc, 1, h, h)
 
     def parameters(self, prefix):
         return {
@@ -294,6 +300,71 @@ class RecurrentCell:
             f"{prefix}.b_x": self.b_x,
             f"{prefix}.b_h": self.b_h,
         }
+
+
+def _affine_grads(x, h, w_x, w_h, b_x, b_h, dzx, dzh):
+    """Gradients of zx = x @ w_x.T + b_x and zh = h @ w_h.T + b_h for
+    (x, h, w_x, w_h, b_x, b_h), None where an input is not tracked; the
+    same products the composed matmul/transpose/add_rowvec vjps form."""
+    return (
+        dzx @ w_x.data if x.requires_grad else None,
+        dzh @ w_h.data if h.requires_grad else None,
+        (x.data.T @ dzx).T if w_x.requires_grad else None,
+        (h.data.T @ dzh).T if w_h.requires_grad else None,
+        dzx.sum(axis=0) if b_x.requires_grad else None,
+        dzh.sum(axis=0) if b_h.requires_grad else None,
+    )
+
+
+def _lstm_step(x, h, c, w_x, w_h, b_x, b_h):
+    """One LSTM step as one op -> [B, 2n] laid out h'|c'; gates i|f|g|o."""
+    n = h.data.shape[1]
+    z = (x.data @ w_x.data.T + b_x.data[None, :]) + (h.data @ w_h.data.T + b_h.data[None, :])
+    autodiff._check_finite(z, "LSTM gate pre-activations")
+    act = autodiff._stable_sigmoid(z)
+    act[:, 2 * n : 3 * n] = np.tanh(z[:, 2 * n : 3 * n])
+    i, f, g, o = (act[:, k * n : (k + 1) * n] for k in range(4))
+    c_new = f * c.data + i * g
+    tc = np.tanh(c_new)
+
+    def vjp(grad):
+        gh, gc = grad[:, :n], grad[:, n:]
+        dc = gc + gh * o * (1.0 - tc * tc)
+        d_act = np.concatenate([dc * g, dc * c.data, dc * i, gh * tc], axis=1)
+        dz = d_act * act * (1.0 - act)
+        dz[:, 2 * n : 3 * n] = dc * i * (1.0 - g * g)  # the g block is a tanh
+        dx, dh, dw_x, dw_h, db_x, db_h = _affine_grads(x, h, w_x, w_h, b_x, b_h, dz, dz)
+        return dx, dh, dc * f if c.requires_grad else None, dw_x, dw_h, db_x, db_h
+
+    out = np.concatenate([o * tc, c_new], axis=1)
+    return apply_op(out, (x, h, c, w_x, w_h, b_x, b_h), vjp)
+
+
+def _gru_step(x, h, w_x, w_h, b_x, b_h):
+    """One GRU step as one op -> h' [B, n]; gates r|u|n."""
+    n = h.data.shape[1]
+    zx = x.data @ w_x.data.T + b_x.data[None, :]
+    zh = h.data @ w_h.data.T + b_h.data[None, :]
+    autodiff._check_finite(zx, "GRU input pre-activations")
+    autodiff._check_finite(zh, "GRU hidden pre-activations")
+    ru = autodiff._stable_sigmoid(zx[:, : 2 * n] + zh[:, : 2 * n])
+    r, u = ru[:, :n], ru[:, n:]
+    zh_n = zh[:, 2 * n :]
+    cand = np.tanh(zx[:, 2 * n :] + r * zh_n)
+
+    def vjp(grad):
+        d_pre = grad * (1.0 - u) * (1.0 - cand * cand)
+        d_gates = np.concatenate([d_pre * zh_n, grad * h.data - grad * cand], axis=1)
+        d_ru = d_gates * ru * (1.0 - ru)
+        dzx = np.concatenate([d_ru, d_pre], axis=1)
+        dzh = np.concatenate([d_ru, d_pre * r], axis=1)
+        dx, dh, dw_x, dw_h, db_x, db_h = _affine_grads(x, h, w_x, w_h, b_x, b_h, dzx, dzh)
+        if dh is not None:
+            dh = dh + grad * u
+        return dx, dh, dw_x, dw_h, db_x, db_h
+
+    out = (1.0 - u) * cand + u * h.data
+    return apply_op(out, (x, h, w_x, w_h, b_x, b_h), vjp)
 
 
 def rnn_forward(cell, sequence):

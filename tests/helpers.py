@@ -1,5 +1,6 @@
-"""Shared test oracles: finite differences and gradient comparison,
-single-node neighbour aggregation and single-record early masking.
+"""Shared test oracles: finite differences and gradient comparison, the
+composed recurrent cell step, single-node neighbour aggregation and
+single-record early masking.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -7,7 +8,7 @@ independent of the reverse-mode implementation it checks.
 
 import numpy as np
 
-from yieldgraph.autodiff import Tensor, take_rows
+from yieldgraph.autodiff import Tensor, add_rowvec, matmul, narrow, take_rows
 
 
 def fd_gradient(f, arrays, h=1e-5):
@@ -113,6 +114,28 @@ def check_tensor_gradients(build_loss, arrays, rtol=1e-4, h_schedule=(1e-5, 1e-6
     raise AssertionError(
         f"gradient mismatch: best rel err {min(errs):.3e} over h={list(h_schedule)}"
     )
+
+
+def reference_cell_step(cell, x, state):
+    """One ``RecurrentCell`` step composed from primitive autodiff ops (one
+    tape node per matmul, slice, gate and product); the oracle for the
+    fused step. Same signature and result as ``cell.step``."""
+    h = cell.hidden_size
+    zx = add_rowvec(matmul(x, cell.w_x.transpose()), cell.b_x)
+    zh = add_rowvec(matmul(state[0], cell.w_h.transpose()), cell.b_h)
+    if cell.kind == "lstm":
+        z = zx + zh
+        i = narrow(z, 1, 0, h).sigmoid()
+        f = narrow(z, 1, h, h).sigmoid()
+        g = narrow(z, 1, 2 * h, h).tanh()
+        o = narrow(z, 1, 3 * h, h).sigmoid()
+        c_new = f * state[1] + i * g
+        return o * c_new.tanh(), c_new
+    r = (narrow(zx, 1, 0, h) + narrow(zh, 1, 0, h)).sigmoid()
+    u = (narrow(zx, 1, h, h) + narrow(zh, 1, h, h)).sigmoid()
+    n = (narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h)).tanh()
+    ones = Tensor(np.ones((x.data.shape[0], h)))
+    return ((ones - u) * n + u * state[0],)
 
 
 def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=None,

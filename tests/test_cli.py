@@ -420,12 +420,13 @@ def _copy_with(data, tmp, name, edit):
     return out
 
 
-def _set_cell(text, value, year="2008"):
-    """Features text with the first weather cell of the first ``year`` row set."""
+def _set_cell(text, value, year="2008", column=None):
+    """Features text with one cell of the first ``year`` row set: the named
+    column, or the first weather cell."""
     lines = text.splitlines()
     row = next(i for i, line in enumerate(lines) if line.split(",")[1] == year)
     cells = lines[row].split(",")
-    cells[2] = value
+    cells[2 if column is None else lines[0].split(",").index(column)] = value
     lines[row] = ",".join(cells)
     return "\n".join(lines) + "\n"
 
@@ -452,10 +453,11 @@ def _truncated(ckpt, tmp):
 
 
 # (error class, exit code, argv builder(data, ckpt, tmp, out), injected
-# evaluate failure or None). WindowUnavailableError and NonFiniteError are
-# injected: evaluate and training select counties by the same window rule
-# as the graph block, and a non-finite forward outside training needs a
-# value that normalization has not already turned non-finite.
+# evaluate failure or None). WindowUnavailableError and KeyError are
+# injected, since no CLI input reaches them: evaluate and training select
+# counties by the same window rule as the graph block, and evaluate checks
+# the test year before it masks or indexes by it. The non-finite case is a
+# finite test-year cell large enough to overflow the metrics.
 _ERROR_TABLE = {
     "data-format": (DataFormatError, 2, lambda d, c, t, o: _train_on(
         _copy_with(d, t, "features.csv", lambda s: _set_cell(s, "abc")), o), None),
@@ -477,13 +479,15 @@ _ERROR_TABLE = {
     "not-a-directory": (NotADirectoryError, 2, lambda d, c, t, o: synth_args(
         d / "features.csv" / "sub"), None),
     "value": (ValueError, 2, lambda d, c, t, o: synth_args(o, counties=10), None),
-    "key": (KeyError, 2, lambda d, c, t, o: _evaluate(
-        d, c, o, "--test-year", "2015", "--early"), None),
+    "key": (KeyError, 2, lambda d, c, t, o: _evaluate(d, c, o),
+            KeyError("no features for county 00000 year 2009")),
     "cli": (CliError, 2, lambda d, c, t, o: synth_args(o)[:3] + ["--out", str(o)], None),
     "training-abort": (TrainingAbort, 3, lambda d, c, t, o: train_args(
         d, o, extra=["--lr", "1e200"]), None),
-    "non-finite": (NonFiniteError, 3, lambda d, c, t, o: _evaluate(d, c, o),
-                   NonFiniteError("non-finite values in tensor construction")),
+    "non-finite": (NonFiniteError, 3, lambda d, c, t, o: _evaluate(
+        _copy_with(d, t, "features.csv",
+                   lambda s: _set_cell(s, "1e305", year="2009", column="w_tmax_20")), c, o),
+                   None),
 }
 
 
@@ -508,3 +512,23 @@ def test_bad_input_maps_to_exit_code_without_traceback(tmp_path, trained, monkey
     out, err = capsys.readouterr()
     assert err.startswith("numerical abort: " if code == 3 else "error: ")
     assert "Traceback" not in out + err
+    assert not (tmp_path / "second" / "metrics.txt").exists()
+
+
+def test_evaluate_year_outside_dataset_same_error_with_and_without_early(tmp_path, trained,
+                                                                        capsys):
+    data, ckpt = trained
+    errors = []
+    for name, extra in (("plain", ()), ("early", ("--early",))):
+        args = build_parser().parse_args(
+            _evaluate(data, ckpt, tmp_path / name, "--test-year", "2030", *extra))
+        with pytest.raises(MetricError):
+            args.func(args)
+        capsys.readouterr()
+        assert run(_evaluate(data, ckpt, tmp_path / f"{name}-cli", "--test-year", "2030",
+                             *extra)) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: no evaluable counties for corn in 2030: " \
+        "not a dataset year\n"

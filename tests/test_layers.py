@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from yieldgraph.autodiff import ShapeError, Tensor
+from yieldgraph.autodiff import NonFiniteError, ShapeError, Tensor
 from yieldgraph.layers import (
     Dense,
     RecurrentCell,
@@ -15,7 +15,12 @@ from yieldgraph.layers import (
     uniform_param,
 )
 from yieldgraph.data import DEPTHS, N_EXTRAS, N_LAND, N_SOIL, N_WEATHER, WEEKS
-from tests.helpers import check_param_gradients, check_tensor_gradients
+from tests.helpers import (
+    check_param_gradients,
+    check_tensor_gradients,
+    reference_cell_step,
+    rel_err,
+)
 
 
 def _rng(seed=0):
@@ -221,6 +226,77 @@ def test_rnn_unroll_parameter_gradients_match_finite_differences(kind):
         return (out * out).sum()
 
     check_param_gradients(list(cell.parameters("c").values()), forward, rtol=1e-4)
+
+
+def _reference_forward(cell, sequence):
+    state = cell.zero_state(sequence[0].data.shape[0])
+    for x in sequence:
+        state = reference_cell_step(cell, x, state)
+    return state[0]
+
+
+def _gradients(cell, forward, xs):
+    """Output, then the gradients of (out * out).sum() for every cell
+    parameter and input step."""
+    params = list(cell.parameters("c").values())
+    for t in params + xs:
+        t.zero_grad()
+    out = forward(cell, xs)
+    (out * out).sum().backward()
+    return out.data, [t.grad for t in params + xs]
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_fused_cell_matches_composed_reference(kind):
+    rng = _rng(20)
+    cell = RecurrentCell(kind, 4, 6, rng)
+    xs = [Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True) for _ in range(5)]
+    out, grads = _gradients(cell, rnn_forward, xs)
+    ref_out, ref_grads = _gradients(cell, _reference_forward, xs)
+    assert np.array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape
+        assert rel_err(g, ref, floor=1e-300) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_rnn_forward_records_at_most_three_tape_nodes_per_step(kind):
+    rng = _rng(21)
+    cell = RecurrentCell(kind, 4, 6, rng)
+    steps = 7
+    loss = rnn_forward(cell, [Tensor(rng.normal(size=(3, 4))) for _ in range(steps)]).sum()
+    seen = set()
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t.node is None or id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.extend(t.node.inputs)
+    assert len(seen) <= 3 * steps + 1
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_rnn_forward_rejects_overflowed_pre_activations(kind):
+    cell = RecurrentCell(kind, 3, 4, _rng(22))
+    cell.w_x.data[...] = 1e300
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        rnn_forward(cell, [Tensor(np.full((2, 3), 1e10))])
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_rnn_forward_rejects_overflowed_hidden_pre_activations(kind):
+    # Step one drives both hidden units near 1 (the GRU's update gate is
+    # shut), so step two's h @ w_h.T overflows while zx stays finite.
+    cell = RecurrentCell(kind, 1, 2, _rng(23))
+    for p in cell.parameters("c").values():
+        p.data[...] = 0.0
+    cell.w_x.data[...] = 100.0
+    if kind == "gru":
+        cell.w_x.data[2:4] = -100.0
+    cell.w_h.data[...] = 1.5e308
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        rnn_forward(cell, [Tensor(np.ones((1, 1)))] * 2)
 
 
 def test_dropout_identity_cases():
