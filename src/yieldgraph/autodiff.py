@@ -14,6 +14,8 @@ in gradients.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "add_rowvec",
     "apply_op",
     "backward",
+    "no_grad",
 ]
 
 
@@ -270,12 +273,31 @@ def _binary(a, b, fwd, da, db):
     return apply_op(fwd(ad, bd), (a, b), vjp)
 
 
+# False inside no_grad(); read by apply_op. Process-wide: the package
+# starts no threads.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inference mode: operations inside record no tape node and return
+    untracked tensors. Finiteness checks still run. Nests, and restores
+    the previous mode however the block exits."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def apply_op(data, inputs, vjp):
     """Build the result tensor of an operation, recording a tape node when
-    any input is tracked. ``vjp(g)`` must return one gradient array (or
-    None) per input, in order."""
+    any input is tracked and no_grad() is not active. ``vjp(g)`` must
+    return one gradient array (or None) per input, in order."""
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
+    if _recording and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = _Node(tuple(inputs), vjp)
     return out

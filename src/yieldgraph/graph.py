@@ -7,7 +7,9 @@ a learned per-neighbor transform ("pool") — then applies a linear map and
 relu. Mini-batch training samples a capped number of neighbors per node
 per layer after dropping each incident edge with a fixed probability;
 inference uses the full neighborhood with no dropout and is
-deterministic.
+deterministic. Inference builds one ``full_block`` over all of a target
+year's seeds, so each input county is embedded once per window year and
+the layers run over the whole block in one pass.
 
 Aggregation sums run over neighbors in ascending node order, so a sampled
 forward with full fanout reproduces a dense full-graph forward bit for
@@ -128,21 +130,25 @@ def _segment_mean(x, edge_src, edge_dst, counts, n_dst):
 def _segment_max(x, edge_src, edge_dst, counts, n_dst):
     """Elementwise max of x rows grouped by destination; empty groups are
     zero. Ties route gradient to the earliest edge (lowest source index
-    within the sorted neighbor list)."""
+    within the sorted neighbor list).
+
+    Edges arrive sorted by dst, so each destination's edges are one
+    contiguous run: a max-reduce per run gives the maximum, and a
+    min-reduce over the edge numbers that reach it gives the first edge
+    holding it. Each output is read back from that edge's row."""
     d = x.data.shape[1]
     out = np.zeros((n_dst, d))
     argrow = np.full((n_dst, d), -1, dtype=np.intp)
-    # edges arrive sorted by dst; walk contiguous segments
-    boundaries = np.flatnonzero(np.diff(edge_dst)) + 1
-    segments = np.split(np.arange(edge_dst.size), boundaries)
-    for seg in segments:
-        if seg.size == 0:
-            continue
-        dst = edge_dst[seg[0]]
-        rows = x.data[edge_src[seg]]
-        am = np.argmax(rows, axis=0)  # first max = lowest sorted neighbor
-        out[dst] = rows[am, np.arange(d)]
-        argrow[dst] = edge_src[seg][am]
+    if edge_dst.size:
+        starts = np.flatnonzero(np.r_[True, edge_dst[1:] != edge_dst[:-1]])
+        rows = x.data[edge_src]
+        seg_max = np.maximum.reduceat(rows, starts, axis=0)
+        hit = rows == np.repeat(seg_max, np.diff(np.r_[starts, edge_dst.size]), axis=0)
+        edge_no = np.where(hit, np.arange(edge_dst.size)[:, None], edge_dst.size)
+        first = np.minimum.reduceat(edge_no, starts, axis=0)
+        dsts = edge_dst[starts]
+        out[dsts] = np.take_along_axis(rows, first, axis=0)
+        argrow[dsts] = edge_src[first]
 
     def vjp(g):
         dx = np.zeros_like(x.data)
@@ -223,11 +229,13 @@ class SampledBlock:
 
 
 def _sample_neighbor_lists(graph, dst_nodes, fanout, edge_dropout, rng, allowed=None):
+    """One sorted neighbor array per dst node; ``allowed`` is a boolean
+    mask over graph nodes, or None for all."""
     sampled = []
     for i in dst_nodes:
         nbrs = graph.neighbors[i]
         if allowed is not None:
-            nbrs = nbrs[np.isin(nbrs, allowed)]
+            nbrs = nbrs[allowed[nbrs]]
         if edge_dropout > 0.0 and nbrs.size:
             nbrs = nbrs[rng.random(nbrs.size) >= edge_dropout]
         if fanout is not None and nbrs.size > fanout:
@@ -255,29 +263,25 @@ def sample_block(graph, seeds, fanout=10, layers=2, edge_dropout=0.1, rng=None,
     seed_idx = np.array(sorted({graph.index[c] for c in seeds}), dtype=np.intp)
     allowed = None
     if allowed_nodes is not None:
-        allowed = np.array(sorted(graph.index[c] for c in allowed_nodes), dtype=np.intp)
+        allowed = np.zeros(graph.n, dtype=bool)
+        allowed[[graph.index[c] for c in allowed_nodes]] = True
 
     block = SampledBlock(seed_nodes=seed_idx)
     reversed_layers = []
     dst = seed_idx
     for _ in range(layers):
         nbr_lists = _sample_neighbor_lists(graph, dst, fanout, edge_dropout, rng, allowed)
-        src = np.unique(np.concatenate([dst] + nbr_lists)) if nbr_lists else dst
-        pos = {int(v): k for k, v in enumerate(src)}
-        self_rows = np.array([pos[int(v)] for v in dst], dtype=np.intp)
-        edge_src, edge_dst = [], []
-        for di, nbrs in enumerate(nbr_lists):
-            for v in nbrs:  # ascending within each dst: fixed summation order
-                edge_src.append(pos[int(v)])
-                edge_dst.append(di)
+        src = np.unique(np.concatenate([dst] + nbr_lists))
         counts = np.array([len(n) for n in nbr_lists], dtype=np.intp)
+        # src is sorted, so a node's row is its searchsorted position; each
+        # dst's neighbors stay ascending: a fixed summation order
         reversed_layers.append(
             LayerBlock(
                 src_nodes=src,
                 dst_nodes=dst,
-                self_rows=self_rows,
-                edge_src=np.array(edge_src, dtype=np.intp),
-                edge_dst=np.array(edge_dst, dtype=np.intp),
+                self_rows=np.searchsorted(src, dst),
+                edge_src=np.searchsorted(src, np.concatenate(nbr_lists)),
+                edge_dst=np.repeat(np.arange(dst.size), counts),
                 counts=counts,
             )
         )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from yieldgraph.autodiff import NonFiniteError, Tensor, concat, take_rows
+from yieldgraph.autodiff import NonFiniteError, Tensor, concat, no_grad, take_rows
 from yieldgraph.data import (
     CROPS,
     DEPTHS,
@@ -369,9 +369,22 @@ class FlatHistoryModel(_Model):
         return self.head(_over_years(self.cell, steps), training, rng)
 
 
+# Rows per embedder call at inference. A call's im2col buffers grow with
+# its rows, so this bounds them at any county count; per row, a 128-row
+# call runs as fast as a larger one.
+EMBED_CHUNK_ROWS = 128
+
+
 class GnnModel(_Model):
     """Conv embedder -> 2 aggregation layers, per year with shared weights
-    -> (five-year kinds) LSTM over the years -> head."""
+    -> (five-year kinds) LSTM over the years -> head.
+
+    One forward serves all of a target year's seeds: it builds one block
+    (sampled in training, the full neighbourhood at inference), embeds
+    each (input county, window year) once, then runs the SAGE stack, the
+    cell and the head over the whole block. Inference embeds the input
+    rows EMBED_CHUNK_ROWS at a time; training embeds them in one call.
+    """
 
     def __init__(self, spec, rng):
         super().__init__(spec)
@@ -395,7 +408,7 @@ class GnnModel(_Model):
         years = list(range(year - self.spec.history_years, year + 1))
         block = self._block(ds, counties, years, training, rng)
         input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
-        zs = [gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y))
+        zs = [gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y, training))
               for y in years]
         h = self._reorder(block, ds, counties, _over_years(self.cell, zs))
         return self.head(h, training, rng)
@@ -415,10 +428,14 @@ class GnnModel(_Model):
             )
         return full_block(ds.graph, counties, layers=len(self.stack), allowed_nodes=allowed)
 
-    def _embed_nodes(self, ds, node_ids, year):
-        samples = [(c, year) for c in node_ids]
-        w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop)
-        return self.embedder.embed(Tensor(w), Tensor(l), Tensor(s), Tensor(e))
+    def _embed_nodes(self, ds, node_ids, year, training):
+        rows = len(node_ids) if training else EMBED_CHUNK_ROWS
+        parts = []
+        for start in range(0, len(node_ids), rows):
+            samples = [(c, year) for c in node_ids[start : start + rows]]
+            w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop)
+            parts.append(self.embedder.embed(Tensor(w), Tensor(l), Tensor(s), Tensor(e)))
+        return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
     def _reorder(self, block, ds, counties, z):
         seed_ids = [ds.graph.node_ids[i] for i in block.seed_nodes]
@@ -575,17 +592,20 @@ def _standardized_targets(ds, samples, crop):
 
 
 def _predict_std(model, ds, samples, batch_size):
-    """Inference-mode standardized predictions, batched, deterministic;
-    graph kinds batch each target year apart."""
-    by_year = model.spec.kind in GRAPH_KINDS
-    groups = {}
-    for i, (_, y) in enumerate(samples):
-        groups.setdefault(y if by_year else None, []).append(i)
+    """Standardized predictions under no_grad(), deterministic.
+
+    Non-graph kinds run in batches of ``batch_size``. Graph kinds run all
+    samples in one forward, so each county-year is embedded once; the
+    samples must share one target year (ConfigurationError otherwise).
+    Overflow warnings are silenced: every op's result is checked for
+    NaN/Inf, which raises NonFiniteError instead.
+    """
+    rows = max(len(samples), 1) if model.spec.kind in GRAPH_KINDS else batch_size
     out = np.empty(len(samples))
-    for _, idx in sorted(groups.items()):
-        for start in range(0, len(idx), batch_size):
-            chunk = idx[start : start + batch_size]
-            out[chunk] = model.forward_samples(ds, [samples[i] for i in chunk]).data
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(samples), rows):
+            out[start : start + rows] = model.forward_samples(
+                ds, samples[start : start + rows]).data
     return out
 
 
@@ -622,15 +642,17 @@ def train(spec, dataset, split):
         seen = 0
         for batch_idx, batch in enumerate(_batches(samples, spec.batch_size, order_rng, by_year)):
             try:
-                preds = model.forward_samples(
-                    ds, batch, training=True,
-                    rng=graph_rng if by_year else drop_rng,
-                )
-                loss = logcosh_loss(preds, _standardized_targets(ds, batch, crop))
-                for p in params.values():
-                    p.zero_grad()
-                loss.backward()
-                adam_step(params, adam)
+                # overflow surfaces as NonFiniteError from the finiteness checks
+                with np.errstate(over="ignore", invalid="ignore"):
+                    preds = model.forward_samples(
+                        ds, batch, training=True,
+                        rng=graph_rng if by_year else drop_rng,
+                    )
+                    loss = logcosh_loss(preds, _standardized_targets(ds, batch, crop))
+                    for p in params.values():
+                        p.zero_grad()
+                    loss.backward()
+                    adam_step(params, adam)
             except NonFiniteError as e:
                 raise TrainingAbort(epoch, batch_idx, e) from e
             epoch_loss += loss.item() * len(batch)
@@ -772,7 +794,8 @@ class ModelCheckpoint:
         return self._model
 
     def predict_year(self, ds, counties, year):
-        """Raw-unit (bushels/acre) predictions for counties in one year."""
+        """Raw-unit (bushels/acre) predictions for counties in one year,
+        scored by ``_predict_std`` (one forward for graph kinds)."""
         model = self.model()
         samples = [(c, year) for c in counties]
         std = _predict_std(model, ds, samples, self.spec.batch_size)

@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences and gradient comparison, the
-composed recurrent cell step, single-node neighbour aggregation and
-single-record early masking.
+composed recurrent cell step, single-node neighbour aggregation, the
+per-destination segment max, the per-edge block builder, batched graph
+inference and single-record early masking.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -8,7 +9,9 @@ independent of the reverse-mode implementation it checks.
 
 import numpy as np
 
-from yieldgraph.autodiff import Tensor, add_rowvec, matmul, narrow, take_rows
+from yieldgraph.autodiff import Tensor, add_rowvec, apply_op, matmul, narrow, take_rows
+from yieldgraph.graph import LayerBlock, SampledBlock
+from yieldgraph.models import GRAPH_KINDS
 
 
 def fd_gradient(f, arrays, h=1e-5):
@@ -161,6 +164,91 @@ def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=
             rows = pool_transform(rows).relu()
         return rows.max(axis=0)
     raise ValueError(f"unknown aggregator {aggregator!r}")
+
+
+def reference_segment_max(x, edge_src, edge_dst, counts, n_dst):
+    """``graph._segment_max`` one destination at a time: np.argmax over each
+    destination's edge rows picks the first maximum. Same signature and
+    result."""
+    d = x.data.shape[1]
+    out = np.zeros((n_dst, d))
+    argrow = np.full((n_dst, d), -1, dtype=np.intp)
+    boundaries = np.flatnonzero(np.diff(edge_dst)) + 1
+    for seg in np.split(np.arange(edge_dst.size), boundaries):
+        if seg.size == 0:
+            continue
+        dst = edge_dst[seg[0]]
+        rows = x.data[edge_src[seg]]
+        am = np.argmax(rows, axis=0)
+        out[dst] = rows[am, np.arange(d)]
+        argrow[dst] = edge_src[seg][am]
+
+    def vjp(g):
+        dx = np.zeros_like(x.data)
+        valid = argrow >= 0
+        np.add.at(dx, (argrow[valid], np.nonzero(valid)[1]), g[valid])
+        return (dx,)
+
+    return apply_op(out, (x,), vjp)
+
+
+def reference_sample_block(graph, seeds, fanout=10, layers=2, edge_dropout=0.1, rng=None,
+                           allowed_nodes=None):
+    """``graph.sample_block`` with np.isin filtering per node and a
+    position dict walked edge by edge. Draws from ``rng`` in the same
+    order, so seeded blocks must match it array for array."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    seed_idx = np.array(sorted({graph.index[c] for c in seeds}), dtype=np.intp)
+    allowed = None
+    if allowed_nodes is not None:
+        allowed = np.array(sorted(graph.index[c] for c in allowed_nodes), dtype=np.intp)
+    reversed_layers = []
+    dst = seed_idx
+    for _ in range(layers):
+        nbr_lists = []
+        for i in dst:
+            nbrs = graph.neighbors[i]
+            if allowed is not None:
+                nbrs = nbrs[np.isin(nbrs, allowed)]
+            if edge_dropout > 0.0 and nbrs.size:
+                nbrs = nbrs[rng.random(nbrs.size) >= edge_dropout]
+            if fanout is not None and nbrs.size > fanout:
+                nbrs = rng.choice(nbrs, size=fanout, replace=False)
+            nbr_lists.append(np.sort(nbrs))
+        src = np.unique(np.concatenate([dst] + nbr_lists))
+        pos = {int(v): k for k, v in enumerate(src)}
+        edge_src, edge_dst = [], []
+        for di, nbrs in enumerate(nbr_lists):
+            for v in nbrs:
+                edge_src.append(pos[int(v)])
+                edge_dst.append(di)
+        reversed_layers.append(LayerBlock(
+            src_nodes=src,
+            dst_nodes=dst,
+            self_rows=np.array([pos[int(v)] for v in dst], dtype=np.intp),
+            edge_src=np.array(edge_src, dtype=np.intp),
+            edge_dst=np.array(edge_dst, dtype=np.intp),
+            counts=np.array([len(n) for n in nbr_lists], dtype=np.intp),
+        ))
+        dst = src
+    return SampledBlock(seed_nodes=seed_idx, layers=list(reversed(reversed_layers)))
+
+
+def batched_predict_std(model, ds, samples, batch_size):
+    """Standardized predictions in seed batches of ``batch_size``, each
+    target year apart for graph kinds: every batch builds its own block and
+    embeds its own input nodes. The batched form of ``models._predict_std``."""
+    by_year = model.spec.kind in GRAPH_KINDS
+    groups = {}
+    for i, (_, y) in enumerate(samples):
+        groups.setdefault(y if by_year else None, []).append(i)
+    out = np.empty(len(samples))
+    for _, idx in sorted(groups.items()):
+        for start in range(0, len(idx), batch_size):
+            chunk = idx[start : start + batch_size]
+            out[chunk] = model.forward_samples(ds, [samples[i] for i in chunk]).data
+    return out
 
 
 def apply_early_mask(features, plan):

@@ -12,6 +12,7 @@ from yieldgraph.autodiff import (
     concat,
     matmul,
     narrow,
+    no_grad,
     take_rows,
 )
 from tests.helpers import check_tensor_gradients, fd_gradient, rel_err
@@ -221,3 +222,27 @@ def test_log_gradient_random():
     rng = np.random.default_rng(11)
     x = rng.uniform(0.5, 2.5, size=(2, 3))
     check_tensor_gradients(lambda t: t.log().sum(), [x], rtol=1e-4)
+
+
+def test_no_grad_records_no_node_and_keeps_finite_checks():
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    with no_grad():
+        y = (matmul(x, Tensor([[3.0], [4.0]])).tanh() * 2.0).sum()
+        assert y.node is None and not y.requires_grad
+        with pytest.raises(NonFiniteError):
+            Tensor([np.inf])
+    z = (x * x).sum()
+    assert z.node is not None and z.requires_grad
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    x = Tensor([1.0], requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert (x * x).node is None
+        assert (x * x).node is None
+    assert (x * x).node is not None
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("escapes")
+    assert (x * x).node is not None

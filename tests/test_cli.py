@@ -269,6 +269,7 @@ def test_aggregate_rerun_identical_bytes(tmp_path):
     assert (tmp_path / "frag.csv").read_bytes() == first
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_abort_exits_3(tmp_path):
     data = tmp_path / "data"
     assert run(synth_args(data)) == 0
@@ -496,6 +497,7 @@ def test_error_table_covers_every_mapped_class():
     assert covered >= set(_INPUT_ERRORS) | {CliError, TrainingAbort, NonFiniteError}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_ERROR_TABLE))
 def test_bad_input_maps_to_exit_code_without_traceback(tmp_path, trained, monkeypatch,
                                                        capsys, case):

@@ -6,13 +6,20 @@ from yieldgraph.graph import (
     CountyGraph,
     GraphFormatError,
     SageLayer,
+    _segment_max,
     build_sage_stack,
     full_block,
     gnn_forward,
     load_graph,
     sample_block,
 )
-from tests.helpers import aggregate_neighbors, check_param_gradients
+from tests.helpers import (
+    aggregate_neighbors,
+    check_param_gradients,
+    check_tensor_gradients,
+    reference_sample_block,
+    reference_segment_max,
+)
 
 
 def _write(tmp_path, text, name="adj.tsv"):
@@ -302,3 +309,64 @@ def test_sample_block_requires_seeds_and_valid_dropout():
         sample_block(g, [], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_block(g, ["a"], edge_dropout=1.0, rng=np.random.default_rng(0))
+
+
+def _segment_edges():
+    """Edges sorted by (dst, src) over 7 destinations; 0, 3 and 6 have none."""
+    pairs = [(1, 0), (1, 2), (1, 5), (2, 4), (4, 0), (4, 1), (4, 3), (4, 6), (5, 6)]
+    edge_dst = np.array([d for d, _ in pairs], dtype=np.intp)
+    edge_src = np.array([s for _, s in pairs], dtype=np.intp)
+    return edge_src, edge_dst, np.bincount(edge_dst, minlength=7), 7
+
+
+def test_segment_max_matches_oracle_with_ties_and_isolated_destinations():
+    edge_src, edge_dst, counts, n_dst = _segment_edges()
+    rng = np.random.default_rng(3)
+    x = rng.integers(-2, 3, size=(7, 5)).astype(np.float64)  # many ties
+    x[2] = x[0]  # destination 1 ties row for row between sources 0 and 2,
+    x[5] = x[0] - 1.0  # and its third source never reaches the max
+    x[0, 1], x[2, 1] = 0.0, -0.0  # a signed-zero tie: the first edge's zero wins
+    weights = Tensor(rng.normal(size=(n_dst, 5)))
+    results = []
+    for fn in (_segment_max, reference_segment_max):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        out = fn(leaf, edge_src, edge_dst, counts, n_dst)
+        (out * weights).sum().backward()
+        results.append((out.data, leaf.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    assert out.tobytes() == ref_out.tobytes()
+    assert np.array_equal(grad, ref_grad)
+    assert not out[[0, 3, 6]].any()
+    assert not grad[2].any()  # every tie at destination 1 goes to source 0
+
+
+def test_segment_max_gradient_and_empty_edge_list():
+    edge_src, edge_dst, counts, n_dst = _segment_edges()
+    x = np.random.default_rng(4).normal(size=(7, 3))
+    check_tensor_gradients(
+        lambda t: (_segment_max(t, edge_src, edge_dst, counts, n_dst).tanh()).sum(), [x])
+    none = np.array([], dtype=np.intp)
+    out = _segment_max(Tensor(x), none, none, np.zeros(4, dtype=np.intp), 4)
+    assert out.shape == (4, 3) and not out.data.any()
+
+
+@pytest.mark.parametrize("fanout,dropout,allowed", [(3, 0.3, True), (None, 0.0, False),
+                                                    (2, 0.5, False)])
+def test_sample_block_matches_per_edge_builder(fanout, dropout, allowed):
+    rng = np.random.default_rng(11)
+    ids = [f"c{i:02d}" for i in range(40)]
+    edges = [(ids[a], ids[b]) for a, b in rng.integers(0, 40, size=(120, 2))]
+    g = CountyGraph(ids, edges)
+    seeds = list(rng.choice(ids, size=9, replace=False))
+    allowed_nodes = set(rng.choice(ids, size=30, replace=False)) | set(seeds) if allowed else None
+    rngs = [np.random.default_rng(7), np.random.default_rng(7)]
+    blocks = [build(g, seeds, fanout=fanout, layers=2, edge_dropout=dropout, rng=r,
+                    allowed_nodes=allowed_nodes)
+              for build, r in zip((sample_block, reference_sample_block), rngs)]
+    new, ref = blocks
+    assert np.array_equal(new.seed_nodes, ref.seed_nodes)
+    for lb, rb in zip(new.layers, ref.layers, strict=True):
+        for name in ("src_nodes", "dst_nodes", "self_rows", "edge_src", "edge_dst", "counts"):
+            a, b = getattr(lb, name), getattr(rb, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert rngs[0].random() == rngs[1].random()  # same number of draws

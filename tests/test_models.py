@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from yieldgraph import models
 from yieldgraph.data import NormStats, YearSplit, assemble_window, generate_synthetic, normalize
 from yieldgraph.evaluation import evaluate
 from yieldgraph.graph import CountyGraph
@@ -26,6 +27,7 @@ from yieldgraph.models import (
     predict_5y,
     train,
 )
+from tests.helpers import batched_predict_std
 from tests.test_data import make_dataset
 
 
@@ -224,6 +226,50 @@ def test_gnn_edgeless_graph_ignores_other_counties():
         ds.weather[ds.county_index[c]] += 1.23
     after = model.forward_samples(ds, sample).data
     assert np.array_equal(base, after)
+
+
+@pytest.mark.parametrize("aggregator", ["mean", "pool"])
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_graph_inference_embeds_each_county_year_once(monkeypatch, kind, aggregator):
+    """One forward per year, embedding every (input county, window year) once
+    in chunks, matches per-batch blocks up to BLAS row-blocking rounding."""
+    ds, _ = normalize(tiny_dataset(side=5), YearSplit(test_year=2009))
+    model = build_model(tiny_spec(kind, aggregator=aggregator), np.random.default_rng(6))
+    samples = [(c, 2009) for c in ds.counties]
+    monkeypatch.setattr(models, "EMBED_CHUNK_ROWS", 7)
+    rows = []
+    embed = model.embedder.embed
+    monkeypatch.setattr(model.embedder, "embed",
+                        lambda *blocks: rows.append(len(blocks[0].data)) or embed(*blocks))
+    once = models._predict_std(model, ds, samples, batch_size=4)
+    assert max(rows) == 7 and sum(rows) == len(ds.counties) * (1 + model.spec.history_years)
+    batched = batched_predict_std(model, ds, samples, batch_size=4)
+    assert np.max(np.abs(once - batched)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [k for k in DEEP_KINDS if k not in GRAPH_KINDS])
+def test_non_graph_inference_bit_identical_to_taped_batches(kind):
+    ds, _ = normalize(tiny_dataset(), YearSplit(test_year=2009))
+    model = build_model(tiny_spec(kind), np.random.default_rng(7))
+    samples = [(c, 2009) for c in ds.counties]
+    assert np.array_equal(models._predict_std(model, ds, samples, 5),
+                          batched_predict_std(model, ds, samples, 5))
+
+
+def test_predict_year_builds_one_block_and_rejects_mixed_years(monkeypatch):
+    ds, stats = normalize(tiny_dataset(), YearSplit(test_year=2009))
+    spec = tiny_spec("gnn-rnn-5y", batch_size=3)
+    model = build_model(spec, np.random.default_rng(8))
+    ckpt = ModelCheckpoint(spec, {k: v.data.copy() for k, v in model.parameters().items()},
+                           stats, history=[], best_epoch=0, test_year=2009)
+    calls = []
+    real_full_block = models.full_block
+    monkeypatch.setattr(models, "full_block",
+                        lambda *a, **kw: calls.append(a[1]) or real_full_block(*a, **kw))
+    preds = ckpt.predict_year(ds, ds.counties, 2009)
+    assert preds.shape == (len(ds.counties),) and calls == [ds.counties]
+    with pytest.raises(ConfigurationError):
+        models._predict_std(model, ds, [(ds.counties[0], 2008), (ds.counties[1], 2009)], 3)
 
 
 # -- training -------------------------------------------------------------------
