@@ -24,6 +24,7 @@ synthetic paths share one ingestion code path.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -107,34 +108,48 @@ class YearFeatures:
 
 
 class YieldTable:
-    """Sparse (county, year, crop) -> bushels/acre with explicit missingness."""
+    """Sparse (county, year, crop) -> bushels/acre with explicit missingness.
+
+    ``set`` keeps two indexes beside ``entries``: (year, crop) -> {county:
+    value} and crop -> {(county, year): value}. Each holds its keys in
+    ``entries`` order (an overwrite keeps its place), so a mean or spread
+    over an index sums the values in the order a scan of ``entries`` would.
+    """
 
     def __init__(self, entries=None):
         self.entries = {}
+        self._by_year = {}
+        self._by_crop = {}
         for key, value in (entries or {}).items():
             self.set(*key, value)
 
     def set(self, county, year, crop, value):
         if crop not in CROPS:
             raise DataFormatError(f"unknown crop {crop!r}")
-        if not np.isfinite(value) or value <= 0:
+        if not math.isfinite(value) or value <= 0:
             raise DataFormatError(
                 f"yield for ({county}, {year}, {crop}) must be positive, got {value}"
             )
-        self.entries[(county, int(year), crop)] = float(value)
+        year, value = int(year), float(value)
+        self.entries[(county, year, crop)] = value
+        self._by_year.setdefault((year, crop), {})[county] = value
+        self._by_crop.setdefault(crop, {})[(county, year)] = value
 
     def get(self, county, year, crop):
         return self.entries.get((county, int(year), crop))
 
     def counties_with(self, year, crop):
-        return sorted(c for (c, y, k) in self.entries if y == year and k == crop)
+        return sorted(self._by_year.get((year, crop), ()))
 
     def national_mean(self, year, crop):
-        vals = [v for (c, y, k), v in self.entries.items() if y == year and k == crop]
+        vals = list(self._by_year.get((year, crop), {}).values())
         return float(np.mean(vals)) if vals else None
 
+    def labeled_years(self, crop):
+        return sorted(y for (y, k) in self._by_year if k == crop)
+
     def std_all_years(self, crop):
-        vals = [v for (_, _, k), v in self.entries.items() if k == crop]
+        vals = list(self._by_crop.get(crop, {}).values())
         if len(vals) < 2:
             raise DataFormatError(f"not enough {crop} yields to compute a spread")
         return float(np.std(vals))
@@ -257,7 +272,7 @@ class Dataset:
         if key not in self._prev_mean_cache:
             m = self.yields.national_mean(year - 1, crop)
             if m is None:
-                labeled_years = sorted({y for (_, y, k) in self.yields.entries if k == crop})
+                labeled_years = self.yields.labeled_years(crop)
                 if not labeled_years:
                     raise DataFormatError(f"no {crop} yields anywhere in the dataset")
                 m = self.yields.national_mean(labeled_years[0], crop)

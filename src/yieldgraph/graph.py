@@ -54,22 +54,6 @@ class CountyGraph:
     def n(self):
         return len(self.node_ids)
 
-    def degree(self, county):
-        return len(self.neighbors[self.index[county]])
-
-    def max_degree(self):
-        return max((len(v) for v in self.neighbors), default=0)
-
-    def neighbor_ids(self, county):
-        return [self.node_ids[j] for j in self.neighbors[self.index[county]]]
-
-    def is_symmetric(self):
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs:
-                if i not in self.neighbors[j]:
-                    return False
-        return True
-
 
 def load_graph(path, node_ids=None):
     """Parse a tab-separated undirected edge list (# comments allowed).

@@ -7,6 +7,13 @@ over the soil depth levels. The embedding is their concatenation plus
 the scalar extras passed through verbatim. The feature sizes come from
 the caller (the dataset schema lives in ``yieldgraph.data``).
 
+The encoders take [B, C, L] input, transpose it once and carry [B, L, C]
+(channels-last) through their blocks, so im2col is a window view reshaped
+to [B*L', C*K]. Each block (conv, bias, relu and, in the weekly encoder,
+avg-pool) is one autodiff op, ``conv1d``, with a hand-written vjp. The
+output is transposed back once before the projection, which therefore
+sees the [C, L] flatten order its weights were laid out for.
+
 All parameters initialize uniform(-a, a), a = sqrt(1/fan_in), from the
 caller's seeded generator.
 """
@@ -34,61 +41,74 @@ def uniform_param(rng, shape, fan_in):
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
 
 
-def conv1d(x, weight, bias):
-    """Valid (no padding) cross-correlation.
+def conv1d(x, weight, bias, pool=None):
+    """One conv block as one op: valid (no padding) cross-correlation, bias
+    and relu, then, when ``pool`` is set, non-overlapping average pooling
+    over ``pool`` positions (the trailing remainder is dropped).
 
-    x: [batch, ch_in, length]; weight: [ch_out, ch_in, k]; bias: [ch_out]
-    -> [batch, ch_out, length - k + 1]
+    x: [batch, length, ch_in] (channels-last); weight: [ch_out, ch_in, k];
+    bias: [ch_out] -> [batch, length - k + 1, ch_out], or
+    [batch, (length - k + 1) // pool, ch_out] when pooled.
+
+    The relu would turn a NaN or -inf pre-activation into 0, so the
+    pre-activations are checked for NaN/Inf before it. The vjp forms the
+    input, weight and bias gradients only for the operands that are
+    tracked; the first block's input is raw data.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
-        raise ShapeError(f"conv1d needs [B,C,L] and [O,C,K], got {x.shape}, {weight.shape}")
-    batch, ch_in, length = x.data.shape
+        raise ShapeError(f"conv1d needs [B,L,C] and [O,C,K], got {x.shape}, {weight.shape}")
+    batch, length, ch_in = x.data.shape
     ch_out, w_in, k = weight.data.shape
     if w_in != ch_in:
         raise ShapeError(f"conv1d channels differ: input {ch_in}, kernel {w_in}")
     if length < k:
         raise ShapeError(f"conv1d input length {length} shorter than kernel {k}")
     out_len = length - k + 1
+    if pool is not None and out_len < pool:
+        raise ShapeError(f"conv1d output length {out_len} shorter than pool window {pool}")
 
-    # im2col: [B, C, L', K] -> [B*L', C*K]
-    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(batch * out_len, ch_in * k)
+    # im2col: the [B, L', C, K] window view flattens to [B*L', C*K] rows
+    # whose columns follow the weight's (C, K) layout.
+    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
+    cols = cols.reshape(batch * out_len, ch_in * k)
     wmat = weight.data.reshape(ch_out, ch_in * k)
-    out = (cols @ wmat.T + bias.data[None, :]).reshape(batch, out_len, ch_out)
-    out = np.ascontiguousarray(out.transpose(0, 2, 1))
+    z = cols @ wmat.T
+    z += bias.data
+    autodiff._check_finite(z, "conv pre-activations")
+    mask = z > 0  # gradient at exactly 0 is 0
+    np.maximum(z, 0.0, out=z)
+    z += 0.0  # -0.0 becomes +0.0, as np.where(mask, z, 0.0) gives
+    out = z.reshape(batch, out_len, ch_out)
+    if pool is not None:
+        keep = out_len // pool * pool
+        pooled = out[:, 0:keep:pool].copy()
+        for j in range(1, pool):
+            pooled += out[:, j:keep:pool]
+        pooled /= pool
+        out = pooled
 
     def vjp(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * out_len, ch_out)
-        dw = (gmat.T @ cols).reshape(ch_out, ch_in, k)
-        db = gmat.sum(axis=0)
-        dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
-        dx = np.zeros_like(x.data)
-        for j in range(k):
-            dx[:, :, j : j + out_len] += dcols[:, :, :, j].transpose(0, 2, 1)
+        if pool is None:
+            gmat = g.reshape(batch * out_len, ch_out) * mask
+        else:
+            gmat = np.zeros((batch * out_len, ch_out))
+            spread, g_pool = gmat.reshape(batch, out_len, ch_out), g / pool
+            for j in range(pool):
+                spread[:, j:keep:pool] = g_pool
+            gmat *= mask
+        dx = dw = db = None
+        if x.requires_grad:
+            dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
+            dx = np.zeros((batch, length, ch_in))
+            for j in range(k):
+                dx[:, j : j + out_len] += dcols[:, :, :, j]
+        if weight.requires_grad:
+            dw = (gmat.T @ cols).reshape(ch_out, ch_in, k)
+        if bias.requires_grad:
+            db = gmat.sum(axis=0)
         return dx, dw, db
 
     return apply_op(out, (x, weight, bias), vjp)
-
-
-def avg_pool1d(x, window=2):
-    """Non-overlapping average pooling along the last axis; the trailing
-    remainder is dropped."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"avg_pool1d needs [B,C,L], got {x.shape}")
-    length = x.data.shape[2]
-    if length < window:
-        raise ShapeError(f"avg_pool1d length {length} shorter than window {window}")
-    n_out = length // window
-    keep = n_out * window
-    batch, ch, _ = x.data.shape
-    out = x.data[:, :, :keep].reshape(batch, ch, n_out, window).mean(axis=3)
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        dx[:, :, :keep] = np.repeat(g / window, window, axis=2)
-        return (dx,)
-
-    return apply_op(out, (x,), vjp)
 
 
 def dropout(x, p, training, rng):
@@ -117,13 +137,12 @@ class Dense:
 
 
 class _ConvBlock:
+    """Weight and bias of one conv block; ``conv1d`` runs the block."""
+
     def __init__(self, in_ch, out_ch, kernel, rng):
         fan_in = in_ch * kernel
         self.weight = uniform_param(rng, (out_ch, in_ch, kernel), fan_in)
         self.bias = uniform_param(rng, (out_ch,), fan_in)
-
-    def __call__(self, x):
-        return conv1d(x, self.weight, self.bias).relu()
 
     def parameters(self, prefix):
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -160,9 +179,10 @@ class WeeklyEncoder:
             raise ShapeError(
                 f"weekly encoder expects [B,{self.in_channels},{self.weeks}], got {x.shape}"
             )
+        x = x.transpose((0, 2, 1))
         for block in self.blocks:
-            x = avg_pool1d(block(x), self.pool_window)
-        return self.project(x.reshape((x.data.shape[0], self.flat_dim)))
+            x = conv1d(x, block.weight, block.bias, self.pool_window)
+        return self.project(x.transpose((0, 2, 1)).reshape((x.data.shape[0], self.flat_dim)))
 
     def encode(self, weather, land):
         """weather: [B,Cw,weeks], land: [B,Cl,weeks], Cw + Cl = in_channels
@@ -206,9 +226,10 @@ class SoilEncoder:
             raise ShapeError(
                 f"soil encoder expects [B,{self.in_channels},{self.depths}], got {x.shape}"
             )
+        x = x.transpose((0, 2, 1))
         for block in self.blocks:
-            x = block(x)
-        return self.project(x.reshape((x.data.shape[0], self.flat_dim)))
+            x = conv1d(x, block.weight, block.bias)
+        return self.project(x.transpose((0, 2, 1)).reshape((x.data.shape[0], self.flat_dim)))
 
     def parameters(self, prefix):
         params = {}

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences and gradient comparison, the
-composed recurrent cell step, single-node neighbour aggregation, the
-per-destination segment max, the per-edge block builder, batched graph
-inference and single-record early masking.
+channels-first conv, pooling and encoder forward, the composed recurrent
+cell step, single-node neighbour aggregation, the per-destination segment
+max, the per-edge block builder, batched graph inference, single-record
+early masking and the adjacency queries over a ``CountyGraph``.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -9,7 +10,15 @@ independent of the reverse-mode implementation it checks.
 
 import numpy as np
 
-from yieldgraph.autodiff import Tensor, add_rowvec, apply_op, matmul, narrow, take_rows
+from yieldgraph.autodiff import (
+    ShapeError,
+    Tensor,
+    add_rowvec,
+    apply_op,
+    matmul,
+    narrow,
+    take_rows,
+)
 from yieldgraph.graph import LayerBlock, SampledBlock
 from yieldgraph.models import GRAPH_KINDS
 
@@ -117,6 +126,75 @@ def check_tensor_gradients(build_loss, arrays, rtol=1e-4, h_schedule=(1e-5, 1e-6
     raise AssertionError(
         f"gradient mismatch: best rel err {min(errs):.3e} over h={list(h_schedule)}"
     )
+
+
+def reference_conv1d(x, weight, bias):
+    """Valid (no padding) cross-correlation, channels-first, without relu:
+    x [batch, ch_in, length], weight [ch_out, ch_in, k], bias [ch_out] ->
+    [batch, ch_out, length - k + 1]. With ``.relu()`` and
+    ``reference_avg_pool1d`` it composes the oracle of ``layers.conv1d``."""
+    if x.data.ndim != 3 or weight.data.ndim != 3:
+        raise ShapeError(f"conv1d needs [B,C,L] and [O,C,K], got {x.shape}, {weight.shape}")
+    batch, ch_in, length = x.data.shape
+    ch_out, w_in, k = weight.data.shape
+    if w_in != ch_in:
+        raise ShapeError(f"conv1d channels differ: input {ch_in}, kernel {w_in}")
+    if length < k:
+        raise ShapeError(f"conv1d input length {length} shorter than kernel {k}")
+    out_len = length - k + 1
+
+    # im2col: [B, C, L', K] -> [B*L', C*K]
+    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
+    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(batch * out_len, ch_in * k)
+    wmat = weight.data.reshape(ch_out, ch_in * k)
+    out = (cols @ wmat.T + bias.data[None, :]).reshape(batch, out_len, ch_out)
+    out = np.ascontiguousarray(out.transpose(0, 2, 1))
+
+    def vjp(g):
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * out_len, ch_out)
+        dw = (gmat.T @ cols).reshape(ch_out, ch_in, k)
+        db = gmat.sum(axis=0)
+        dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
+        dx = np.zeros_like(x.data)
+        for j in range(k):
+            dx[:, :, j : j + out_len] += dcols[:, :, :, j].transpose(0, 2, 1)
+        return dx, dw, db
+
+    return apply_op(out, (x, weight, bias), vjp)
+
+
+def reference_avg_pool1d(x, window=2):
+    """Non-overlapping average pooling along the last axis of [B, C, L];
+    the trailing remainder is dropped."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"avg_pool1d needs [B,C,L], got {x.shape}")
+    length = x.data.shape[2]
+    if length < window:
+        raise ShapeError(f"avg_pool1d length {length} shorter than window {window}")
+    n_out = length // window
+    keep = n_out * window
+    batch, ch, _ = x.data.shape
+    out = x.data[:, :, :keep].reshape(batch, ch, n_out, window).mean(axis=3)
+
+    def vjp(g):
+        dx = np.zeros_like(x.data)
+        dx[:, :, :keep] = np.repeat(g / window, window, axis=2)
+        return (dx,)
+
+    return apply_op(out, (x,), vjp)
+
+
+def reference_encode(encoder, x):
+    """A ``WeeklyEncoder`` or ``SoilEncoder`` forward over the encoder's own
+    parameters, composed channels-first: per block ``reference_conv1d``,
+    ``.relu()`` and (weekly) ``reference_avg_pool1d``, then the flatten and
+    ``project``. x: [B, in_channels, length] -> [B, out_dim]."""
+    pool = getattr(encoder, "pool_window", None)
+    for block in encoder.blocks:
+        x = reference_conv1d(x, block.weight, block.bias).relu()
+        if pool is not None:
+            x = reference_avg_pool1d(x, pool)
+    return encoder.project(x.reshape((x.data.shape[0], encoder.flat_dim)))
 
 
 def reference_cell_step(cell, x, state):
@@ -270,3 +348,23 @@ def apply_early_mask(features, plan):
         soil=features.soil.copy(),
         extras=features.extras.copy(),
     )
+
+
+# -- adjacency queries over a CountyGraph ------------------------------------
+
+
+def degree(graph, county):
+    return len(graph.neighbors[graph.index[county]])
+
+
+def max_degree(graph):
+    return max((len(v) for v in graph.neighbors), default=0)
+
+
+def neighbor_ids(graph, county):
+    return [graph.node_ids[j] for j in graph.neighbors[graph.index[county]]]
+
+
+def is_symmetric(graph):
+    return all(i in graph.neighbors[j]
+               for i, nbrs in enumerate(graph.neighbors) for j in nbrs)

@@ -316,3 +316,56 @@ def test_yield_table_validation():
         t.set("c", 2000, "corn", -1.0)
     with pytest.raises(DataFormatError):
         t.set("c", 2000, "wheat", 10.0)
+
+
+def _scan_queries(table):
+    """Every YieldTable query answered by a scan over ``entries``, in its
+    order: the brute-force form of the indexes."""
+    out = {}
+    for crop in CROPS:
+        vals = [v for (_, _, k), v in table.entries.items() if k == crop]
+        years = sorted({y for (_, y, k) in table.entries if k == crop})
+        out[crop] = (years, float(np.std(vals)) if len(vals) > 1 else None)
+        for year in years:
+            year_vals = [v for (c, y, k), v in table.entries.items() if y == year and k == crop]
+            out[crop, year] = (
+                sorted(c for (c, y, k) in table.entries if y == year and k == crop),
+                float(np.mean(year_vals)),
+            )
+    return out
+
+
+def _index_queries(table):
+    out = {}
+    for crop in CROPS:
+        years = table.labeled_years(crop)
+        vals = len([k for k in table.entries if k[2] == crop])
+        out[crop] = (years, table.std_all_years(crop) if vals > 1 else None)
+        for year in years:
+            out[crop, year] = (table.counties_with(year, crop), table.national_mean(year, crop))
+    return out
+
+
+def test_yield_table_indexes_match_a_scan_of_entries(tmp_path):
+    rng = np.random.default_rng(31)
+    counties = [f"{i:05d}" for i in range(12)]
+    years = (2000, 2001, 2002)
+    keys = [(c, y, k) for c in counties for y in years for k in CROPS]
+    table = YieldTable()
+    for i in rng.permutation(len(keys)):  # interleaved years and crops
+        # spread magnitudes so a different summation order shows in the bits
+        table.set(*keys[i], float(10.0 ** rng.uniform(-3, 6)))
+    assert _index_queries(table) == _scan_queries(table)
+
+    first = next(iter(table.entries))
+    table.set(*first, 1e7)  # an overwrite keeps its place in every order
+    assert next(iter(table.entries)) == first
+    assert _index_queries(table) == _scan_queries(table)
+    assert table.national_mean(1999, "corn") is None
+    assert table.counties_with(1999, "corn") == []
+
+    ds = make_dataset(counties=counties, years=years, yields=table.entries,
+                      edges=[(counties[0], counties[1])])
+    loaded = load_dataset(*save_dataset(ds, tmp_path / "yields"))
+    assert loaded.yields.entries == table.entries
+    assert _index_queries(loaded.yields) == _scan_queries(loaded.yields)

@@ -8,7 +8,6 @@ from yieldgraph.layers import (
     SoilEncoder,
     WeeklyEncoder,
     YearEmbedder,
-    avg_pool1d,
     conv1d,
     dropout,
     rnn_forward,
@@ -18,7 +17,10 @@ from yieldgraph.data import DEPTHS, N_EXTRAS, N_LAND, N_SOIL, N_WEATHER, WEEKS
 from tests.helpers import (
     check_param_gradients,
     check_tensor_gradients,
+    reference_avg_pool1d,
     reference_cell_step,
+    reference_conv1d,
+    reference_encode,
     rel_err,
 )
 
@@ -27,52 +29,138 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _tape_nodes(loss):
+    """Tape nodes reachable from ``loss``."""
+    seen = set()
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t.node is None or id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.extend(t.node.inputs)
+    return len(seen)
+
+
+def _identity_kernel():
+    return Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1))
+
+
 def test_conv1d_identity_kernel():
-    x = Tensor(_rng().normal(size=(2, 1, 5)))
-    w = Tensor(np.ones((1, 1, 1)))
-    b = Tensor(np.zeros(1))
-    assert np.array_equal(conv1d(x, w, b).data, x.data)
+    x = Tensor(np.abs(_rng().normal(size=(2, 5, 1))))
+    assert np.array_equal(conv1d(x, *_identity_kernel()).data, x.data)
 
 
 def test_conv1d_hand_case():
-    x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
+    x = Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]]))
     w = Tensor(np.ones((1, 1, 2)))
-    b = Tensor(np.zeros(1))
-    assert conv1d(x, w, b).data.tolist() == [[[3.0, 5.0, 7.0]]]
+    assert conv1d(x, w, Tensor(np.zeros(1))).data.tolist() == [[[3.0], [5.0], [7.0]]]
+    # relu: pre-activations -3, -1, 1 from a bias of -6
+    assert conv1d(x, w, Tensor(np.full(1, -6.0))).data.tolist() == [[[0.0], [0.0], [1.0]]]
 
 
 def test_conv1d_rejects_short_input():
     with pytest.raises(ShapeError):
-        conv1d(Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 1, 3))), Tensor(np.zeros(1)))
+        conv1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones((1, 1, 3))), Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError):
+        conv1d(Tensor(np.ones((1, 3, 1))), Tensor(np.ones((1, 1, 3))), Tensor(np.zeros(1)),
+               pool=2)
 
 
 def test_conv1d_gradient_vs_finite_differences():
     rng = _rng(3)
-    x = rng.uniform(-2, 2, size=(2, 3, 6))
+    x = rng.uniform(-2, 2, size=(2, 7, 3))
     w = rng.uniform(-1, 1, size=(4, 3, 3))
     b = rng.uniform(-1, 1, size=4)
-    check_tensor_gradients(
-        lambda tx, tw, tb: conv1d(tx, tw, tb).sum(), [x, w, b], rtol=1e-4
-    )
+    for pool in (None, 2):
+        check_tensor_gradients(
+            lambda tx, tw, tb: conv1d(tx, tw, tb, pool).sum(), [x, w, b], rtol=1e-4
+        )
 
 
 def test_avg_pool_hand_case_and_remainder():
-    x = Tensor(np.array([[[1.0, 3.0, 5.0, 7.0]]]))
-    assert avg_pool1d(x, 2).data.tolist() == [[[2.0, 6.0]]]
-    five = Tensor(np.array([[[1.0, 1.0, 1.0, 1.0, 9.0]]]))
-    out = avg_pool1d(five, 2)
-    assert out.data.shape == (1, 1, 2)  # fifth element dropped
-    assert out.data.tolist() == [[[1.0, 1.0]]]
+    x = Tensor(np.array([[[1.0], [3.0], [5.0], [7.0]]]))
+    assert conv1d(x, *_identity_kernel(), pool=2).data.tolist() == [[[2.0], [6.0]]]
+    five = Tensor(np.array([[[1.0], [1.0], [1.0], [1.0], [9.0]]]))
+    out = conv1d(five, *_identity_kernel(), pool=2)
+    assert out.data.shape == (1, 2, 1)  # fifth element dropped
+    assert out.data.tolist() == [[[1.0], [1.0]]]
 
 
 def test_avg_pool_constant_input():
-    x = Tensor(np.full((1, 2, 6), 4.2))
-    assert np.allclose(avg_pool1d(x, 2).data, 4.2)
+    x = Tensor(np.full((1, 6, 2), 4.2))
+    w = Tensor(np.eye(2).reshape(2, 2, 1))
+    assert np.allclose(conv1d(x, w, Tensor(np.zeros(2)), pool=2).data, 4.2)
 
 
 def test_avg_pool_gradient():
-    x = _rng(5).normal(size=(1, 2, 5))
-    check_tensor_gradients(lambda t: avg_pool1d(t, 2).sum(), [x], rtol=1e-6)
+    x = np.abs(_rng(5).normal(size=(1, 5, 1))) + 0.1  # clear of the relu kink
+    w, b = _identity_kernel()
+    check_tensor_gradients(lambda t: conv1d(t, w, b, pool=2).sum(), [x], rtol=1e-6)
+
+
+def _channels_first(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+def _block_results(forward, x, w, b, upstream):
+    """Output, dx, dw and db of forward(x, w, b) under the given upstream
+    gradient."""
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = forward(tx, tw, tb)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data, tx.grad, tw.grad, tb.grad
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("pool", [None, 2])
+@pytest.mark.parametrize("length", [11, 12])
+def test_fused_conv_block_matches_composed_oracle_bit_for_bit(batch, pool, length):
+    rng = _rng(24)
+    x = rng.normal(size=(batch, length, 5))
+    w = rng.uniform(-1, 1, size=(6, 5, 2))
+    b = rng.uniform(-0.5, 0.5, size=6)
+    n_out = length - 1 if pool is None else (length - 1) // 2
+    upstream = rng.normal(size=(batch, n_out, 6))
+
+    def composed(tx, tw, tb):
+        out = reference_conv1d(tx, tw, tb).relu()
+        return out if pool is None else reference_avg_pool1d(out, pool)
+
+    fused = _block_results(lambda *t: conv1d(*t, pool), x, w, b, upstream)
+    out, dx, dw, db = _block_results(composed, _channels_first(x), w, b,
+                                     _channels_first(upstream))
+    oracle = (_channels_first(out), _channels_first(dx), dw, db)
+    assert fused[0].shape == (batch, n_out, 6)
+    for got, want in zip(fused, oracle):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_conv1d_skips_gradients_of_untracked_operands():
+    rng = _rng(25)
+    x = rng.normal(size=(2, 6, 3))
+    w = rng.normal(size=(4, 3, 2))
+    b = rng.normal(size=4)
+    g = rng.normal(size=(2, 2, 4))
+    out = conv1d(Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), 2)
+    dx, dw, db = out.node.vjp(g)
+    assert dx is None and dw is not None and db is not None
+    out = conv1d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), 2)
+    dx, dw, db = out.node.vjp(g)
+    assert dx is not None and dw is None and db is None
+
+
+@pytest.mark.parametrize("second_weight", [0.0, 1e308], ids=["neg-inf", "nan"])
+def test_conv1d_rejects_non_finite_pre_activations(second_weight):
+    # Both a -inf and a NaN (-inf + inf) pre-activation would leave the relu as 0.
+    x = Tensor(np.full((1, 3, 2), 10.0))
+    w = np.zeros((1, 2, 1))
+    w[0, 0, 0] = -1e308
+    w[0, 1, 0] = second_weight
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="conv pre-activations"):
+        conv1d(x, Tensor(w), Tensor(np.zeros(1)))
 
 
 def _weekly(rng, **widths):
@@ -141,6 +229,45 @@ def test_soil_encoder_gradient():
     check_param_gradients(
         list(enc.parameters("s").values()), lambda: enc(x).sum(), rtol=1e-4
     )
+
+
+def _encoder_gradients(enc, x, forward):
+    """Output, then the gradients of (out * out).sum() for every encoder
+    parameter and the input."""
+    params = list(enc.parameters("e").values())
+    for t in params + [x]:
+        t.zero_grad()
+    out = forward(enc, x)
+    (out * out).sum().backward()
+    return [out.data] + [t.grad for t in params + [x]]
+
+
+@pytest.mark.parametrize("make, shape", [
+    (_weekly, (7, N_WEATHER + N_LAND, WEEKS)),
+    (_soil, (7, N_SOIL, DEPTHS)),
+])
+def test_encoder_matches_composed_oracle_bit_for_bit(make, shape):
+    rng = _rng(26)
+    enc = make(rng)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    fused = _encoder_gradients(enc, x, lambda e, t: e(t))
+    oracle = _encoder_gradients(enc, x, reference_encode)
+    for got, want in zip(fused, oracle):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_encoders_record_one_tape_node_per_conv_block():
+    rng = _rng(27)
+    weekly, soil = _weekly(rng), _soil(rng)
+    nodes = {
+        name: _tape_nodes(enc(Tensor(rng.normal(size=shape))).sum())
+        for name, enc, shape in (("weekly", weekly, (3, N_WEATHER + N_LAND, WEEKS)),
+                                 ("soil", soil, (3, N_SOIL, DEPTHS)))
+    }
+    # blocks + transpose + reshape + project (matmul, weight transpose,
+    # add_rowvec) + the sum; the untracked input records no transpose
+    assert nodes == {"weekly": 4 + 2 + 3 + 1, "soil": 3 + 2 + 3 + 1}
 
 
 def test_year_embedder_width_and_extras_passthrough():
@@ -265,15 +392,7 @@ def test_rnn_forward_records_at_most_three_tape_nodes_per_step(kind):
     cell = RecurrentCell(kind, 4, 6, rng)
     steps = 7
     loss = rnn_forward(cell, [Tensor(rng.normal(size=(3, 4))) for _ in range(steps)]).sum()
-    seen = set()
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if t.node is None or id(t) in seen:
-            continue
-        seen.add(id(t))
-        stack.extend(t.node.inputs)
-    assert len(seen) <= 3 * steps + 1
+    assert _tape_nodes(loss) <= 3 * steps + 1
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
