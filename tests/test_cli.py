@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -267,6 +268,48 @@ def test_aggregate_rerun_identical_bytes(tmp_path):
     first = (tmp_path / "frag.csv").read_bytes()
     assert run(args) == 0
     assert (tmp_path / "frag.csv").read_bytes() == first
+
+
+def test_aggregate_golden_bytes(tmp_path):
+    """The fragment of one aggregate run, byte for byte: static and daily
+    (flux and state) columns, nodata cells, a county blank for a day with no
+    valid cell, and a county id csv.writer must quote."""
+    rng = np.random.default_rng(9)
+    rasters = tmp_path / "rasters"
+    os.makedirs(rasters)
+    nodata = -9999.0
+    static = rng.normal(size=6) * 10.0 ** rng.integers(-5, 6, size=6)
+    static[2] = nodata
+    write_ascii_grid(RasterGrid(0.0, 0.0, 1.0, 2, 3, static, nodata=nodata),
+                     rasters / "soil.asc")
+    for day in range(365):
+        values = np.round(rng.normal(20.0, 8.0, size=6), 2)
+        gaps = rng.uniform(size=6) < 0.2
+        gaps[[0, 3, 4]] = False
+        values[gaps] = nodata
+        if day == 100:
+            values[[4, 5]] = nodata
+        write_ascii_grid(RasterGrid(0.0, 0.0, 1.0, 2, 3, values, nodata=nodata),
+                         rasters / f"day{day:03d}.asc")
+    (tmp_path / "w.csv").write_text(
+        "county,cell_index,overlap_fraction,agland_fraction\n"
+        "00001,0,0.5,0.4\n00001,1,1.0,0.2\n00001,2,0.3,1.0\n00001,3,1.0,0.7\n"
+        "00002,4,1.0,0.25\n00002,5,0.1,0.9\n"
+        "\"a,\"\"b\",3,0.6,0.6\n\"a,\"\"b\",0,0.2,1.0\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "m.csv").write_text(
+        "column,source,kind\ns_awc_0,soil.asc,static\n"
+        "w_precip,day*.asc,daily-flux\nw_tmax,day*.asc,daily-state\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "frag.csv"
+    assert run([
+        "aggregate", "--rasters", str(rasters), "--weights", str(tmp_path / "w.csv"),
+        "--manifest", str(tmp_path / "m.csv"), "--year", "2001", "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0f1dbdeb2fa8e64154d7c6a42c1c1efd859768d7bdb8c1028b1177d7d152d739")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -369,3 +371,40 @@ def test_yield_table_indexes_match_a_scan_of_entries(tmp_path):
     loaded = load_dataset(*save_dataset(ds, tmp_path / "yields"))
     assert loaded.yields.entries == table.entries
     assert _index_queries(loaded.yields) == _scan_queries(loaded.yields)
+
+
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def test_save_dataset_golden_bytes(tmp_path):
+    """The three saved files, byte for byte: shortest round-trip floats over
+    a wide range of magnitudes, -0.0, a blank for a NaN cell, no row for an
+    absent record, and a county id csv.writer must quote."""
+    counties = ["00001", "19153", 'a,"b']
+    ds = make_dataset(counties=counties, years=(2000, 2001), seed=5,
+                      edges=[("00001", "19153"), ("19153", 'a,"b')],
+                      yields={("00001", 2000, "corn"): 151.25, ('a,"b', 2001, "soybean"): 0.1,
+                              ("19153", 2001, "corn"): 1e-7})
+    rng = np.random.default_rng(6)
+    for block in (ds.weather, ds.land, ds.soil, ds.extras):
+        block *= 10.0 ** rng.integers(-9, 23, size=block.shape)
+    ds.weather[0, 0, 0, 0] = -0.0
+    ds.land[2, 1, 15, 51] = np.nan
+    ds.present[1, 0] = False
+    for block in (ds.weather, ds.land, ds.soil, ds.extras):
+        block[1, 0] = np.nan
+    paths = save_dataset(ds, tmp_path / "golden")
+    assert [_sha256(p) for p in paths] == [
+        "6bae5d1a2cbba09d01f8aa76d0ed6a43ede5a84a09e67a93a976319921f6f8c1",
+        "921a5365e3b58b7488481de47ea85e14e01680f8bbd79cba33735c35490ecb5d",
+        "c200d5d2771f75429d97731d1b04b8045fd80eee75e1bdd91e790da3fd60ce45",
+    ]
+    loaded = load_dataset(*paths)
+    assert loaded.counties == counties and loaded.years == ds.years
+    assert np.array_equal(loaded.present, ds.present)
+    for a, b in ((loaded.weather, ds.weather), (loaded.land, ds.land),
+                 (loaded.soil, ds.soil), (loaded.extras, ds.extras)):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert loaded.yields.entries == ds.yields.entries

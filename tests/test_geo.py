@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,3 +232,25 @@ def test_ascii_grid_rejects_malformed(tmp_path):
         read_ascii_grid(str(path))
     with pytest.raises(GeoFormatError):
         RasterGrid(0, 0, 1.0, 2, 2, np.ones(3))
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_write_ascii_grid_golden_bytes(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=12) * 10.0 ** rng.integers(-9, 23, size=12)
+    values[[1, 7]] = -9999.0
+    values[4] = -0.0
+    values[5] = 3.0
+    path = tmp_path / "golden.asc"
+    write_ascii_grid(RasterGrid(-0.5, 1e-3, 0.041666666666666664, 3, 4, values), str(path))
+    assert _sha256(path) == "27f40de70501644b22dae3cfa1a1cf2e295858193ec425c613b177bec9dac1ce"
+
+
+def test_save_weight_map_golden_bytes(tmp_path):
+    weights = {"19153": [(7, 0.3), (2, 1e-7), (40, 1.0)], 'a,"b': [(0, 0.1 + 0.2)], "00001": []}
+    path = tmp_path / "golden.csv"
+    save_weight_map(weights, str(path))
+    assert _sha256(path) == "3d8696370f8fcced48059c87fac7331b046bb927e41b3cea775f139c0b8b755b"
