@@ -24,6 +24,7 @@ synthetic paths share one ingestion code path.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -293,7 +294,8 @@ class Dataset:
 
 def load_dataset(features_file, yields_file, adjacency_file):
     expected = feature_columns()
-    rows, blanks, linenos = [], [], []
+    rows = []
+    nonfinite_line = None  # first line with inf or nan text; reported once all rows parse
     with open(features_file, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -314,20 +316,23 @@ def load_dataset(features_file, yields_file, adjacency_file):
                 raise DataFormatError(f"{features_file}:{lineno}: bad year {row[1]!r}") from e
             cells = row[2:]
             try:
-                values = np.array([float(cell) if cell else np.nan for cell in cells])
-            except ValueError as e:
-                raise DataFormatError(f"{features_file}:{lineno}: bad number ({e})") from e
+                values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+                blanks = 0
+            except ValueError:  # a blank cell, or a bad number the per-cell parse names
+                try:
+                    values = np.array([float(cell) if cell else np.nan for cell in cells])
+                except ValueError as e:
+                    raise DataFormatError(f"{features_file}:{lineno}: bad number ({e})") from e
+                blanks = cells.count("")
+            # a blank cell is the only missing-value marker: no inf or nan text
+            nonfinite = len(cells) - np.count_nonzero(np.isfinite(values))
+            if nonfinite != blanks and nonfinite_line is None:
+                nonfinite_line = lineno
             rows.append((county, year, values))
-            blanks.append(cells.count(""))
-            linenos.append(lineno)
-    if rows:  # a blank cell is the only missing-value marker: no inf or nan text
-        stacked = np.stack([vals for _, _, vals in rows])
-        bad = np.isinf(stacked).any(axis=1) | (np.isnan(stacked).sum(axis=1) != blanks)
-        if bad.any():
-            raise DataFormatError(
-                f"{features_file}:{linenos[np.argmax(bad)]}: non-finite number "
-                "(leave a missing value blank)"
-            )
+    if nonfinite_line is not None:
+        raise DataFormatError(
+            f"{features_file}:{nonfinite_line}: non-finite number (leave a missing value blank)"
+        )
 
     counties = sorted({c for c, _, _ in rows})
     years = sorted({y for _, y, _ in rows})
@@ -370,29 +375,38 @@ def load_dataset(features_file, yields_file, adjacency_file):
     return Dataset(counties, years, weather, land, soil, extras, present, yields, graph)
 
 
+def _csv_field(text):
+    """``text`` as csv.writer writes a field of a row with more than one."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def save_dataset(dataset, out_dir):
     """Write features.csv / yields.csv / adjacency.tsv; floats use shortest
     round-trip formatting so load(save(ds)) is exact."""
     os.makedirs(out_dir, exist_ok=True)
     fpath = os.path.join(out_dir, "features.csv")
+    n_years = len(dataset.years)
     with open(fpath, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(feature_columns())
+        csv.writer(f).writerow(feature_columns())
         for county in dataset.counties:
             a = dataset.county_index[county]
+            # one county's records as rows; never the whole dataset at once
+            records = np.concatenate([
+                dataset.weather[a].reshape(n_years, -1),
+                dataset.land[a].reshape(n_years, -1),
+                dataset.soil[a].reshape(n_years, -1),
+                dataset.extras[a],
+            ], axis=1)
+            prefix = _csv_field(county)
             for year in dataset.years:
                 b = dataset.year_index[year]
-                if not dataset.present[a, b]:
-                    continue
-                vals = np.concatenate([
-                    dataset.weather[a, b].ravel(),
-                    dataset.land[a, b].ravel(),
-                    dataset.soil[a, b].ravel(),
-                    dataset.extras[a, b],
-                ])
-                writer.writerow(
-                    [county, year] + ["" if np.isnan(v) else repr(float(v)) for v in vals]
-                )
+                if dataset.present[a, b]:
+                    # repr spells NaN "nan", the only token with those letters;
+                    # the file marks a missing value with a blank cell
+                    text = ",".join(map(repr, records[b].tolist())).replace("nan", "")
+                    f.write(f"{prefix},{year},{text}\r\n")
     ypath = os.path.join(out_dir, "yields.csv")
     with open(ypath, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -451,10 +465,11 @@ def compute_norm_stats(dataset, split):
         extras_mean=em, extras_std=es,
         constant_flags={"weather": wc, "land": lc, "soil": sc, "extras": ec},
     )
+    train = set(train_years)
     for crop in CROPS:
         vals = [
-            v for (c, y, k), v in dataset.yields.entries.items()
-            if k == crop and y in set(train_years) and c in dataset.county_index
+            v for (c, y), v in dataset.yields._by_crop.get(crop, {}).items()
+            if y in train and c in dataset.county_index
         ]
         if vals:
             std = float(np.std(vals))

@@ -52,31 +52,49 @@ class RasterGrid:
         return self.values[idx] == self.nodata
 
 
+_ASCII_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+
+def _finite_numbers(path, tokens, what):
+    """float64 array of ``tokens``, each parsed by ``float``; any token it
+    rejects, and any inf or nan, is a GeoFormatError naming ``path``."""
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError as e:
+        raise GeoFormatError(f"{path}: bad number in the {what} ({e})") from e
+    if not np.isfinite(values).all():
+        raise GeoFormatError(f"{path}: non-finite number in the {what} "
+                             "(mark a missing cell with nodata_value)")
+    return values
+
+
 def read_ascii_grid(path):
-    """ESRI ASCII grid: six header lines then whitespace-separated values."""
-    header = {}
+    """ESRI ASCII grid: six header lines then whitespace-separated values.
+    ncols and nrows are whole numbers; every number is finite."""
     with open(path, "r", encoding="utf-8") as f:
         tokens = f.read().split()
-    expected = ["ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"]
-    pos = 0
-    for key in expected:
-        if pos + 1 >= len(tokens) or tokens[pos].lower() != key:
-            raise GeoFormatError(f"{path}: expected header key {key!r}, got {tokens[pos:pos+1]}")
-        header[key] = float(tokens[pos + 1])
-        pos += 2
-    values = np.array([float(t) for t in tokens[pos:]])
+    pos = 2 * len(_ASCII_HEADER)
+    for i, key in enumerate(_ASCII_HEADER):
+        if 2 * i + 1 >= len(tokens) or tokens[2 * i].lower() != key:
+            raise GeoFormatError(
+                f"{path}: expected header key {key!r}, got {tokens[2 * i:2 * i + 1]}")
+    header = dict(zip(_ASCII_HEADER, _finite_numbers(path, tokens[1:pos:2], "header").tolist()))
+    for key in ("ncols", "nrows"):
+        if not header[key].is_integer() or header[key] < 0:
+            raise GeoFormatError(f"{path}: {key} must be a whole number, got {header[key]!r}")
     return RasterGrid(
         origin_x=header["xllcorner"],
         origin_y=header["yllcorner"],
         cell_size=header["cellsize"],
         rows=int(header["nrows"]),
         cols=int(header["ncols"]),
-        values=values,
+        values=_finite_numbers(path, tokens[pos:], "cells"),
         nodata=header["nodata_value"],
     )
 
 
 def write_ascii_grid(grid, path):
+    rows = grid.values.reshape(grid.rows, grid.cols).tolist()
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"ncols {grid.cols}\n")
         f.write(f"nrows {grid.rows}\n")
@@ -84,9 +102,7 @@ def write_ascii_grid(grid, path):
         f.write(f"yllcorner {grid.origin_y!r}\n")
         f.write(f"cellsize {grid.cell_size!r}\n")
         f.write(f"nodata_value {grid.nodata!r}\n")
-        for r in range(grid.rows):
-            row = grid.values[r * grid.cols : (r + 1) * grid.cols]
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
+        f.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 # -- county weights -----------------------------------------------------------
@@ -100,6 +116,10 @@ def build_weight_map(county_cells_file, landcover):
     raster). ``landcover``: RasterGrid of agland fractions in [0, 1], or
     None when the file carries its own. Cells with zero weight are
     dropped.
+
+    Returns ``{county: (cells, weights)}``, the form ``aggregate_to_county``
+    reads: per county an int64 array of cell indexes and a float64 array of
+    weights, in file order.
     """
     import csv
 
@@ -116,6 +136,8 @@ def build_weight_map(county_cells_file, landcover):
             if len(row) != len(header):
                 raise GeoFormatError(f"{county_cells_file}:{lineno}: wrong field count")
             county, cell, overlap = row[0], int(row[1]), float(row[2])
+            if abs(cell) >= 2**63:  # past any raster, and past the int64 cell array
+                raise GeoFormatError(f"{county_cells_file}:{lineno}: cell {cell} out of range")
             if not 0.0 <= overlap <= 1.0:
                 raise GeoFormatError(
                     f"{county_cells_file}:{lineno}: overlap fraction {overlap} outside [0, 1]"
@@ -136,10 +158,14 @@ def build_weight_map(county_cells_file, landcover):
             weights.setdefault(county, [])
             if w > 0.0:
                 weights[county].append((cell, w))
-    return weights
+    return {county: (np.array([cell for cell, _ in pairs], dtype=np.int64),
+                     np.array([w for _, w in pairs], dtype=np.float64))
+            for county, pairs in weights.items()}
 
 
 def save_weight_map(weights, path):
+    """Write ``{county: [(cell, weight), ...]}`` in the four-column format
+    ``build_weight_map`` reads back."""
     import csv
 
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -150,22 +176,33 @@ def save_weight_map(weights, path):
                 writer.writerow([county, cell, repr(float(w)), "1.0"])
 
 
+_NO_CELLS = (np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
 def aggregate_to_county(raster, weights, county):
     """Weighted mean over the county's cells, skipping nodata; returns None
-    (missing) when no valid weight remains."""
-    cells = weights.get(county, [])
-    num = 0.0
-    den = 0.0
-    for cell, w in cells:
-        if cell < 0 or cell >= raster.values.size:
-            raise GeoFormatError(f"county {county}: cell {cell} outside the raster")
-        if raster.is_nodata(cell):
-            continue
-        num += w * raster.values[cell]
-        den += w
+    (missing) when no valid weight remains. ``weights`` is in the form
+    ``build_weight_map`` returns.
+
+    Both sums run left to right over the cells in order (``cumsum``), and
+    adding 0.0 turns a -0.0 sum into the +0.0 that a loop starting from 0.0
+    ends with, so the result is bit-for-bit that loop's."""
+    cells, w = weights.get(county, _NO_CELLS)
+    if cells.size == 0:
+        return None
+    if cells.view(np.uint64).max() >= raster.values.size:  # as uint64 a negative cell is huge
+        cell = cells[np.argmax((cells < 0) | (cells >= raster.values.size))]
+        raise GeoFormatError(f"county {county}: cell {cell} outside the raster")
+    values = raster.values[cells]
+    valid = values != raster.nodata
+    if not valid.all():
+        values, w = values[valid], w[valid]
+        if values.size == 0:
+            return None
+    den = float(w.cumsum()[-1]) + 0.0
     if den == 0.0:
         return None
-    return num / den
+    return (float((w * values).cumsum()[-1]) + 0.0) / den
 
 
 # -- temporal reduction -------------------------------------------------------
@@ -181,8 +218,7 @@ def daily_to_weekly(series, variable_kind):
     if variable_kind not in ("flux", "state"):
         raise ValueError(f"variable_kind must be flux or state, got {variable_kind!r}")
     week_of_day = np.minimum(np.arange(series.size) // 7, WEEKS - 1)
-    sums = np.zeros(WEEKS)
-    np.add.at(sums, week_of_day, series)
+    sums = np.bincount(week_of_day, weights=series, minlength=WEEKS)
     if variable_kind == "flux":
         return sums
     counts = np.bincount(week_of_day, minlength=WEEKS)

@@ -2,7 +2,9 @@
 channels-first conv, pooling and encoder forward, the composed recurrent
 cell step, single-node neighbour aggregation, the per-destination segment
 max, the per-edge block builder, batched graph inference, single-record
-early masking and the adjacency queries over a ``CountyGraph``.
+early masking, the adjacency queries over a ``CountyGraph``, and the
+per-cell county aggregation (with a packer for its weight map) and the
+per-day weekly fold of ``geo``.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -19,6 +21,8 @@ from yieldgraph.autodiff import (
     narrow,
     take_rows,
 )
+from yieldgraph.data import WEEKS
+from yieldgraph.geo import GeoFormatError
 from yieldgraph.graph import LayerBlock, SampledBlock
 from yieldgraph.models import GRAPH_KINDS
 
@@ -368,3 +372,43 @@ def neighbor_ids(graph, county):
 def is_symmetric(graph):
     return all(i in graph.neighbors[j]
                for i, nbrs in enumerate(graph.neighbors) for j in nbrs)
+
+
+def pack_weight_map(weights):
+    """``{county: [(cell, weight), ...]}`` in the form
+    ``geo.build_weight_map`` returns: ``{county: (int64 cells, float64
+    weights)}``, in list order."""
+    packed = {}
+    for county, pairs in weights.items():
+        cells, ws = zip(*pairs) if pairs else ((), ())
+        packed[county] = (np.array(cells, dtype=np.int64), np.array(ws, dtype=np.float64))
+    return packed
+
+
+def reference_aggregate_to_county(raster, weights, county):
+    """``geo.aggregate_to_county`` one cell at a time, over the unpacked
+    ``{county: [(cell, weight), ...]}`` form: a bounds check, a nodata skip
+    and two running sums from 0.0."""
+    num = 0.0
+    den = 0.0
+    for cell, w in weights.get(county, []):
+        if cell < 0 or cell >= raster.values.size:
+            raise GeoFormatError(f"county {county}: cell {cell} outside the raster")
+        if raster.is_nodata(cell):
+            continue
+        num += w * raster.values[cell]
+        den += w
+    if den == 0.0:
+        return None
+    return num / den
+
+
+def reference_daily_to_weekly(series, variable_kind):
+    """``geo.daily_to_weekly`` with the week sums made by ``np.add.at``."""
+    series = np.asarray(series, dtype=np.float64)
+    week_of_day = np.minimum(np.arange(series.size) // 7, WEEKS - 1)
+    sums = np.zeros(WEEKS)
+    np.add.at(sums, week_of_day, series)
+    if variable_kind == "flux":
+        return sums
+    return sums / np.bincount(week_of_day, minlength=WEEKS)

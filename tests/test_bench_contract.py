@@ -18,4 +18,6 @@ from perfbench import spans  # noqa: E402
 def test_bench_wraps_the_conv_block_and_leaves_nothing_installed():
     names = {name for _, _, name in spans.wrap_points()}
     assert "layers.conv1d" in names
+    assert names >= {"geo.read_ascii_grid", "geo.aggregate_to_county", "geo.daily_to_weekly",
+                     "geo.build_weight_map", "data.save_dataset", "data.load_dataset"}
     assert spans.leaked_wrappers() == []

@@ -475,6 +475,22 @@ def _set_cell(text, value, year="2008", column=None):
     return "\n".join(lines) + "\n"
 
 
+def _aggregate_raster(tmp, out, text):
+    """aggregate argv over one static raster with the ASCII grid ``text``."""
+    (tmp / "bad.asc").write_text(text, encoding="utf-8")
+    (tmp / "w.csv").write_text("county,cell_index,overlap_fraction,agland_fraction\n"
+                               "00001,0,1.0,1.0\n", encoding="utf-8")
+    (tmp / "m.csv").write_text("column,source,kind\ns_awc_0,bad.asc,static\n",
+                               encoding="utf-8")
+    return ["aggregate", "--rasters", str(tmp), "--weights", str(tmp / "w.csv"),
+            "--manifest", str(tmp / "m.csv"), "--year", "2000", "--out", str(out / "f.csv")]
+
+
+def _grid_text(ncols, cells):
+    return (f"ncols {ncols}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+            f"nodata_value -9999\n{cells}\n")
+
+
 def _raise(error):
     def fail(*args, **kwargs):
         raise error
@@ -510,6 +526,12 @@ _ERROR_TABLE = {
     "geo-format": (GeoFormatError, 2, lambda d, c, t, o: [
         "aggregate", "--rasters", str(t), "--weights", str(d / "yields.csv"),
         "--manifest", str(t / "m.csv"), "--year", "2000", "--out", str(o / "f.csv")], None),
+    "grid-fractional-ncols": (GeoFormatError, 2, lambda d, c, t, o: _aggregate_raster(
+        t, o, _grid_text("2.5", "1 2")), None),
+    "grid-nan-cell": (GeoFormatError, 2, lambda d, c, t, o: _aggregate_raster(
+        t, o, _grid_text("2", "1 nan")), None),
+    "grid-bad-token": (GeoFormatError, 2, lambda d, c, t, o: _aggregate_raster(
+        t, o, _grid_text("2", "1 2x")), None),
     "graph-format": (GraphFormatError, 2, lambda d, c, t, o: _train_on(
         _copy_with(d, t, "adjacency.tsv", lambda s: s + "00000\t99999\n"), o), None),
     "configuration": (ConfigurationError, 2, lambda d, c, t, o: _evaluate(
