@@ -31,6 +31,7 @@ from yieldgraph.data import (
     DataFormatError,
     WindowUnavailableError,
     YearSplit,
+    csv_rows,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -171,7 +172,7 @@ def cmd_synth(args):
 def _read_manifest(path):
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv_rows(f, path, CliError)
         header = next(reader, None)
         if header != ["column", "source", "kind"]:
             raise CliError(f"{path}: manifest header must be column,source,kind")

@@ -23,6 +23,7 @@ synthetic paths share one ingestion code path.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -223,6 +224,18 @@ class Dataset:
     def n_records(self):
         return int(self.present.sum())
 
+    def year_range(self, first, last):
+        """The records of the dataset years in [first, last], as views: a
+        dataset that shares these blocks, the yields, the graph and the
+        normalization state."""
+        part = slice(bisect.bisect_left(self.years, first), bisect.bisect_right(self.years, last))
+        return Dataset(
+            self.counties, self.years[part],
+            self.weather[:, part], self.land[:, part], self.soil[:, part],
+            self.extras[:, part], self.present[:, part], self.yields, self.graph,
+            normalized=self.normalized, norm_stats=self.norm_stats,
+        )
+
     def _usable_records(self, year):
         """[county] bool: the county has a usable record for the year (see
         the window rule above). Computed once per year, then cached."""
@@ -292,12 +305,23 @@ class Dataset:
 # -- ingestion ----------------------------------------------------------------
 
 
+def csv_rows(f, path, error):
+    """The ``csv.reader`` rows of the open file ``f``. A row the reader
+    rejects (a field past ``csv.field_size_limit()``, a NUL byte) raises
+    ``error`` naming ``path`` and the line, not ``csv.Error``."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise error(f"{path}:{reader.line_num}: {e}") from e
+
+
 def load_dataset(features_file, yields_file, adjacency_file):
     expected = feature_columns()
     rows = []
     nonfinite_line = None  # first line with inf or nan text; reported once all rows parse
     with open(features_file, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv_rows(f, features_file, DataFormatError)
         header = next(reader, None)
         if header != expected:
             raise DataFormatError(
@@ -359,7 +383,7 @@ def load_dataset(features_file, yields_file, adjacency_file):
 
     yields = YieldTable()
     with open(yields_file, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv_rows(f, yields_file, DataFormatError)
         header = next(reader, None)
         if header != ["county", "year", "crop", "yield"]:
             raise DataFormatError(f"{yields_file}: header must be county,year,crop,yield")

@@ -5,6 +5,13 @@ all dataset years so crops are comparable. Early prediction replaces the
 test year's weather and land-surface weeks at or beyond the cutoff with
 that county's training-period weekly means (features from earlier window
 years are untouched), then evaluates the unmodified checkpoint.
+
+``evaluate`` touches only the years it scores. It slices the raw dataset
+to the window years [test - history_years, test] and normalizes that
+slice. An early evaluate builds its masking plan from the raw training
+years, normalizing only the weeks it replaces, and masks a copy of the
+normalized window. The reports are bit for bit those of normalizing and
+masking the whole dataset.
 """
 
 from __future__ import annotations
@@ -78,40 +85,83 @@ class EvalReport:
 
 @dataclass
 class MaskingPlan:
-    """Replacement values for weather/land weeks >= cutoff: per-county
-    training-period weekly means (in the dataset's representation)."""
+    """Replacement values for the weather/land weeks >= cutoff of a test
+    year, one row per county with a present training record.
 
-    cutoff_week: int = CUTOFF_WEEK
-    weather_means: dict = field(default_factory=dict)  # county -> [7, 52]
-    land_means: dict = field(default_factory=dict)     # county -> [16, 52]
+    ``rows`` are those counties' dataset rows, ascending. ``weather``
+    [rows, 7, 52 - cutoff] and ``land`` [rows, 16, 52 - cutoff] hold each
+    county's mean over its present training years of every (channel, week)
+    cell, NaN cells skipped, in the normalized representation when the plan
+    was built with norm stats.
+    """
+
+    cutoff_week: int
+    rows: np.ndarray
+    weather: np.ndarray
+    land: np.ndarray
 
 
-def build_masking_plan(dataset, split, cutoff_week=CUTOFF_WEEK):
-    """Per-county means over training years of every (channel, week) cell."""
+def _training_means(block, norm, present, rows, train_idx, cut):
+    """[rows, channels, weeks >= cut] NaN-skipping means over the present
+    training years of ``block`` [county, year, channels, 52], each year
+    normalized by ``norm`` = (mean, std) when given, as ``apply_norm_stats``
+    does. The years are summed in order from zero, the order of
+    ``np.nanmean`` over axis 0, so the means are its bits."""
+    total = np.zeros((rows.size, block.shape[2], block.shape[3] - cut))
+    nans = np.zeros(total.shape, dtype=np.intp)
+    years = np.zeros(rows.size, dtype=np.intp)
+    if norm is not None:
+        mean, std = (np.ascontiguousarray(a[:, cut:]) for a in norm)
+    for t in train_idx:
+        hit = np.flatnonzero(present[rows, t])
+        x = block[rows[hit], t, :, cut:]  # a copy: normalized in place
+        if norm is not None:
+            x -= mean
+            x /= std
+        missing = np.isnan(x)
+        if missing.any():
+            x[missing] = 0.0
+            nans[hit] += missing
+        if hit.size == rows.size:
+            total += x
+        else:
+            total[hit] += x
+        years[hit] += 1
+    with np.errstate(invalid="ignore"):
+        return total / (years[:, None, None] - nans)
+
+
+def build_masking_plan(dataset, split, stats=None, cutoff_week=CUTOFF_WEEK):
+    """The plan for the raw ``dataset``: per-county means over the training
+    years, normalized by ``stats`` (None keeps the stored values). One pass
+    over the training-year slices; a county with no present training
+    record gets no row and stays unmasked."""
     train_idx = [dataset.year_index[y] for y in split.train_years(dataset.years)]
-    plan = MaskingPlan(cutoff_week=cutoff_week)
-    for county in dataset.counties:
-        ci = dataset.county_index[county]
-        rows = [t for t in train_idx if dataset.present[ci, t]]
-        if not rows:
-            continue
-        with np.errstate(invalid="ignore"):
-            plan.weather_means[county] = np.nanmean(dataset.weather[ci, rows], axis=0)
-            plan.land_means[county] = np.nanmean(dataset.land[ci, rows], axis=0)
-    return plan
+    rows = np.flatnonzero(dataset.present[:, train_idx].any(axis=1))
+    weather_norm = land_norm = None
+    if stats is not None:
+        weather_norm = (stats.weather_mean, stats.weather_std)
+        land_norm = (stats.land_mean, stats.land_std)
+
+    def means(block, norm):
+        return _training_means(block, norm, dataset.present, rows, train_idx, cutoff_week)
+
+    return MaskingPlan(cutoff_week, rows, means(dataset.weather, weather_norm),
+                       means(dataset.land, land_norm))
 
 
 def mask_dataset_year(dataset, plan, year):
-    """Dataset copy with one year's weather/land masked for every county."""
+    """Copy of ``dataset`` with ``year``'s weather/land weeks >= cutoff set
+    to the plan's means, for every planned county with a record that year;
+    ``dataset`` is untouched. Only its blocks are copied, so pass it the
+    window years alone."""
     weather = dataset.weather.copy()
     land = dataset.land.copy()
     yi = dataset.year_index[year]
     cut = plan.cutoff_week
-    for county, means in plan.weather_means.items():
-        ci = dataset.county_index[county]
-        if dataset.present[ci, yi]:
-            weather[ci, yi, :, cut:] = means[:, cut:]
-            land[ci, yi, :, cut:] = plan.land_means[county][:, cut:]
+    here = dataset.present[plan.rows, yi]
+    weather[plan.rows[here], yi, :, cut:] = plan.weather[here]
+    land[plan.rows[here], yi, :, cut:] = plan.land[here]
     return type(dataset)(
         dataset.counties, dataset.years, weather, land,
         dataset.soil, dataset.extras, dataset.present,
@@ -138,12 +188,12 @@ def evaluate(predictor, dataset, split, early=False):
     if test_year not in dataset.year_index:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
                           f"not a dataset year")
-    if predictor.norm_stats is not None:
-        ds = apply_norm_stats(dataset, predictor.norm_stats)
-    else:
-        ds = dataset
+    stats = predictor.norm_stats
+    ds = dataset.year_range(test_year - predictor.history_years, test_year)
+    if stats is not None:
+        ds = apply_norm_stats(ds, stats)
     if early:
-        plan = build_masking_plan(ds, split)
+        plan = build_masking_plan(dataset, split, stats)
         ds = mask_dataset_year(ds, plan, test_year)
 
     samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.history_years)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from yieldgraph.data import WEEKS
+from yieldgraph.data import WEEKS, csv_rows
 
 TEXTURE_CLASSES = (
     "Sand", "Loamy Sand", "Sandy Loam", "Loam", "Silt Loam", "Silt",
@@ -121,11 +121,9 @@ def build_weight_map(county_cells_file, landcover):
     reads: per county an int64 array of cell indexes and a float64 array of
     weights, in file order.
     """
-    import csv
-
     weights = {}
     with open(county_cells_file, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+        reader = csv_rows(f, county_cells_file, GeoFormatError)
         header = next(reader, None)
         if header is None or header[:3] != ["county", "cell_index", "overlap_fraction"]:
             raise GeoFormatError(
@@ -135,16 +133,18 @@ def build_weight_map(county_cells_file, landcover):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise GeoFormatError(f"{county_cells_file}:{lineno}: wrong field count")
-            county, cell, overlap = row[0], int(row[1]), float(row[2])
+            try:
+                county, cell, overlap = row[0], int(row[1]), float(row[2])
+                agland = float(row[3]) if has_agland else None
+            except ValueError as e:
+                raise GeoFormatError(f"{county_cells_file}:{lineno}: bad number ({e})") from e
             if abs(cell) >= 2**63:  # past any raster, and past the int64 cell array
                 raise GeoFormatError(f"{county_cells_file}:{lineno}: cell {cell} out of range")
             if not 0.0 <= overlap <= 1.0:
                 raise GeoFormatError(
                     f"{county_cells_file}:{lineno}: overlap fraction {overlap} outside [0, 1]"
                 )
-            if has_agland:
-                agland = float(row[3])
-            else:
+            if agland is None:
                 if landcover is None:
                     raise GeoFormatError(
                         f"{county_cells_file}: no agland column and no landcover raster"

@@ -2,13 +2,16 @@
 channels-first conv, pooling and encoder forward, the composed recurrent
 cell step, single-node neighbour aggregation, the per-destination segment
 max, the per-edge block builder, batched graph inference, single-record
-early masking, the adjacency queries over a ``CountyGraph``, and the
+early masking, the whole-dataset evaluate flow with its per-county masking
+plan and full mask copy, the adjacency queries over a ``CountyGraph``, and the
 per-cell county aggregation (with a packer for its weight map) and the
 per-day weekly fold of ``geo``.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
 """
+
+import warnings
 
 import numpy as np
 
@@ -21,7 +24,8 @@ from yieldgraph.autodiff import (
     narrow,
     take_rows,
 )
-from yieldgraph.data import WEEKS
+from yieldgraph.data import WEEKS, apply_norm_stats, enumerate_windows
+from yieldgraph.evaluation import CUTOFF_WEEK, MetricError, rmse
 from yieldgraph.geo import GeoFormatError
 from yieldgraph.graph import LayerBlock, SampledBlock
 from yieldgraph.models import GRAPH_KINDS
@@ -333,17 +337,25 @@ def batched_predict_std(model, ds, samples, batch_size):
     return out
 
 
-def apply_early_mask(features, plan):
+def plan_row(plan, dataset, county):
+    """Position of ``county`` in the plan's arrays; KeyError when the plan
+    holds no means for it."""
+    hit = np.flatnonzero(plan.rows == dataset.county_index.get(county, -1))
+    if hit.size == 0:
+        raise KeyError(f"county {county} missing from the replacement table")
+    return int(hit[0])
+
+
+def apply_early_mask(features, plan, dataset):
     """Copy of one county-year with weather/land weeks >= cutoff replaced by
     the plan's training means; earlier weeks, soil and extras unchanged.
     The per-record form of ``evaluation.mask_dataset_year``."""
-    if features.county not in plan.weather_means:
-        raise KeyError(f"county {features.county} missing from the replacement table")
+    k = plan_row(plan, dataset, features.county)
     out_w = features.weather.copy()
     out_l = features.land_surface.copy()
     cut = plan.cutoff_week
-    out_w[:, cut:] = plan.weather_means[features.county][:, cut:]
-    out_l[:, cut:] = plan.land_means[features.county][:, cut:]
+    out_w[:, cut:] = plan.weather[k]
+    out_l[:, cut:] = plan.land[k]
     return type(features)(
         county=features.county,
         year=features.year,
@@ -352,6 +364,67 @@ def apply_early_mask(features, plan):
         soil=features.soil.copy(),
         extras=features.extras.copy(),
     )
+
+
+def reference_masking_plan(dataset, split, cutoff_week=CUTOFF_WEEK):
+    """(cutoff, {county: weather [7, 52]}, {county: land [16, 52]}): the
+    per-county ``np.nanmean`` over present training years of the dataset as
+    given. The loop form of ``evaluation.build_masking_plan``."""
+    train_idx = [dataset.year_index[y] for y in split.train_years(dataset.years)]
+    weather_means, land_means = {}, {}
+    for county in dataset.counties:
+        ci = dataset.county_index[county]
+        rows = [t for t in train_idx if dataset.present[ci, t]]
+        if not rows:
+            continue
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)  # an all-NaN cell's mean
+            weather_means[county] = np.nanmean(dataset.weather[ci, rows], axis=0)
+            land_means[county] = np.nanmean(dataset.land[ci, rows], axis=0)
+    return cutoff_week, weather_means, land_means
+
+
+def reference_mask_dataset_year(dataset, plan, year):
+    """Copy of the whole dataset with one year masked by a
+    ``reference_masking_plan``, county by county."""
+    cut, weather_means, land_means = plan
+    weather = dataset.weather.copy()
+    land = dataset.land.copy()
+    yi = dataset.year_index[year]
+    for county, means in weather_means.items():
+        ci = dataset.county_index[county]
+        if dataset.present[ci, yi]:
+            weather[ci, yi, :, cut:] = means[:, cut:]
+            land[ci, yi, :, cut:] = land_means[county][:, cut:]
+    return type(dataset)(
+        dataset.counties, dataset.years, weather, land,
+        dataset.soil, dataset.extras, dataset.present,
+        dataset.yields, dataset.graph,
+        normalized=dataset.normalized, norm_stats=dataset.norm_stats,
+    )
+
+
+def reference_evaluate(predictor, dataset, split, early=False):
+    """(predictions, rmse, n, skipped) of the test year by the whole-dataset
+    flow: normalize every year, the loop plan, the full mask copy, then
+    ``predict_year``. The oracle of ``evaluation.evaluate``'s scoring."""
+    test_year = split.test_year
+    crop = predictor.crop
+    if test_year not in dataset.year_index:
+        raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
+                          f"not a dataset year")
+    ds = dataset
+    if predictor.norm_stats is not None:
+        ds = apply_norm_stats(dataset, predictor.norm_stats)
+    if early:
+        ds = reference_mask_dataset_year(ds, reference_masking_plan(ds, split), test_year)
+    samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.history_years)
+    counties = [c for c, _ in samples]
+    if not counties:
+        raise MetricError(f"no evaluable counties for {crop} in {test_year}")
+    preds = np.asarray(predictor.predict_year(ds, counties, test_year), dtype=np.float64)
+    true = np.array([ds.yields.get(c, test_year, crop) for c in counties])
+    return preds, rmse(true, preds, ds.yields.std_all_years(crop)), len(counties), skipped
 
 
 # -- adjacency queries over a CountyGraph ------------------------------------

@@ -20,4 +20,7 @@ def test_bench_wraps_the_conv_block_and_leaves_nothing_installed():
     assert "layers.conv1d" in names
     assert names >= {"geo.read_ascii_grid", "geo.aggregate_to_county", "geo.daily_to_weekly",
                      "geo.build_weight_map", "data.save_dataset", "data.load_dataset"}
+    assert names >= {"evaluation.evaluate", "data.apply_norm_stats",
+                     "evaluation.build_masking_plan", "evaluation.mask_dataset_year",
+                     "models.predict_year"}
     assert spans.leaked_wrappers() == []

@@ -475,12 +475,13 @@ def _set_cell(text, value, year="2008", column=None):
     return "\n".join(lines) + "\n"
 
 
-def _aggregate_raster(tmp, out, text):
-    """aggregate argv over one static raster with the ASCII grid ``text``."""
+def _aggregate_raster(tmp, out, text, weights_row="00001,0,1.0,1.0", source="bad.asc"):
+    """aggregate argv over one static raster with the ASCII grid ``text``,
+    a one-row weights file and a one-row manifest."""
     (tmp / "bad.asc").write_text(text, encoding="utf-8")
     (tmp / "w.csv").write_text("county,cell_index,overlap_fraction,agland_fraction\n"
-                               "00001,0,1.0,1.0\n", encoding="utf-8")
-    (tmp / "m.csv").write_text("column,source,kind\ns_awc_0,bad.asc,static\n",
+                               f"{weights_row}\n", encoding="utf-8")
+    (tmp / "m.csv").write_text(f"column,source,kind\ns_awc_0,{source},static\n",
                                encoding="utf-8")
     return ["aggregate", "--rasters", str(tmp), "--weights", str(tmp / "w.csv"),
             "--manifest", str(tmp / "m.csv"), "--year", "2000", "--out", str(out / "f.csv")]
@@ -512,6 +513,9 @@ def _truncated(ckpt, tmp):
     return path
 
 
+# One field past csv.field_size_limit() (131072 characters).
+_HUGE = "1" * 140_000
+
 # (error class, exit code, argv builder(data, ckpt, tmp, out), injected
 # evaluate failure or None). WindowUnavailableError and KeyError are
 # injected, since no CLI input reaches them: evaluate and training select
@@ -532,6 +536,16 @@ _ERROR_TABLE = {
         t, o, _grid_text("2", "1 nan")), None),
     "grid-bad-token": (GeoFormatError, 2, lambda d, c, t, o: _aggregate_raster(
         t, o, _grid_text("2", "1 2x")), None),
+    "weights-bad-cell": (GeoFormatError, 2, lambda d, c, t, o: _aggregate_raster(
+        t, o, _grid_text("2", "1 2"), weights_row="00001,x,1.0,1.0"), None),
+    "weights-huge-cell": (GeoFormatError, 2, lambda d, c, t, o: _aggregate_raster(
+        t, o, _grid_text("2", "1 2"), weights_row=f"00001,{_HUGE},1.0,1.0"), None),
+    "manifest-huge-cell": (CliError, 2, lambda d, c, t, o: _aggregate_raster(
+        t, o, _grid_text("2", "1 2"), source=_HUGE), None),
+    "features-huge-cell": (DataFormatError, 2, lambda d, c, t, o: _train_on(
+        _copy_with(d, t, "features.csv", lambda s: _set_cell(s, _HUGE)), o), None),
+    "yields-huge-cell": (DataFormatError, 2, lambda d, c, t, o: _train_on(
+        _copy_with(d, t, "yields.csv", lambda s: s + f"00000,2009,corn,{_HUGE}\n"), o), None),
     "graph-format": (GraphFormatError, 2, lambda d, c, t, o: _train_on(
         _copy_with(d, t, "adjacency.tsv", lambda s: s + "00000\t99999\n"), o), None),
     "configuration": (ConfigurationError, 2, lambda d, c, t, o: _evaluate(

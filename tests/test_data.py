@@ -235,6 +235,22 @@ def test_infinite_cell_makes_a_record_unusable():
     assert not ds.window_mask(2003, 0).any()  # a year outside the dataset
 
 
+def test_year_range_views_the_years_inside_it():
+    yields = {(c, y, "corn"): 100.0 for c in ("00000", "00001") for y in (2000, 2001, 2002)}
+    ds = make_dataset(years=(2000, 2001, 2002), yields=yields)
+    ds.weather[0, 0, 0, 0] = np.nan  # county 0 loses year 2000
+    part = ds.year_range(1998, 2001)
+    assert part.years == [2000, 2001]
+    assert part.year_index == {2000: 0, 2001: 1}
+    for block in ("weather", "land", "soil", "extras", "present"):
+        assert np.shares_memory(getattr(part, block), getattr(ds, block))
+    assert part.yields is ds.yields and part.graph is ds.graph
+    for year, dt in ((2001, 1), (2001, 3), (2000, 0), (2002, 0)):
+        assert part.window_mask(year, dt).tolist() == (
+            ds.window_mask(year, dt).tolist() if year <= 2001 else [False, False])
+    assert ds.year_range(2003, 2009).years == []
+
+
 def test_synthetic_rejects_non_square():
     with pytest.raises(ValueError):
         generate_synthetic(10, 8, 3, seed=0)

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldgraph import models
-from yieldgraph.data import YearSplit, enumerate_windows, generate_synthetic
+from yieldgraph.data import (
+    YearSplit,
+    apply_norm_stats,
+    compute_norm_stats,
+    enumerate_windows,
+    generate_synthetic,
+)
 from yieldgraph.evaluation import (
+    CUTOFF_WEEK,
     EvalReport,
     MetricError,
     build_masking_plan,
@@ -19,7 +26,13 @@ from yieldgraph.evaluation import (
     r_squared,
     rmse,
 )
-from tests.helpers import apply_early_mask
+from tests.helpers import (
+    apply_early_mask,
+    plan_row,
+    reference_evaluate,
+    reference_mask_dataset_year,
+    reference_masking_plan,
+)
 from tests.test_data import make_dataset
 
 
@@ -231,7 +244,7 @@ def test_masking_plan_cutoff_52_is_identity():
     split = YearSplit(test_year=2007)
     plan = build_masking_plan(ds, split, cutoff_week=52)
     feats = ds.features("00000", 2007)
-    masked = apply_early_mask(feats, plan)
+    masked = apply_early_mask(feats, plan, ds)
     assert np.array_equal(masked.weather, feats.weather)
     assert np.array_equal(masked.land_surface, feats.land_surface)
 
@@ -241,9 +254,9 @@ def test_masking_boundary_week():
     split = YearSplit(test_year=2007)
     plan = build_masking_plan(ds, split)
     feats = ds.features("00000", 2007)
-    masked = apply_early_mask(feats, plan)
+    masked = apply_early_mask(feats, plan, ds)
     assert np.array_equal(masked.weather[:, :22], feats.weather[:, :22])
-    assert np.array_equal(masked.weather[:, 22], plan.weather_means["00000"][:, 22])
+    assert np.array_equal(masked.weather[:, 22], plan.weather[plan_row(plan, ds, "00000")][:, 0])
     assert np.array_equal(masked.soil, feats.soil)
     assert np.array_equal(masked.extras, feats.extras, equal_nan=True)
 
@@ -252,8 +265,8 @@ def test_masking_idempotent():
     ds = _labeled_dataset()
     plan = build_masking_plan(ds, YearSplit(test_year=2007))
     feats = ds.features("00001", 2007)
-    once = apply_early_mask(feats, plan)
-    twice = apply_early_mask(once, plan)
+    once = apply_early_mask(feats, plan, ds)
+    twice = apply_early_mask(once, plan, ds)
     assert np.array_equal(once.weather, twice.weather)
     assert np.array_equal(once.land_surface, twice.land_surface)
 
@@ -264,7 +277,7 @@ def test_masking_unknown_county_errors():
     feats = ds.features("00000", 2007)
     feats.county = "99999"
     with pytest.raises(KeyError):
-        apply_early_mask(feats, plan)
+        apply_early_mask(feats, plan, ds)
 
 
 def test_early_mask_oracle_matches_mask_dataset_year():
@@ -273,7 +286,7 @@ def test_early_mask_oracle_matches_mask_dataset_year():
     masked = mask_dataset_year(ds, plan, 2007)
     yi = ds.year_index[2007]
     for ci, county in enumerate(ds.counties):
-        one = apply_early_mask(ds.features(county, 2007), plan)
+        one = apply_early_mask(ds.features(county, 2007), plan, ds)
         assert np.array_equal(one.weather, masked.weather[ci, yi])
         assert np.array_equal(one.land_surface, masked.land[ci, yi])
         assert np.array_equal(one.soil, masked.soil[ci, yi])
@@ -288,6 +301,117 @@ def test_mask_dataset_year_touches_only_target_year():
     assert not np.array_equal(masked.weather[:, yi], ds.weather[:, yi])
     assert np.array_equal(masked.weather[:, : yi], ds.weather[:, : yi])
     assert np.array_equal(masked.soil, ds.soil)
+
+
+# -- window-only evaluate against the whole-dataset flow --------------------------
+
+_PARITY_TEST_YEAR = 2011  # train 2000..2009: more than 8 summed years per cell
+
+
+def _parity_dataset():
+    """16 counties x 2000..2011 with the cases the masking plan must carry:
+    NaN training cells (one cell NaN in every training year of a county),
+    absent records, a county with no present training record, and a county
+    absent in the test year."""
+    ds = generate_synthetic(16, 12, 4, seed=5)
+    train = slice(0, 10)
+    ds.weather[1, 2, 3, 30] = np.nan
+    ds.weather[1, 7, 3, 30:34] = np.nan
+    ds.land[2, 4, 5, 10:45] = np.nan
+    ds.weather[3, train, 0, 40] = np.nan
+    for ci, years in ((4, [1, 5]), (5, list(range(10))), (6, [11])):
+        ds.present[ci, years] = False
+        for block in (ds.weather, ds.land, ds.soil, ds.extras):
+            block[ci, years] = np.nan
+    return ds
+
+
+def _random_checkpoint(kind, stats, test_year):
+    """A checkpoint of freshly initialized parameters: the parity below
+    is about the inputs predict_year sees, not about training."""
+    spec = models.default_spec(kind, crop="corn", widths=models.ArchWidths.toy(), seed=0)
+    if kind in models.DEEP_KINDS:
+        live = models.build_model(spec, np.random.default_rng(1)).parameters()
+        params = {name: t.data.copy() for name, t in live.items()}
+    else:
+        rng = np.random.default_rng(2)
+        params = {"linear.coef": rng.normal(scale=0.01, size=models.FLAT_WIDTH),
+                  "linear.intercept": np.array([0.3])}
+    return models.ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=[],
+                                  best_epoch=0, test_year=test_year)
+
+
+def _scored(run, early):
+    """run(early): (prediction bytes, rmse, n, skipped), or the MetricError's text."""
+    try:
+        return run(early)
+    except MetricError as e:
+        return f"MetricError: {e}"
+
+
+@pytest.mark.parametrize("test_year", [_PARITY_TEST_YEAR, 2003])  # 2003: 5y windows start in 1999
+@pytest.mark.parametrize("kind", models.ALL_KINDS)
+def test_evaluate_matches_the_whole_dataset_flow_bit_for_bit(kind, test_year):
+    ds = _parity_dataset()
+    split = YearSplit(test_year=test_year)
+    stats = compute_norm_stats(ds, split)
+
+    def window_only(early):
+        report = evaluate(_random_checkpoint(kind, stats, test_year), ds, split, early=early)
+        preds = np.array([p for _, _, p, _ in report.records])
+        return preds.tobytes(), report.rmse_normalized, report.n_counties, report.skipped
+
+    def whole_dataset(early):
+        preds, value, n, skipped = reference_evaluate(
+            _random_checkpoint(kind, stats, test_year), ds, split, early=early)
+        return preds.tobytes(), value, n, skipped
+
+    outcomes = []
+    for early in (False, True):
+        got = _scored(window_only, early)
+        assert got == _scored(whole_dataset, early)
+        outcomes.append(got)
+    five = kind in models.KINDS_5Y
+    if five and test_year == 2003:
+        assert outcomes == ["MetricError: no evaluable counties for corn in 2003"] * 2
+        return
+    # Skipped: 00006 is absent in 2011 and 00005 before 2010; 00001 has NaN
+    # cells in 2007 and 00003 in 2000..2009. Early masks 00003's 2011 record
+    # with the NaN mean of that cell.
+    skipped = {(2011, False): (1, 2), (2011, True): (4, 4), (2003, False): (2, 2)}[
+        test_year, five]
+    assert tuple(o[3] for o in outcomes) == skipped
+    assert tuple(o[2] for o in outcomes) == (16 - skipped[0], 16 - skipped[1])
+
+
+@pytest.mark.parametrize("cutoff", [CUTOFF_WEEK, 52])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_masking_plan_and_window_mask_match_the_loop_oracle(cutoff, normalized):
+    ds = _parity_dataset()
+    split = YearSplit(test_year=_PARITY_TEST_YEAR)
+    stats = compute_norm_stats(ds, split) if normalized else None
+    full = apply_norm_stats(ds, stats) if normalized else ds
+    ref = reference_masking_plan(full, split, cutoff_week=cutoff)
+    plan = build_masking_plan(ds, split, stats, cutoff_week=cutoff)
+
+    assert [ds.counties[r] for r in plan.rows] == sorted(ref[1])
+    assert "00005" not in ref[1]
+    if cutoff <= 40:
+        assert np.isnan(plan.weather[plan_row(plan, ds, "00003"), 0, 40 - cutoff])
+    for k, ci in enumerate(plan.rows):
+        county = ds.counties[ci]
+        assert plan.weather[k].tobytes() == ref[1][county][:, cutoff:].tobytes()
+        assert plan.land[k].tobytes() == ref[2][county][:, cutoff:].tobytes()
+
+    window = full.year_range(_PARITY_TEST_YEAR - 4, _PARITY_TEST_YEAR)
+    before = window.weather.tobytes(), window.land.tobytes()
+    masked = mask_dataset_year(window, plan, _PARITY_TEST_YEAR)
+    assert (window.weather.tobytes(), window.land.tobytes()) == before
+    expected = reference_mask_dataset_year(full, ref, _PARITY_TEST_YEAR)
+    assert masked.weather.tobytes() == expected.weather[:, -5:].tobytes()
+    assert masked.land.tobytes() == expected.land[:, -5:].tobytes()
+    if cutoff == 52:
+        assert masked.weather.tobytes() == before[0]
 
 
 def test_emit_report_files_and_roundtrip(tmp_path):
