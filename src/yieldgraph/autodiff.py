@@ -146,10 +146,6 @@ class Tensor:
         x = self.data
         return apply_op(np.log(x), (self,), lambda g: (g / x,))
 
-    def cosh(self):
-        x = self.data
-        return apply_op(np.cosh(x), (self,), lambda g: (g * np.sinh(x),))
-
     def exp(self):
         y = np.exp(self.data)
         return apply_op(y, (self,), lambda g: (g * y,))

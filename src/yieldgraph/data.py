@@ -4,8 +4,9 @@ One record is a county-year: weekly weather (7 x 52), weekly land-surface
 series (16 x 52), depth-indexed soil properties (20 x 6), and scalar
 extras. The extras vector has seven slots: six survey-derived indices
 stored in the feature file, plus the previous year's national mean yield
-of the target crop, which is injected at window-assembly time (NaN until
-then — missing values are always explicit, never silently zero).
+of the target crop, which ``models.gather_year_blocks`` appends from
+``Dataset.prev_mean_feature`` when it gathers a window year (missing values
+are always explicit, never silently zero).
 
 Window rule. A county-year record is usable when it is present and every
 stored cell (weather, land, soil, the six stored extras) is finite. A
@@ -80,33 +81,6 @@ class DataFormatError(ValueError):
 
 class WindowUnavailableError(LookupError):
     """A requested history window cannot be assembled without fabricating data."""
-
-
-@dataclass
-class YearFeatures:
-    """One county-year record. ``extras`` has 7 entries; extras[6] is the
-    previous-year national mean yield, NaN until a window is assembled."""
-
-    county: str
-    year: int
-    weather: np.ndarray       # [7, 52]
-    land_surface: np.ndarray  # [16, 52]
-    soil: np.ndarray          # [20, 6]
-    extras: np.ndarray        # [7]
-
-    def __post_init__(self):
-        checks = (
-            (self.weather, (N_WEATHER, WEEKS), "weather"),
-            (self.land_surface, (N_LAND, WEEKS), "land_surface"),
-            (self.soil, (N_SOIL, DEPTHS), "soil"),
-            (self.extras, (N_EXTRAS,), "extras"),
-        )
-        for arr, shape, name in checks:
-            if arr.shape != shape:
-                raise DataFormatError(
-                    f"county {self.county} year {self.year}: {name} shape "
-                    f"{arr.shape}, expected {shape}"
-                )
 
 
 class YieldTable:
@@ -255,26 +229,6 @@ class Dataset:
         complete (the window rule above)."""
         years = range(year - dt, year + 1)
         return np.logical_and.reduce([self._usable_records(y) for y in years])
-
-    def has_record(self, county, year):
-        ci = self.county_index.get(county)
-        yi = self.year_index.get(year)
-        return ci is not None and yi is not None and bool(self.present[ci, yi])
-
-    def features(self, county, year):
-        if not self.has_record(county, year):
-            raise KeyError(f"no features for county {county} year {year}")
-        ci, yi = self.county_index[county], self.year_index[year]
-        extras = np.full(N_EXTRAS, np.nan)
-        extras[:N_EXTRA_STORED] = self.extras[ci, yi]
-        return YearFeatures(
-            county=county,
-            year=year,
-            weather=self.weather[ci, yi].copy(),
-            land_surface=self.land[ci, yi].copy(),
-            soil=self.soil[ci, yi].copy(),
-            extras=extras,
-        )
 
     def labeled_counties(self, year, crop):
         return [c for c in self.yields.counties_with(year, crop) if c in self.county_index]
@@ -468,18 +422,16 @@ def _block_stats(stack):
 def compute_norm_stats(dataset, split):
     train_years = split.train_years(dataset.years)
     assert max(train_years) < split.val_year  # leakage guard
-    mask = np.zeros(len(dataset.years), dtype=bool)
+    in_train = np.zeros(len(dataset.years), dtype=bool)
     for y in train_years:
-        mask[dataset.year_index[y]] = True
-    sel = dataset.present[:, mask]
+        in_train[dataset.year_index[y]] = True
+    # [county, year]: the present training records, gathered in one copy
+    keep = dataset.present & in_train
 
-    def gather(block):
-        return block[:, mask][sel]
-
-    wm, ws, wc = _block_stats(gather(dataset.weather))
-    lm, ls, lc = _block_stats(gather(dataset.land))
-    sm, ss, sc = _block_stats(gather(dataset.soil))
-    em, es, ec = _block_stats(gather(dataset.extras))
+    wm, ws, wc = _block_stats(dataset.weather[keep])
+    lm, ls, lc = _block_stats(dataset.land[keep])
+    sm, ss, sc = _block_stats(dataset.soil[keep])
+    em, es, ec = _block_stats(dataset.extras[keep])
 
     stats = NormStats(
         train_years=tuple(train_years),
@@ -525,26 +477,7 @@ def normalize(dataset, split):
     return apply_norm_stats(dataset, stats), stats
 
 
-# -- window assembly ----------------------------------------------------------
-
-
-def assemble_window(dataset, county, year, dt, crop="corn"):
-    """Chronological [year-dt .. year] feature window, oldest first.
-
-    Each entry's extras[6] carries that year's ``prev_mean_feature``. An
-    incomplete window raises rather than fabricating data.
-    """
-    ci = dataset.county_index.get(county)
-    if ci is None or not dataset.window_mask(year, dt)[ci]:
-        raise WindowUnavailableError(
-            f"county {county} lacks a usable record in some year of {year - dt}..{year}"
-        )
-    window = []
-    for y in range(year - dt, year + 1):
-        feats = dataset.features(county, y)
-        feats.extras[N_EXTRA_STORED] = dataset.prev_mean_feature(crop, y)
-        window.append(feats)
-    return window
+# -- windows ------------------------------------------------------------------
 
 
 def enumerate_windows(dataset, target_years, crop, dt):

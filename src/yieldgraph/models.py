@@ -621,6 +621,8 @@ def train(spec, dataset, split):
     if not samples:
         raise ConfigurationError("empty training set")
     val_samples, _ = enumerate_windows(ds, [split.val_year], crop, spec.history_years)
+    if not val_samples:
+        raise ConfigurationError(f"no {crop} validation samples in {split.val_year}")
 
     if spec.kind in ("ridge-1y", "lasso-1y"):
         return _train_linear(spec, ds, split, stats, samples, val_samples, skipped)
@@ -911,55 +913,3 @@ class ModelCheckpoint:
                    for i, row in enumerate(columns)]
         return ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=history,
                                **run)
-
-
-# -- single-sample prediction surface --------------------------------------------
-
-
-@dataclass
-class GraphContext:
-    """Neighborhood features for graph models: a normalized dataset whose
-    graph supplies the county adjacency."""
-
-    dataset: object
-
-
-def predict_1y(checkpoint, features, graph_context=None):
-    """Standardized-unit prediction for one county-year. ``features`` must
-    already be normalized with the checkpoint's statistics."""
-    spec = checkpoint.spec
-    if spec.history_years != 0:
-        raise ConfigurationError(f"{spec.kind} needs a 5-year window; use predict_5y")
-    return _predict_window(checkpoint, [features], graph_context)
-
-
-def predict_5y(checkpoint, window, graph_context=None):
-    """Standardized-unit prediction from five consecutive years, oldest first."""
-    spec = checkpoint.spec
-    if spec.history_years != 4:
-        raise ConfigurationError(f"{spec.kind} is a single-year model; use predict_1y")
-    if len(window) != 5:
-        raise ConfigurationError(f"expected a 5-year window, got {len(window)} years")
-    years = [f.year for f in window]
-    if years != list(range(years[0], years[0] + 5)):
-        raise ConfigurationError(f"window years must be consecutive, got {years}")
-    return _predict_window(checkpoint, window, graph_context)
-
-
-def _predict_window(checkpoint, window, graph_context):
-    spec = checkpoint.spec
-    model = checkpoint.model()
-    is_graph = spec.kind in GRAPH_KINDS
-    if is_graph and graph_context is None:
-        raise ConfigurationError(f"{spec.kind} requires a graph context")
-    if not is_graph and graph_context is not None:
-        raise ConfigurationError(f"{spec.kind} does not accept a graph context")
-    if is_graph:
-        sample = (window[-1].county, window[-1].year)
-        preds = model.forward_samples(graph_context.dataset, [sample])
-    else:
-        preds = model.forward_blocks(
-            [(f.weather[None], f.land_surface[None], f.soil[None], f.extras[None])
-             for f in window]
-        )
-    return float(preds.data[0])

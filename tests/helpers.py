@@ -12,6 +12,7 @@ independent of the reverse-mode implementation it checks.
 """
 
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
@@ -346,8 +347,18 @@ def plan_row(plan, dataset, county):
     return int(hit[0])
 
 
+Record = namedtuple("Record", "county year weather land_surface soil extras")
+
+
+def record(dataset, county, year):
+    """Copy of one stored county-year: its [ci, yi] slice of each block."""
+    ci, yi = dataset.county_index[county], dataset.year_index[year]
+    return Record(county, year, dataset.weather[ci, yi].copy(), dataset.land[ci, yi].copy(),
+                  dataset.soil[ci, yi].copy(), dataset.extras[ci, yi].copy())
+
+
 def apply_early_mask(features, plan, dataset):
-    """Copy of one county-year with weather/land weeks >= cutoff replaced by
+    """Copy of one ``Record`` with weather/land weeks >= cutoff replaced by
     the plan's training means; earlier weeks, soil and extras unchanged.
     The per-record form of ``evaluation.mask_dataset_year``."""
     k = plan_row(plan, dataset, features.county)
@@ -356,14 +367,8 @@ def apply_early_mask(features, plan, dataset):
     cut = plan.cutoff_week
     out_w[:, cut:] = plan.weather[k]
     out_l[:, cut:] = plan.land[k]
-    return type(features)(
-        county=features.county,
-        year=features.year,
-        weather=out_w,
-        land_surface=out_l,
-        soil=features.soil.copy(),
-        extras=features.extras.copy(),
-    )
+    return features._replace(weather=out_w, land_surface=out_l,
+                             soil=features.soil.copy(), extras=features.extras.copy())
 
 
 def reference_masking_plan(dataset, split, cutoff_week=CUTOFF_WEEK):

@@ -475,6 +475,12 @@ def _set_cell(text, value, year="2008", column=None):
     return "\n".join(lines) + "\n"
 
 
+def _drop_year(text, year):
+    """Yields text without the rows of ``year``."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split(",")[1:2] != [year])
+
+
 def _aggregate_raster(tmp, out, text, weights_row="00001,0,1.0,1.0", source="bad.asc"):
     """aggregate argv over one static raster with the ASCII grid ``text``,
     a one-row weights file and a one-row manifest."""
@@ -550,6 +556,8 @@ _ERROR_TABLE = {
         _copy_with(d, t, "adjacency.tsv", lambda s: s + "00000\t99999\n"), o), None),
     "configuration": (ConfigurationError, 2, lambda d, c, t, o: _evaluate(
         d, _truncated(c, t), o), None),
+    "val-year-unlabeled": (ConfigurationError, 2, lambda d, c, t, o: _train_on(
+        _copy_with(d, t, "yields.csv", lambda s: _drop_year(s, "2008")), o), None),
     "metric": (MetricError, 2, lambda d, c, t, o: _evaluate(
         d, c, o, "--test-year", "2015"), None),
     "window-unavailable": (WindowUnavailableError, 2, lambda d, c, t, o: _evaluate(d, c, o),
@@ -560,7 +568,7 @@ _ERROR_TABLE = {
         d / "features.csv" / "sub"), None),
     "value": (ValueError, 2, lambda d, c, t, o: synth_args(o, counties=10), None),
     "key": (KeyError, 2, lambda d, c, t, o: _evaluate(d, c, o),
-            KeyError("no features for county 00000 year 2009")),
+            KeyError("county 00000 has no record for 2009")),
     "cli": (CliError, 2, lambda d, c, t, o: synth_args(o)[:3] + ["--out", str(o)], None),
     "training-abort": (TrainingAbort, 3, lambda d, c, t, o: train_args(
         d, o, extra=["--lr", "1e200"]), None),

@@ -8,11 +8,8 @@ from yieldgraph.data import (
     DataFormatError,
     Dataset,
     NormStats,
-    WindowUnavailableError,
-    YearFeatures,
     YearSplit,
     YieldTable,
-    assemble_window,
     compute_norm_stats,
     enumerate_windows,
     feature_columns,
@@ -115,12 +112,6 @@ def test_labeled_county_counts_bounded():
         assert 0 <= n <= len(ds.counties)
 
 
-def test_year_features_shape_gate():
-    with pytest.raises(DataFormatError):
-        YearFeatures("c", 2000, np.zeros((7, 51)), np.zeros((16, 52)),
-                     np.zeros((20, 6)), np.zeros(7))
-
-
 def test_split_arithmetic_matches_protocol():
     years = list(range(1981, 2020))
     split = YearSplit(test_year=2019)
@@ -174,44 +165,18 @@ def test_normalize_constant_feature_fallback():
     assert np.all(normed.soil[:, :, 0, 0] == 0.0)
 
 
-def test_assemble_window_single_year():
-    ds = make_dataset(yields={("00000", 1999, "corn"): 90.0})
-    window = assemble_window(ds, "00000", 2000, 0, "corn")
-    assert len(window) == 1
-    assert window[0].year == 2000
-
-
-def test_assemble_window_five_years_ordered():
-    ds = make_dataset(years=tuple(range(2014, 2019)),
-                      yields={("00000", 2013, "corn"): 90.0})
-    window = assemble_window(ds, "00000", 2018, 4, "corn")
-    assert [w.year for w in window] == [2014, 2015, 2016, 2017, 2018]
-
-
-def test_assemble_window_injects_previous_year_national_mean():
-    ds = make_dataset(
-        years=(2016, 2017, 2018),
-        yields={
-            ("00000", 2017, "corn"): 100.0,
-            ("00001", 2017, "corn"): 120.0,
-            ("00000", 2018, "corn"): 130.0,
-        },
-    )
-    window = assemble_window(ds, "00000", 2018, 0, "corn")
-    assert window[0].extras[6] == 110.0  # mean of the 2017 yields
-
-
-def test_assemble_window_missing_year_aborts():
+def test_window_mask_needs_every_year():
     ds = make_dataset(years=(2000, 2002))
-    with pytest.raises(WindowUnavailableError):
-        assemble_window(ds, "00000", 2002, 2, "corn")
+    assert ds.window_mask(2002, 0).all()
+    assert not ds.window_mask(2002, 2).any()  # 2001 is not a dataset year
 
 
-def test_assemble_window_missing_cell_aborts():
-    ds = make_dataset(yields={("00000", 1999, "corn"): 90.0})
-    ds.soil[0, 0, 1, 1] = np.nan
-    with pytest.raises(WindowUnavailableError):
-        assemble_window(ds, "00000", 2000, 0, "corn")
+def test_window_mask_needs_every_cell():
+    ds = make_dataset()
+    ds.soil[0, 0, 1, 1] = np.nan  # county 0, 2000
+    assert ds.window_mask(2000, 0).tolist() == [False, True]
+    assert ds.window_mask(2002, 2).tolist() == [False, True]
+    assert ds.window_mask(2002, 1).all()
 
 
 def test_enumerate_windows_counts_skips():
@@ -230,8 +195,6 @@ def test_infinite_cell_makes_a_record_unusable():
     assert ds.window_mask(2002, 0).tolist() == [True, False]
     samples, skipped = enumerate_windows(ds, [2001, 2002], "corn", 0)
     assert (samples, skipped) == ([("00000", 2001), ("00001", 2001), ("00000", 2002)], 1)
-    with pytest.raises(WindowUnavailableError):
-        assemble_window(ds, "00001", 2002, 1, "corn")
     assert not ds.window_mask(2003, 0).any()  # a year outside the dataset
 
 

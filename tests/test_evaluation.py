@@ -29,6 +29,7 @@ from yieldgraph.evaluation import (
 from tests.helpers import (
     apply_early_mask,
     plan_row,
+    record,
     reference_evaluate,
     reference_mask_dataset_year,
     reference_masking_plan,
@@ -243,7 +244,7 @@ def test_masking_plan_cutoff_52_is_identity():
     ds = _labeled_dataset()
     split = YearSplit(test_year=2007)
     plan = build_masking_plan(ds, split, cutoff_week=52)
-    feats = ds.features("00000", 2007)
+    feats = record(ds, "00000", 2007)
     masked = apply_early_mask(feats, plan, ds)
     assert np.array_equal(masked.weather, feats.weather)
     assert np.array_equal(masked.land_surface, feats.land_surface)
@@ -253,7 +254,7 @@ def test_masking_boundary_week():
     ds = _labeled_dataset()
     split = YearSplit(test_year=2007)
     plan = build_masking_plan(ds, split)
-    feats = ds.features("00000", 2007)
+    feats = record(ds, "00000", 2007)
     masked = apply_early_mask(feats, plan, ds)
     assert np.array_equal(masked.weather[:, :22], feats.weather[:, :22])
     assert np.array_equal(masked.weather[:, 22], plan.weather[plan_row(plan, ds, "00000")][:, 0])
@@ -264,7 +265,7 @@ def test_masking_boundary_week():
 def test_masking_idempotent():
     ds = _labeled_dataset()
     plan = build_masking_plan(ds, YearSplit(test_year=2007))
-    feats = ds.features("00001", 2007)
+    feats = record(ds, "00001", 2007)
     once = apply_early_mask(feats, plan, ds)
     twice = apply_early_mask(once, plan, ds)
     assert np.array_equal(once.weather, twice.weather)
@@ -274,8 +275,7 @@ def test_masking_idempotent():
 def test_masking_unknown_county_errors():
     ds = _labeled_dataset()
     plan = build_masking_plan(ds, YearSplit(test_year=2007))
-    feats = ds.features("00000", 2007)
-    feats.county = "99999"
+    feats = record(ds, "00000", 2007)._replace(county="99999")
     with pytest.raises(KeyError):
         apply_early_mask(feats, plan, ds)
 
@@ -286,7 +286,7 @@ def test_early_mask_oracle_matches_mask_dataset_year():
     masked = mask_dataset_year(ds, plan, 2007)
     yi = ds.year_index[2007]
     for ci, county in enumerate(ds.counties):
-        one = apply_early_mask(ds.features(county, 2007), plan, ds)
+        one = apply_early_mask(record(ds, county, 2007), plan, ds)
         assert np.array_equal(one.weather, masked.weather[ci, yi])
         assert np.array_equal(one.land_surface, masked.land[ci, yi])
         assert np.array_equal(one.soil, masked.soil[ci, yi])

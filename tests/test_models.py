@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from yieldgraph import models
-from yieldgraph.data import NormStats, YearSplit, assemble_window, generate_synthetic, normalize
+from yieldgraph.data import NormStats, YearSplit, generate_synthetic, normalize
 from yieldgraph.evaluation import evaluate
 from yieldgraph.graph import CountyGraph
 from yieldgraph.models import (
-    ALL_KINDS,
     ArchWidths,
     ConfigurationError,
     DEEP_KINDS,
-    FLAT_WIDTH,
     GRAPH_KINDS,
-    GraphContext,
     LrSchedule,
     ModelCheckpoint,
     ModelSpec,
@@ -23,8 +20,6 @@ from yieldgraph.models import (
     fit_lasso,
     fit_ridge,
     lasso_objective,
-    predict_1y,
-    predict_5y,
     train,
 )
 from tests.helpers import batched_predict_std
@@ -163,6 +158,24 @@ def test_bare_lr_override_resets_schedule():
 
 
 # -- models ----------------------------------------------------------------------
+
+
+def test_gather_year_blocks_reads_each_window_year():
+    yields = {("00000", 2016, "corn"): 100.0, ("00001", 2016, "corn"): 120.0,
+              ("00000", 2017, "corn"): 130.0, ("00000", 2018, "corn"): 90.0}
+    ds = make_dataset(years=(2015, 2016, 2017, 2018), yields=yields)
+    samples = [("00001", 2018), ("00000", 2018)]
+    rows = [1, 0]
+    for offset in range(-3, 1):
+        w, l, s, e = models.gather_year_blocks(ds, samples, "corn", offset)
+        yi = ds.year_index[2018 + offset]
+        assert np.array_equal(w, ds.weather[rows, yi])
+        assert np.array_equal(l, ds.land[rows, yi])
+        assert np.array_equal(s, ds.soil[rows, yi])
+        assert np.array_equal(e[:, :6], ds.extras[rows, yi])
+        assert e[:, 6].tolist() == [ds.prev_year_national_mean("corn", 2018 + offset)] * 2
+    _, _, _, e = models.gather_year_blocks(ds, samples, "corn", -1)
+    assert e[:, 6].tolist() == [110.0, 110.0]  # mean of the 2016 yields
 
 
 @pytest.mark.parametrize("kind", DEEP_KINDS)
@@ -385,93 +398,12 @@ def test_destandardize_roundtrip():
     assert np.max(np.abs(back - y)) < 1e-9
 
 
-# -- single-sample prediction surface ---------------------------------------------
-
-
-def _normalized_with_ckpt(kind, tmp_kind_epochs=1):
-    ds = tiny_dataset(side=2, years=10)
-    split = YearSplit(test_year=2009)
-    ckpt = train(tiny_spec(kind, epochs=tmp_kind_epochs), ds, split)
-    from yieldgraph.data import apply_norm_stats, assemble_window
-
-    ds_norm = apply_norm_stats(ds, ckpt.norm_stats)
-    return ds, ds_norm, ckpt, assemble_window
-
-
-def test_predict_1y_contracts():
-    ds, ds_norm, ckpt, assemble_window = _normalized_with_ckpt("cnn-1y")
-    feats = assemble_window(ds_norm, ds.counties[0], 2009, 0, "corn")[0]
-    value = predict_1y(ckpt, feats)
-    assert np.isfinite(value)
-    with pytest.raises(ConfigurationError):
-        predict_1y(ckpt, feats, GraphContext(ds_norm))  # non-graph forbids context
-
-
-def test_predict_1y_graph_requires_context():
-    ds, ds_norm, ckpt, assemble_window = _normalized_with_ckpt("gnn-1y")
-    feats = assemble_window(ds_norm, ds.counties[0], 2009, 0, "corn")[0]
-    with pytest.raises(ConfigurationError):
-        predict_1y(ckpt, feats)
-    value = predict_1y(ckpt, feats, GraphContext(ds_norm))
-    assert np.isfinite(value)
-
-
-def test_predict_1y_gnn_isolated_county_matches_degenerate_forward():
-    ds, ds_norm, ckpt, assemble_window = _normalized_with_ckpt("gnn-1y")
-    ds_norm.graph = CountyGraph(ds_norm.counties, [])
-    feats = assemble_window(ds_norm, ds_norm.counties[0], 2009, 0, "corn")[0]
-    got = predict_1y(ckpt, feats, GraphContext(ds_norm))
-    model = ckpt.model()
-    want = model.forward_samples(ds_norm, [(ds_norm.counties[0], 2009)]).data[0]
-    assert got == want
-
-
-def test_predict_5y_contracts():
-    ds, ds_norm, ckpt, assemble_window = _normalized_with_ckpt("cnn-rnn-5y")
-    window = assemble_window(ds_norm, ds.counties[0], 2009, 4, "corn")
-    a = predict_5y(ckpt, window)
-    b = predict_5y(ckpt, window)
-    assert a == b  # determinism; order matters so only this is asserted
-    with pytest.raises(ConfigurationError):
-        predict_5y(ckpt, window[:3])
-    with pytest.raises(ConfigurationError):
-        predict_5y(ckpt, [window[0]] * 5)
-    with pytest.raises(ConfigurationError):
-        predict_1y(ckpt, window[-1])
-
-
 def test_mixed_year_graph_batch_rejected():
     ds = tiny_dataset(side=2, years=10)
     ds_norm, _ = normalize(ds, YearSplit(test_year=2009))
     model = build_model(tiny_spec("gnn-1y"), np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         model.forward_samples(ds_norm, [(ds.counties[0], 2008), (ds.counties[1], 2009)])
-
-
-def test_single_sample_prediction_equals_forward_samples():
-    """predict_1y / predict_5y on an assembled window give exactly the
-    batched forward's value, for every kind and county of a 3x3 grid."""
-    ds = tiny_dataset(side=3, years=10)
-    ds_norm, stats = normalize(ds, YearSplit(test_year=2009))
-    for kind in ALL_KINDS:
-        spec = tiny_spec(kind)
-        rng = np.random.default_rng(7)
-        if kind in DEEP_KINDS:
-            params = {k: v.data for k, v in build_model(spec, rng).parameters().items()}
-        else:
-            params = {"linear.coef": rng.normal(size=FLAT_WIDTH) * 0.01,
-                      "linear.intercept": np.array([0.3])}
-        ckpt = ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=[],
-                               best_epoch=0, test_year=2009)
-        context = GraphContext(ds_norm) if kind in GRAPH_KINDS else None
-        for county in ds_norm.counties:
-            window = assemble_window(ds_norm, county, 2009, spec.history_years, "corn")
-            if spec.history_years:
-                got = predict_5y(ckpt, window, context)
-            else:
-                got = predict_1y(ckpt, window[0], context)
-            want = ckpt.model().forward_samples(ds_norm, [(county, 2009)]).data[0]
-            assert got == want, (kind, county)
 
 
 # -- checkpoint format -------------------------------------------------------------
