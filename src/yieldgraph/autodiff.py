@@ -128,14 +128,6 @@ class Tensor:
 
     # -- elementwise nonlinearities --------------------------------------
 
-    def tanh(self):
-        y = np.tanh(self.data)
-        return apply_op(y, (self,), lambda g: (g * (1.0 - y * y),))
-
-    def sigmoid(self):
-        y = _stable_sigmoid(self.data)
-        return apply_op(y, (self,), lambda g: (g * y * (1.0 - y),))
-
     def relu(self):
         mask = self.data > 0  # gradient at exactly 0 is 0
         return apply_op(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
@@ -174,30 +166,6 @@ class Tensor:
             return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
 
         return apply_op(np.mean(self.data, axis=axis), (self,), vjp)
-
-    def max(self, axis=None):
-        _check_axis(self.data, axis)
-        data = self.data
-        if axis is None:
-            idx = int(np.argmax(data))  # ties: lowest flat index
-
-            def vjp(g):
-                out = np.zeros_like(data)
-                out.flat[idx] = g
-                return (out,)
-
-            return apply_op(np.max(data), (self,), vjp)
-
-        idx = np.argmax(data, axis=axis)  # ties: first along axis
-
-        def vjp(g):
-            out = np.zeros_like(data)
-            np.put_along_axis(
-                out, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
-            )
-            return (out,)
-
-        return apply_op(np.max(data, axis=axis), (self,), vjp)
 
     # -- structure ---------------------------------------------------------
 

@@ -368,8 +368,8 @@ def cmd_benchmark(args):
             try:
                 spec = default_spec(method, crop, test_year, seed=seed, **overrides)
                 results[(method, seed)] = _benchmark_cell(spec, dataset, split, early)
-            except Exception as e:  # a cell failure must not sink the table
-                results[(method, seed)] = e
+            except _INPUT_ERRORS + (TrainingAbort, NonFiniteError) as e:
+                results[(method, seed)] = e  # a cell failure must not sink the table
 
     rows = []
     for method in methods:
@@ -391,8 +391,6 @@ def cmd_benchmark(args):
                 row["r2_masked_mean"] = float(masked.mean())
                 row["r2_masked_std"] = float(masked.std())
         row["status"] = "ok" if not failures else f"failed:{len(failures)}"
-        if failures:
-            row["error"] = str(failures[0])
         rows.append(row)
 
     metric_cols = ["rmse_mean", "rmse_std", "r2_mean", "r2_std", "corr_mean", "corr_std"]

@@ -174,10 +174,12 @@ class NormStats:
 
 
 class Dataset:
-    """In-memory dataset: dense per-block arrays indexed [county, year]."""
+    """In-memory dataset: dense per-block arrays indexed [county, year].
+    ``norm_stats`` holds the statistics the blocks were normalized with, or
+    None when they hold raw values."""
 
     def __init__(self, counties, years, weather, land, soil, extras, present,
-                 yields, graph, normalized=False, norm_stats=None):
+                 yields, graph, norm_stats=None):
         self.counties = list(counties)
         self.years = sorted(years)
         self.county_index = {c: i for i, c in enumerate(self.counties)}
@@ -189,7 +191,6 @@ class Dataset:
         self.present = present
         self.yields = yields
         self.graph = graph
-        self.normalized = normalized
         self.norm_stats = norm_stats
         self._usable = {}
         self._prev_mean_cache = {}
@@ -207,7 +208,7 @@ class Dataset:
             self.counties, self.years[part],
             self.weather[:, part], self.land[:, part], self.soil[:, part],
             self.extras[:, part], self.present[:, part], self.yields, self.graph,
-            normalized=self.normalized, norm_stats=self.norm_stats,
+            norm_stats=self.norm_stats,
         )
 
     def _usable_records(self, year):
@@ -251,7 +252,7 @@ class Dataset:
         """extras[6] of a window year: the previous-year national mean,
         standardized when the dataset is normalized."""
         prev = self.prev_year_national_mean(crop, year)
-        if self.normalized:
+        if self.norm_stats is not None:
             prev = self.norm_stats.standardize_target(crop, prev)
         return prev
 
@@ -465,7 +466,6 @@ def apply_norm_stats(dataset, stats):
         dataset.present,
         dataset.yields,
         dataset.graph,
-        normalized=True,
         norm_stats=stats,
     )
 

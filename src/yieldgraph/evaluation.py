@@ -166,7 +166,7 @@ def mask_dataset_year(dataset, plan, year):
         dataset.counties, dataset.years, weather, land,
         dataset.soil, dataset.extras, dataset.present,
         dataset.yields, dataset.graph,
-        normalized=dataset.normalized, norm_stats=dataset.norm_stats,
+        norm_stats=dataset.norm_stats,
     )
 
 

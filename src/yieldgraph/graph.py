@@ -151,13 +151,11 @@ def _segment_max(x, edge_src, edge_dst, counts, n_dst):
 class SageLayer:
     """One message-passing layer: relu(W . concat(self, aggregated))."""
 
-    def __init__(self, in_dim, out_dim, aggregator, rng, activation="relu"):
+    def __init__(self, in_dim, out_dim, aggregator, rng):
         if aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {aggregator!r}")
         self.aggregator = aggregator
         self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.activation = activation
         self.combine = Dense(2 * in_dim, out_dim, rng)
         self.pool_transform = Dense(in_dim, in_dim, rng) if aggregator == "pool" else None
 
@@ -172,7 +170,7 @@ class SageLayer:
             transformed = self.pool_transform(src_embeddings).relu()
             agg = _segment_max(transformed, edge_src, edge_dst, counts, n_dst)
         z = self.combine(concat([take_rows(src_embeddings, self_rows), agg], axis=1))
-        return z.relu() if self.activation == "relu" else z
+        return z.relu()
 
     def parameters(self, prefix):
         params = self.combine.parameters(f"{prefix}.combine")
@@ -205,7 +203,6 @@ class SampledBlock:
 
     seed_nodes: np.ndarray
     layers: list = field(default_factory=list)
-    rng_seed: int | None = None
 
     @property
     def input_nodes(self):
@@ -301,6 +298,7 @@ def gnn_forward(stack, block, base_embeddings):
     return z
 
 
-def build_sage_stack(in_dim, hidden_dim, aggregator, rng, depth=2):
-    dims = [in_dim] + [hidden_dim] * depth
-    return [SageLayer(dims[i], dims[i + 1], aggregator, rng) for i in range(depth)]
+def build_sage_stack(in_dim, hidden_dim, aggregator, rng):
+    """The paper's two layers: in_dim -> hidden_dim -> hidden_dim."""
+    return [SageLayer(in_dim, hidden_dim, aggregator, rng),
+            SageLayer(hidden_dim, hidden_dim, aggregator, rng)]

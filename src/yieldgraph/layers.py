@@ -36,6 +36,12 @@ from yieldgraph.autodiff import (
 )
 
 
+# The weekly encoder average-pools pairs of weeks after each conv; every
+# soil conv spans two adjacent depth levels.
+POOL_WINDOW = 2
+SOIL_KERNEL = 2
+
+
 def uniform_param(rng, shape, fan_in):
     a = math.sqrt(1.0 / fan_in)
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
@@ -154,19 +160,19 @@ class WeeklyEncoder:
     land-surface series."""
 
     def __init__(self, rng, in_channels, weeks, channels=(32, 64, 96, 128),
-                 kernels=(7, 3, 3, 3), out_dim=64, pool_window=2):
+                 kernels=(7, 3, 3, 3), out_dim=64):
         if len(channels) != 4 or len(kernels) != 4:
             raise ValueError("weekly encoder is fixed at four pooled conv blocks")
         self.in_channels = in_channels
         self.weeks = weeks
         self.out_dim = out_dim
-        self.pool_window = pool_window
+        self.pool_window = POOL_WINDOW
         self.blocks = []
         length = weeks
         prev = in_channels
         for ch, k in zip(channels, kernels):
             self.blocks.append(_ConvBlock(prev, ch, k, rng))
-            length = (length - k + 1) // pool_window
+            length = (length - k + 1) // POOL_WINDOW
             if length < 1:
                 raise ValueError(f"week axis exhausted; shorten kernels {kernels}")
             prev = ch
@@ -201,8 +207,7 @@ class SoilEncoder:
     """Three conv/relu blocks (no pooling) across the soil depth axis,
     flattened into a linear projection."""
 
-    def __init__(self, rng, in_channels, depths, channels=(24, 28, 32), kernel=2,
-                 out_dim=32):
+    def __init__(self, rng, in_channels, depths, channels=(24, 28, 32), out_dim=32):
         if len(channels) != 3:
             raise ValueError("soil encoder is fixed at three conv blocks")
         self.in_channels = in_channels
@@ -212,8 +217,8 @@ class SoilEncoder:
         length = depths
         prev = in_channels
         for ch in channels:
-            self.blocks.append(_ConvBlock(prev, ch, kernel, rng))
-            length = length - kernel + 1
+            self.blocks.append(_ConvBlock(prev, ch, SOIL_KERNEL, rng))
+            length = length - SOIL_KERNEL + 1
             if length < 1:
                 raise ValueError("depth axis exhausted")
             prev = ch

@@ -68,12 +68,10 @@ class ConfigurationError(ValueError):
 
 
 class TrainingAbort(RuntimeError):
-    """Training hit a non-finite value; carries the offending epoch/batch."""
+    """Training hit a non-finite value; the message names the epoch and batch."""
 
     def __init__(self, epoch, batch, cause):
         super().__init__(f"non-finite value at epoch {epoch}, batch {batch}: {cause}")
-        self.epoch = epoch
-        self.batch = batch
 
 
 @dataclass(frozen=True)
@@ -445,39 +443,14 @@ class GnnModel(_Model):
             return z
         return take_rows(z, order)
 
-
-
-_MODEL_CLASSES = {
-    "cnn-1y": CnnModel,
-    "gru-1y": RecurrentWeeklyModel,
-    "lstm-1y": RecurrentWeeklyModel,
-    "gnn-1y": GnnModel,
-    "gru-5y": FlatHistoryModel,
-    "lstm-5y": FlatHistoryModel,
-    "cnn-rnn-5y": CnnModel,
-    "gnn-rnn-5y": GnnModel,
-}
-
-
-def build_model(spec, rng):
-    if spec.kind not in _MODEL_CLASSES:
-        raise ConfigurationError(f"{spec.kind} is not a deep model")
-    return _MODEL_CLASSES[spec.kind](spec, rng)
-
-
 # -- linear baselines -----------------------------------------------------------
 
 
 @dataclass
 class LinearModel:
-    kind: str
     coef: np.ndarray
     intercept: float
-    lam: float
     converged: bool = True
-
-    def predict(self, X):
-        return X @ self.coef + self.intercept
 
 
 def fit_ridge(X, y, lam):
@@ -497,7 +470,7 @@ def fit_ridge(X, y, lam):
         raise ValueError("normal equations are singular; use lam > 0") from e
     if lam == 0.0 and not np.allclose(gram @ coef, X.T @ yc, atol=1e-6):
         raise ValueError("normal equations are singular; use lam > 0")
-    return LinearModel(kind="ridge", coef=coef, intercept=intercept, lam=lam)
+    return LinearModel(coef=coef, intercept=intercept)
 
 
 def soft_threshold(value, threshold):
@@ -536,29 +509,49 @@ def fit_lasso(X, y, lam, max_iter=10_000, tol=1e-7):
         if max_delta < tol:
             converged = True
             break
-    return LinearModel(kind="lasso", coef=beta, intercept=intercept, lam=lam,
-                       converged=converged)
+    return LinearModel(coef=beta, intercept=intercept, converged=converged)
 
 
-def lasso_objective(X, y, model):
+def lasso_objective(X, y, model, lam):
     n = X.shape[0]
     resid = (y - y.mean()) - X @ model.coef
-    return float(resid @ resid / (2 * n) + model.lam * np.abs(model.coef).sum())
+    return float(resid @ resid / (2 * n) + lam * np.abs(model.coef).sum())
 
 
 class LinearWrapper(_Model):
-    """Adapts a fitted LinearModel to the forward_samples surface."""
+    """Ridge or lasso over the target year's flattened features. The
+    coefficients are fitted (``_train_linear``) or loaded, never drawn, so
+    ``rng`` goes unused; it keeps the constructor of every kind alike."""
 
-    def __init__(self, spec, linear):
+    def __init__(self, spec, rng):
         super().__init__(spec)
-        self.linear = linear
+        self.coef = Tensor(np.zeros(FLAT_WIDTH))
+        self.intercept = Tensor(np.zeros(1))
 
     def parameters(self):
-        return {}
+        return {"linear.coef": self.coef, "linear.intercept": self.intercept}
 
     def forward_blocks(self, years, training=False, rng=None):
         (blocks,) = years
-        return Tensor(self.linear.predict(flatten_blocks(*blocks)))
+        return Tensor(flatten_blocks(*blocks) @ self.coef.data + float(self.intercept.data[0]))
+
+
+_MODEL_CLASSES = {
+    "ridge-1y": LinearWrapper,
+    "lasso-1y": LinearWrapper,
+    "cnn-1y": CnnModel,
+    "gru-1y": RecurrentWeeklyModel,
+    "lstm-1y": RecurrentWeeklyModel,
+    "gnn-1y": GnnModel,
+    "gru-5y": FlatHistoryModel,
+    "lstm-5y": FlatHistoryModel,
+    "cnn-rnn-5y": CnnModel,
+    "gnn-rnn-5y": GnnModel,
+}
+
+
+def build_model(spec, rng):
+    return _MODEL_CLASSES[spec.kind](spec, rng)
 
 
 # -- training -------------------------------------------------------------------
@@ -683,14 +676,13 @@ def _train_linear(spec, ds, split, stats, samples, val_samples, skipped):
         linear = fit_ridge(X, y, spec.ridge_lambda)
     else:
         linear = fit_lasso(X, y, spec.lasso_lambda)
-    model = LinearWrapper(spec, linear)
+    model = build_model(spec, None)
+    model.coef.data[...] = linear.coef
+    model.intercept.data[0] = linear.intercept
     val_pred = _predict_std(model, ds, val_samples, spec.batch_size)
     val_rmse = rmse(_standardized_targets(ds, val_samples, spec.crop), val_pred, 1.0)
     history = [{"epoch": 0, "train_loss": float("nan"), "val_rmse": val_rmse, "lr": 0.0}]
-    params = {
-        "linear.coef": linear.coef.copy(),
-        "linear.intercept": np.array([linear.intercept]),
-    }
+    params = {k: v.data.copy() for k, v in model.parameters().items()}
     return ModelCheckpoint(
         spec=spec, params=params, norm_stats=stats, history=history, best_epoch=0,
         test_year=split.test_year, skipped_windows=skipped,
@@ -775,24 +767,13 @@ class ModelCheckpoint:
 
     def model(self):
         if self._model is None:
-            if self.spec.kind in ("ridge-1y", "lasso-1y"):
-                linear = LinearModel(
-                    kind=self.spec.kind.split("-")[0],
-                    coef=self.params["linear.coef"],
-                    intercept=float(self.params["linear.intercept"][0]),
-                    lam=self.spec.ridge_lambda if self.spec.kind == "ridge-1y"
-                    else self.spec.lasso_lambda,
-                    converged=self.lasso_converged,
-                )
-                self._model = LinearWrapper(self.spec, linear)
-            else:
-                model = build_model(self.spec, np.random.default_rng(0))
-                live = model.parameters()
-                if set(live) != set(self.params):
-                    raise ConfigurationError("checkpoint parameters do not match the architecture")
-                for name, tensor in live.items():
-                    tensor.data[...] = self.params[name]
-                self._model = model
+            model = build_model(self.spec, np.random.default_rng(0))
+            live = model.parameters()
+            if set(live) != set(self.params):
+                raise ConfigurationError("checkpoint parameters do not match the architecture")
+            for name, tensor in live.items():
+                tensor.data[...] = self.params[name]
+            self._model = model
         return self._model
 
     def predict_year(self, ds, counties, year):

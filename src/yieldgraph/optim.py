@@ -5,8 +5,7 @@ The loss is computed in the overflow-safe form
     log(cosh(r)) = |r| + log((1 + exp(-2|r|)) / 2)
 
 (naive cosh overflows near r = 710 in float64) and averaged over the
-unmasked batch entries only; masked entries contribute neither loss nor
-gradient. L2 regularization is coupled through the gradient (classic
+batch. L2 regularization is coupled through the gradient (classic
 Adam + weight decay).
 """
 
@@ -17,35 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from yieldgraph.autodiff import NonFiniteError, Tensor, take_rows
+from yieldgraph.autodiff import NonFiniteError, Tensor
 
 LOG2 = math.log(2.0)
 
 
-class EmptyBatchError(ValueError):
-    """Every element of a loss batch is masked out."""
+def logcosh_loss(pred, target):
+    """Mean log-cosh of (pred - target).
 
-
-def logcosh_loss(pred, target, mask=None):
-    """Mean log-cosh of (pred - target) over unmasked entries.
-
-    pred: Tensor [n]; target: array [n] (finite wherever unmasked);
-    mask: optional boolean array [n], True = contributes.
+    pred: Tensor [n]; target: finite array [n].
     """
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape or pred.data.ndim != 1:
         raise ValueError(f"pred/target shapes differ: {pred.data.shape} vs {target.shape}")
-    if mask is None:
-        mask = np.ones(target.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != target.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match {target.shape}")
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise EmptyBatchError("no unmasked elements: batch carries no signal")
-    r = take_rows(pred, idx) - Tensor(target[idx])
-    a = r.abs()
+    a = (pred - Tensor(target)).abs()
     return (a + ((-2.0 * a).exp() + 1.0).log() - LOG2).mean()
 
 

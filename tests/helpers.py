@@ -1,9 +1,10 @@
 """Shared test oracles: finite differences and gradient comparison, the
-channels-first conv, pooling and encoder forward, the composed recurrent
-cell step, single-node neighbour aggregation, the per-destination segment
-max, the per-edge block builder, batched graph inference, single-record
-early masking, the whole-dataset evaluate flow with its per-county masking
-plan and full mask copy, the adjacency queries over a ``CountyGraph``, and the
+tanh and sigmoid ops, the channels-first conv, pooling and encoder
+forward, the composed recurrent cell step, single-node neighbour
+aggregation, the per-destination segment max, the per-edge block
+builder, batched graph inference, single-record early masking, the
+whole-dataset evaluate flow with its per-county masking plan and full
+mask copy, the adjacency queries over a ``CountyGraph``, and the
 per-cell county aggregation (with a packer for its weight map) and the
 per-day weekly fold of ``geo``.
 
@@ -16,6 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from yieldgraph import autodiff
 from yieldgraph.autodiff import (
     ShapeError,
     Tensor,
@@ -30,6 +32,20 @@ from yieldgraph.evaluation import CUTOFF_WEEK, MetricError, rmse
 from yieldgraph.geo import GeoFormatError
 from yieldgraph.graph import LayerBlock, SampledBlock
 from yieldgraph.models import GRAPH_KINDS
+
+
+def tanh(t):
+    """Elementwise tanh of a Tensor, with its vjp; the recurrent steps of
+    ``yieldgraph.layers`` fuse it into one op, so only oracles need it."""
+    y = np.tanh(t.data)
+    return apply_op(y, (t,), lambda g: (g * (1.0 - y * y),))
+
+
+def sigmoid(t):
+    """Elementwise logistic of a Tensor, with its vjp, through the same
+    overflow-safe form as the fused recurrent steps."""
+    y = autodiff._stable_sigmoid(t.data)
+    return apply_op(y, (t,), lambda g: (g * y * (1.0 - y),))
 
 
 def fd_gradient(f, arrays, h=1e-5):
@@ -215,15 +231,15 @@ def reference_cell_step(cell, x, state):
     zh = add_rowvec(matmul(state[0], cell.w_h.transpose()), cell.b_h)
     if cell.kind == "lstm":
         z = zx + zh
-        i = narrow(z, 1, 0, h).sigmoid()
-        f = narrow(z, 1, h, h).sigmoid()
-        g = narrow(z, 1, 2 * h, h).tanh()
-        o = narrow(z, 1, 3 * h, h).sigmoid()
+        i = sigmoid(narrow(z, 1, 0, h))
+        f = sigmoid(narrow(z, 1, h, h))
+        g = tanh(narrow(z, 1, 2 * h, h))
+        o = sigmoid(narrow(z, 1, 3 * h, h))
         c_new = f * state[1] + i * g
-        return o * c_new.tanh(), c_new
-    r = (narrow(zx, 1, 0, h) + narrow(zh, 1, 0, h)).sigmoid()
-    u = (narrow(zx, 1, h, h) + narrow(zh, 1, h, h)).sigmoid()
-    n = (narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h)).tanh()
+        return o * tanh(c_new), c_new
+    r = sigmoid(narrow(zx, 1, 0, h) + narrow(zh, 1, 0, h))
+    u = sigmoid(narrow(zx, 1, h, h) + narrow(zh, 1, h, h))
+    n = tanh(narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h))
     ones = Tensor(np.ones((x.data.shape[0], h)))
     return ((ones - u) * n + u * state[0],)
 
@@ -249,7 +265,7 @@ def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=
     if aggregator == "pool":
         if pool_transform is not None:
             rows = pool_transform(rows).relu()
-        return rows.max(axis=0)
+        return Tensor(rows.data.max(axis=0))  # forward only
     raise ValueError(f"unknown aggregator {aggregator!r}")
 
 
@@ -405,7 +421,7 @@ def reference_mask_dataset_year(dataset, plan, year):
         dataset.counties, dataset.years, weather, land,
         dataset.soil, dataset.extras, dataset.present,
         dataset.yields, dataset.graph,
-        normalized=dataset.normalized, norm_stats=dataset.norm_stats,
+        norm_stats=dataset.norm_stats,
     )
 
 

@@ -209,6 +209,17 @@ def test_benchmark_failed_cell_still_emits_table(tmp_path):
     assert any(r.startswith("ridge-1y") and r.endswith("ok") for r in rows[1:])
 
 
+def test_benchmark_programming_error_propagates(tmp_path, monkeypatch):
+    # a bug in library code is not a failed cell: it must surface as itself
+    data = tmp_path / "data"
+    assert run(synth_args(data, years=6)) == 0
+    monkeypatch.setattr(cli, "train_model", _raise(TypeError("bug in library code")))
+    with pytest.raises(TypeError, match="bug in library code"):
+        run(["benchmark"] + dataset_flags(data)
+            + ["--methods", "ridge-1y", "--seeds", "0", "--test-year", "2005",
+               "--out", str(tmp_path / "bench")])
+
+
 def test_aggregate_toy_pipeline(tmp_path):
     rasters = tmp_path / "rasters"
     os.makedirs(rasters)
