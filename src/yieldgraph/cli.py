@@ -370,6 +370,8 @@ def cmd_benchmark(args):
                 results[(method, seed)] = _benchmark_cell(spec, dataset, split, early)
             except _INPUT_ERRORS + (TrainingAbort, NonFiniteError) as e:
                 results[(method, seed)] = e  # a cell failure must not sink the table
+                print(f"benchmark cell {method} seed {seed} failed: "
+                      f"{type(e).__name__}: {e}", file=sys.stderr)
 
     rows = []
     for method in methods:

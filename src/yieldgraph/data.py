@@ -395,13 +395,12 @@ def save_dataset(dataset, out_dir):
     apath = os.path.join(out_dir, "adjacency.tsv")
     with open(apath, "w", encoding="utf-8") as f:
         f.write("# undirected county adjacency, one edge per line\n")
-        seen = set()
+        # neighbours are symmetric and ascending, so each edge is written
+        # once, from its lower endpoint, in (lower, upper) order
         for i, county in enumerate(dataset.graph.node_ids):
             for j in dataset.graph.neighbors[i]:
-                edge = (min(i, int(j)), max(i, int(j)))
-                if edge not in seen:
-                    seen.add(edge)
-                    f.write(f"{dataset.graph.node_ids[edge[0]]}\t{dataset.graph.node_ids[edge[1]]}\n")
+                if j > i:
+                    f.write(f"{county}\t{dataset.graph.node_ids[j]}\n")
     return fpath, ypath, apath
 
 
@@ -645,7 +644,4 @@ def generate_synthetic(n_counties, n_years, grid_side, seed, start_year=2000):
             for i, county in enumerate(graph.node_ids):
                 yields.set(county, year, crop, vals[i])
 
-    return Dataset(
-        graph.node_ids, years, weather.copy(), land.copy(), soil.copy(),
-        extras.copy(), present, yields, graph,
-    )
+    return Dataset(graph.node_ids, years, weather, land, soil, extras, present, yields, graph)

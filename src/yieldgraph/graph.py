@@ -55,17 +55,14 @@ class CountyGraph:
         return len(self.node_ids)
 
 
-def load_graph(path, node_ids=None):
-    """Parse a tab-separated undirected edge list (# comments allowed).
+def load_graph(path, node_ids):
+    """Parse a tab-separated undirected edge list (# comments allowed) over
+    the counties ``node_ids``.
 
-    Unidirectional edges are symmetrized and duplicates collapse. When
-    ``node_ids`` is given, edges naming unknown counties are an error and
-    isolated counties are retained; otherwise nodes are inferred from the
-    edges.
+    Unidirectional edges are symmetrized and duplicates collapse. Edges
+    naming unknown counties are an error; isolated counties are retained.
     """
     edges = []
-    seen_nodes = []
-    seen_set = set()
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -76,16 +73,12 @@ def load_graph(path, node_ids=None):
                 raise GraphFormatError(f"{path}:{lineno}: expected FIPS_A<TAB>FIPS_B, got {raw!r}")
             a, b = parts
             for c in (a, b):
-                if node_ids is not None and c not in node_ids:
+                if c not in node_ids:
                     raise GraphFormatError(f"{path}:{lineno}: unknown county id {c!r}")
-                if c not in seen_set:
-                    seen_set.add(c)
-                    seen_nodes.append(c)
             edges.append((a, b))
     if not edges:
         raise GraphFormatError(f"{path}: no edges found")
-    ids = sorted(node_ids) if node_ids is not None else sorted(seen_nodes)
-    return CountyGraph(ids, edges)
+    return CountyGraph(sorted(node_ids), edges)
 
 
 # -- aggregation primitives ---------------------------------------------------
@@ -225,8 +218,7 @@ def _sample_neighbor_lists(graph, dst_nodes, fanout, edge_dropout, rng, allowed=
     return sampled
 
 
-def sample_block(graph, seeds, fanout=10, layers=2, edge_dropout=0.1, rng=None,
-                 allowed_nodes=None):
+def sample_block(graph, seeds, fanout, layers, edge_dropout, rng, allowed_nodes=None):
     """Sample a multi-layer neighborhood block for the given seed counties.
 
     Per layer and per node independently: drop each incident edge with
@@ -239,8 +231,6 @@ def sample_block(graph, seeds, fanout=10, layers=2, edge_dropout=0.1, rng=None,
         raise ValueError("sample_block needs at least one seed")
     if not 0.0 <= edge_dropout < 1.0:
         raise ValueError(f"edge_dropout must be in [0, 1), got {edge_dropout}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     seed_idx = np.array(sorted({graph.index[c] for c in seeds}), dtype=np.intp)
     allowed = None
     if allowed_nodes is not None:
@@ -271,7 +261,7 @@ def sample_block(graph, seeds, fanout=10, layers=2, edge_dropout=0.1, rng=None,
     return block
 
 
-def full_block(graph, seeds, layers=2, allowed_nodes=None):
+def full_block(graph, seeds, layers, allowed_nodes=None):
     """Inference-mode block: full neighborhoods, no dropout."""
     return sample_block(
         graph, seeds, fanout=None, layers=layers, edge_dropout=0.0,

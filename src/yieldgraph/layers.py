@@ -1,14 +1,16 @@
 """Neural building blocks: 1-D conv encoders, recurrent cells, dense layers.
 
 Two encoders digest one county-year of raw features into a fixed-width
-embedding: a four-block conv/relu/avg-pool stack over the week axis for
-the weather + land-surface channels, and a three-conv stack (no pooling)
-over the soil depth levels. The embedding is their concatenation plus
-the scalar extras passed through verbatim. The feature sizes come from
-the caller (the dataset schema lives in ``yieldgraph.data``).
+embedding: a four-block conv/relu/avg-pool stack over the week axis of
+the stacked weekly block (weather channels over land-surface channels),
+and a three-conv stack (no pooling) over the soil depth levels. The
+embedding is their concatenation plus the scalar extras passed through
+verbatim. The feature sizes and widths come from the caller (the dataset
+schema lives in ``yieldgraph.data``, the widths in ``models.ArchWidths``).
 
-The encoders take [B, C, L] input, transpose it once and carry [B, L, C]
-(channels-last) through their blocks, so im2col is a window view reshaped
+Both encoders are one conv-stack body that differs only in its pooling.
+It takes [B, C, L] input, transposes it once and carries [B, L, C]
+(channels-last) through its blocks, so im2col is a window view reshaped
 to [B*L', C*K]. Each block (conv, bias, relu and, in the weekly encoder,
 avg-pool) is one autodiff op, ``conv1d``, with a hand-written vjp. The
 output is transposed back once before the projection, which therefore
@@ -154,46 +156,38 @@ class _ConvBlock:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
-class WeeklyEncoder:
-    """Four conv/relu/avg-pool blocks over the week axis, flattened into a
-    linear projection. Input channels are the stacked weather and
-    land-surface series."""
+class _ConvStack:
+    """Conv blocks over the length axis of [B, in_channels, length] input,
+    flattened into a linear projection to ``out_dim``. Each block is one
+    ``conv1d`` with this stack's ``pool`` (None: no pooling). Parameters
+    draw from ``rng`` block by block, then the projection."""
 
-    def __init__(self, rng, in_channels, weeks, channels=(32, 64, 96, 128),
-                 kernels=(7, 3, 3, 3), out_dim=64):
-        if len(channels) != 4 or len(kernels) != 4:
-            raise ValueError("weekly encoder is fixed at four pooled conv blocks")
+    def __init__(self, rng, in_channels, length, channels, kernels, out_dim, pool):
         self.in_channels = in_channels
-        self.weeks = weeks
+        self.length = length
         self.out_dim = out_dim
-        self.pool_window = POOL_WINDOW
+        self.pool = pool
         self.blocks = []
-        length = weeks
         prev = in_channels
         for ch, k in zip(channels, kernels):
             self.blocks.append(_ConvBlock(prev, ch, k, rng))
-            length = (length - k + 1) // POOL_WINDOW
+            length = (length - k + 1) // (pool or 1)
             if length < 1:
-                raise ValueError(f"week axis exhausted; shorten kernels {kernels}")
+                raise ValueError(f"{type(self).__name__}: input length "
+                                 f"{self.length} exhausted by kernels {tuple(kernels)}")
             prev = ch
         self.flat_dim = prev * length
         self.project = Dense(self.flat_dim, out_dim, rng)
 
-    def __call__(self, x):
-        """x: [B, in_channels, weeks] -> [B, out_dim]"""
-        if x.data.ndim != 3 or x.data.shape[1:] != (self.in_channels, self.weeks):
-            raise ShapeError(
-                f"weekly encoder expects [B,{self.in_channels},{self.weeks}], got {x.shape}"
-            )
+    def _forward(self, x):
+        """x: [B, in_channels, length] -> [B, out_dim]"""
+        if x.data.ndim != 3 or x.data.shape[1:] != (self.in_channels, self.length):
+            raise ShapeError(f"{type(self).__name__} expects "
+                             f"[B,{self.in_channels},{self.length}], got {x.shape}")
         x = x.transpose((0, 2, 1))
         for block in self.blocks:
-            x = conv1d(x, block.weight, block.bias, self.pool_window)
+            x = conv1d(x, block.weight, block.bias, self.pool)
         return self.project(x.transpose((0, 2, 1)).reshape((x.data.shape[0], self.flat_dim)))
-
-    def encode(self, weather, land):
-        """weather: [B,Cw,weeks], land: [B,Cl,weeks], Cw + Cl = in_channels
-        -> [B, out_dim]"""
-        return self(concat([weather, land], axis=1))
 
     def parameters(self, prefix):
         params = {}
@@ -203,45 +197,29 @@ class WeeklyEncoder:
         return params
 
 
-class SoilEncoder:
-    """Three conv/relu blocks (no pooling) across the soil depth axis,
-    flattened into a linear projection."""
+class WeeklyEncoder(_ConvStack):
+    """Four conv/relu/avg-pool blocks over the week axis of the stacked
+    weather and land-surface series."""
 
-    def __init__(self, rng, in_channels, depths, channels=(24, 28, 32), out_dim=32):
+    def __init__(self, rng, in_channels, weeks, channels, kernels, out_dim):
+        if len(channels) != 4 or len(kernels) != 4:
+            raise ValueError("weekly encoder is fixed at four pooled conv blocks")
+        super().__init__(rng, in_channels, weeks, channels, kernels, out_dim, POOL_WINDOW)
+
+    def __call__(self, x):
+        return self._forward(x)
+
+
+class SoilEncoder(_ConvStack):
+    """Three conv/relu blocks (no pooling) across the soil depth axis."""
+
+    def __init__(self, rng, in_channels, depths, channels, out_dim):
         if len(channels) != 3:
             raise ValueError("soil encoder is fixed at three conv blocks")
-        self.in_channels = in_channels
-        self.depths = depths
-        self.out_dim = out_dim
-        self.blocks = []
-        length = depths
-        prev = in_channels
-        for ch in channels:
-            self.blocks.append(_ConvBlock(prev, ch, SOIL_KERNEL, rng))
-            length = length - SOIL_KERNEL + 1
-            if length < 1:
-                raise ValueError("depth axis exhausted")
-            prev = ch
-        self.flat_dim = prev * length
-        self.project = Dense(self.flat_dim, out_dim, rng)
+        super().__init__(rng, in_channels, depths, channels, (SOIL_KERNEL,) * 3, out_dim, None)
 
     def __call__(self, x):
-        """x: [B, in_channels, depths] -> [B, out_dim]"""
-        if x.data.ndim != 3 or x.data.shape[1:] != (self.in_channels, self.depths):
-            raise ShapeError(
-                f"soil encoder expects [B,{self.in_channels},{self.depths}], got {x.shape}"
-            )
-        x = x.transpose((0, 2, 1))
-        for block in self.blocks:
-            x = conv1d(x, block.weight, block.bias)
-        return self.project(x.transpose((0, 2, 1)).reshape((x.data.shape[0], self.flat_dim)))
-
-    def parameters(self, prefix):
-        params = {}
-        for i, block in enumerate(self.blocks):
-            params.update(block.parameters(f"{prefix}.conv{i}"))
-        params.update(self.project.parameters(f"{prefix}.project"))
-        return params
+        return self._forward(x)
 
 
 class YearEmbedder:
@@ -254,11 +232,12 @@ class YearEmbedder:
         self.n_extras = n_extras
         self.out_dim = weekly.out_dim + soil.out_dim + n_extras
 
-    def embed(self, weather, land, soil, extras):
-        """weekly encoder input, soil encoder input, [B, n_extras] -> [B, out_dim]"""
+    def embed(self, weekly, soil, extras):
+        """weekly [B, C, weeks] (weather over land), soil [B, C_s, depths],
+        extras [B, n_extras] -> [B, out_dim]"""
         if extras.data.ndim != 2 or extras.data.shape[1] != self.n_extras:
             raise ShapeError(f"expected [B,{self.n_extras}] extras, got {extras.shape}")
-        return concat([self.weekly.encode(weather, land), self.soil(soil), extras], axis=1)
+        return concat([self.weekly(weekly), self.soil(soil), extras], axis=1)
 
     def parameters(self, prefix):
         params = self.weekly.parameters(f"{prefix}.weekly")
@@ -286,7 +265,7 @@ class RecurrentCell:
     1 + U(-a, a), not at 1.0.
     """
 
-    def __init__(self, kind, input_size, hidden_size=64, rng=None):
+    def __init__(self, kind, input_size, hidden_size, rng):
         if kind not in ("lstm", "gru"):
             raise ValueError(f"unknown recurrent kind {kind!r}")
         self.kind = kind

@@ -57,7 +57,6 @@ from yieldgraph.optim import AdamState, LrSchedule, adam_step, logcosh_loss, lr_
 KINDS_1Y = ("ridge-1y", "lasso-1y", "gru-1y", "lstm-1y", "cnn-1y", "gnn-1y")
 KINDS_5Y = ("gru-5y", "lstm-5y", "cnn-rnn-5y", "gnn-rnn-5y")
 ALL_KINDS = KINDS_1Y + KINDS_5Y
-DEEP_KINDS = tuple(k for k in ALL_KINDS if k not in ("ridge-1y", "lasso-1y"))
 GRAPH_KINDS = ("gnn-1y", "gnn-rnn-5y")
 WEEKLY_CHANNELS = N_WEATHER + N_LAND  # weather and land series stacked per week
 FLAT_WIDTH = WEEKLY_CHANNELS * WEEKS + N_SOIL * DEPTHS + N_EXTRAS
@@ -205,7 +204,9 @@ def default_spec(kind, crop="corn", test_year=None, **overrides):
 def gather_year_blocks(ds, samples, crop, year_offset=0):
     """Dense arrays for (county, target_year + offset) pairs.
 
-    Returns (weather [B,7,52], land [B,16,52], soil [B,20,6], extras [B,7]).
+    Returns (weekly [B,23,52], soil [B,20,6], extras [B,7]); ``weekly``
+    stacks the 7 weather channels over the 16 land-surface channels, the
+    input order of the weekly encoder and the recurrent cells.
     """
     ci = np.array([ds.county_index[c] for c, _ in samples], dtype=np.intp)
     yi = np.array([ds.year_index[y + year_offset] for _, y in samples], dtype=np.intp)
@@ -216,26 +217,29 @@ def gather_year_blocks(ds, samples, crop, year_offset=0):
         ],
         axis=1,
     )
-    return ds.weather[ci, yi], ds.land[ci, yi], ds.soil[ci, yi], extras
+    # filled block by block, so one gathered temporary is alive at a time
+    weekly = np.empty((len(samples), WEEKLY_CHANNELS, WEEKS))
+    weekly[:, :N_WEATHER] = ds.weather[ci, yi]
+    weekly[:, N_WEATHER:] = ds.land[ci, yi]
+    return weekly, ds.soil[ci, yi], extras
 
 
-def flatten_blocks(w, l, s, e):
-    b = w.shape[0]
-    return np.concatenate(
-        [w.reshape(b, -1), l.reshape(b, -1), s.reshape(b, -1), e], axis=1
-    )
+def flatten_blocks(weekly, soil, extras):
+    """One row per sample: the [C, L] flatten of the weekly block (weather
+    then land), then the soil block's, then the extras."""
+    b = weekly.shape[0]
+    return np.concatenate([weekly.reshape(b, -1), soil.reshape(b, -1), extras], axis=1)
 
 
-def _weekly_sequence(w, l):
-    """[B,7,52] + [B,16,52] -> list of 52 step tensors [B,23]."""
-    stacked = np.concatenate([w, l], axis=1)
-    return [Tensor(np.ascontiguousarray(stacked[:, :, k])) for k in range(stacked.shape[2])]
+def _weekly_sequence(weekly):
+    """[B,23,52] -> list of 52 step tensors [B,23]."""
+    return [Tensor(np.ascontiguousarray(weekly[:, :, k])) for k in range(weekly.shape[2])]
 
 
 class RegressionHead:
     """Dense(hidden) -> relu -> optional dropout -> Dense(1)."""
 
-    def __init__(self, in_dim, hidden, rng, drop_p=0.0):
+    def __init__(self, in_dim, hidden, rng, drop_p):
         self.fc1 = Dense(in_dim, hidden, rng)
         self.fc2 = Dense(hidden, 1, rng)
         self.drop_p = drop_p
@@ -259,7 +263,7 @@ class _Model:
     """Shared surface: forward_samples(ds, [(county, target_year)]) -> Tensor[B].
 
     A non-graph model reads only each sample's own records, so its forward
-    is ``forward_blocks(years)``: one (weather, land, soil, extras) tuple of
+    is ``forward_blocks(years)``: one (weekly, soil, extras) tuple of
     [B, ...] arrays per window year, oldest first. Graph models override
     forward_samples, since they also read the neighbouring counties.
     """
@@ -280,14 +284,13 @@ class _Model:
 
 
 def _make_soil(spec, rng):
-    return SoilEncoder(rng, N_SOIL, DEPTHS, channels=tuple(spec.widths.soil_channels),
-                       out_dim=spec.widths.soil_out)
+    return SoilEncoder(rng, N_SOIL, DEPTHS, spec.widths.soil_channels, spec.widths.soil_out)
 
 
 def _make_embedder(spec, rng):
     w = spec.widths
-    weekly = WeeklyEncoder(rng, WEEKLY_CHANNELS, WEEKS, channels=tuple(w.weekly_channels),
-                           kernels=tuple(w.weekly_kernels), out_dim=w.weekly_out)
+    weekly = WeeklyEncoder(rng, WEEKLY_CHANNELS, WEEKS, w.weekly_channels, w.weekly_kernels,
+                           w.weekly_out)
     return YearEmbedder(weekly, _make_soil(spec, rng), N_EXTRAS)
 
 
@@ -346,9 +349,9 @@ class RecurrentWeeklyModel(_Model):
         return _collect(cell=self.cell, soil=self.soil, head=self.head)
 
     def forward_blocks(self, years, training=False, rng=None):
-        ((w, l, s, e),) = years
-        h_wl = rnn_forward(self.cell, _weekly_sequence(w, l))
-        h = concat([h_wl, self.soil(Tensor(s)), Tensor(e)], axis=1)
+        ((weekly, soil, extras),) = years
+        h_weekly = rnn_forward(self.cell, _weekly_sequence(weekly))
+        h = concat([h_weekly, self.soil(Tensor(soil)), Tensor(extras)], axis=1)
         return self.head(h, training, rng)
 
 
@@ -431,8 +434,8 @@ class GnnModel(_Model):
         parts = []
         for start in range(0, len(node_ids), rows):
             samples = [(c, year) for c in node_ids[start : start + rows]]
-            w, l, s, e = gather_year_blocks(ds, samples, self.spec.crop)
-            parts.append(self.embedder.embed(Tensor(w), Tensor(l), Tensor(s), Tensor(e)))
+            blocks = gather_year_blocks(ds, samples, self.spec.crop)
+            parts.append(self.embedder.embed(*(Tensor(b) for b in blocks)))
         return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
     def _reorder(self, block, ds, counties, z):
@@ -669,8 +672,7 @@ def train(spec, dataset, split):
 
 
 def _train_linear(spec, ds, split, stats, samples, val_samples, skipped):
-    w, l, s, e = gather_year_blocks(ds, samples, spec.crop)
-    X = flatten_blocks(w, l, s, e)
+    X = flatten_blocks(*gather_year_blocks(ds, samples, spec.crop))
     y = _standardized_targets(ds, samples, spec.crop)
     if spec.kind == "ridge-1y":
         linear = fit_ridge(X, y, spec.ridge_lambda)

@@ -214,11 +214,10 @@ def reference_encode(encoder, x):
     parameters, composed channels-first: per block ``reference_conv1d``,
     ``.relu()`` and (weekly) ``reference_avg_pool1d``, then the flatten and
     ``project``. x: [B, in_channels, length] -> [B, out_dim]."""
-    pool = getattr(encoder, "pool_window", None)
     for block in encoder.blocks:
         x = reference_conv1d(x, block.weight, block.bias).relu()
-        if pool is not None:
-            x = reference_avg_pool1d(x, pool)
+        if encoder.pool is not None:
+            x = reference_avg_pool1d(x, encoder.pool)
     return encoder.project(x.reshape((x.data.shape[0], encoder.flat_dim)))
 
 
@@ -295,13 +294,10 @@ def reference_segment_max(x, edge_src, edge_dst, counts, n_dst):
     return apply_op(out, (x,), vjp)
 
 
-def reference_sample_block(graph, seeds, fanout=10, layers=2, edge_dropout=0.1, rng=None,
-                           allowed_nodes=None):
+def reference_sample_block(graph, seeds, fanout, layers, edge_dropout, rng, allowed_nodes=None):
     """``graph.sample_block`` with np.isin filtering per node and a
     position dict walked edge by edge. Draws from ``rng`` in the same
     order, so seeded blocks must match it array for array."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     seed_idx = np.array(sorted({graph.index[c] for c in seeds}), dtype=np.intp)
     allowed = None
     if allowed_nodes is not None:

@@ -194,10 +194,11 @@ def test_benchmark_same_seed_twice_zero_std(tmp_path):
     assert float(row[header.index("rmse_std")]) == 0.0
 
 
-def test_benchmark_failed_cell_still_emits_table(tmp_path):
+def test_benchmark_failed_cell_still_emits_table(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(synth_args(data, years=6)) == 0  # too short for any 5y window
     out = tmp_path / "bench"
+    capsys.readouterr()
     code = run(
         ["benchmark"] + dataset_flags(data)
         + ["--methods", "ridge-1y,cnn-rnn-5y", "--seeds", "0", "--test-year", "2005",
@@ -207,6 +208,10 @@ def test_benchmark_failed_cell_still_emits_table(tmp_path):
     rows = (out / "benchmark.csv").read_text().splitlines()
     assert any("failed:1" in r for r in rows[1:])
     assert any(r.startswith("ridge-1y") and r.endswith("ok") for r in rows[1:])
+    # the failed cell says why, on one stderr line naming method, seed and error
+    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert len(failed) == 1
+    assert "cnn-rnn-5y seed 0" in failed[0] and "ConfigurationError: " in failed[0]
 
 
 def test_benchmark_programming_error_propagates(tmp_path, monkeypatch):

@@ -2,10 +2,13 @@
 
 Code under ``src/`` or ``perfbench/`` must use every public part of
 ``src/yieldgraph``; tests do not count, so code that only tests use fails
-here. Three checks:
+here. Four checks:
 
-- every top-level function and class is referred to: a name, an
-  attribute, an import, or a string the benchmark looks a callable up by;
+- every top-level function and class is read: loaded as a name or an
+  attribute, imported, or named by a string the benchmark looks a
+  callable up by;
+- every name a module assigns at top level (``__all__`` aside) is read
+  in that sense;
 - every public method, property and dataclass field of a class is
   referred to as an attribute, a keyword or a string. An attribute chain
   rooted at a module name (``np.tanh``) does not count;
@@ -59,19 +62,31 @@ def _library(sources):
     return {path: tree for path, tree in sources.items() if os.path.dirname(path) == PACKAGE}
 
 
-def _referenced(trees):
+def _read(trees):
+    """Names loaded (not bound) as names, attributes, imports and strings."""
     names = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
     return names
+
+
+def _assigned(tree):
+    """Names a module binds at top level by assignment."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
 
 
 def _is_module(package, name):
@@ -190,7 +205,7 @@ def _calls(trees):
 
 def test_every_library_function_and_class_has_a_caller():
     sources = dict(_sources())
-    used = _referenced(sources.values())
+    used = _read(sources.values())
     defined = {
         node.name: os.path.relpath(path, ROOT)
         for path, tree in _library(sources).items()
@@ -227,3 +242,15 @@ def test_every_defaulted_parameter_is_passed():
     }
     # a listed parameter that gains a caller, or is deleted, leaves the list too
     assert unpassed == set(TEST_ONLY_PARAMETERS), sorted(unpassed)
+
+
+def test_every_module_constant_is_read():
+    sources = dict(_sources())
+    read = _read(sources.values())
+    unread = sorted(
+        f"{os.path.relpath(path, ROOT)}: {name}"
+        for path, tree in _library(sources).items()
+        for name in _assigned(tree)
+        if name != "__all__" and name not in read
+    )
+    assert unread == [], unread

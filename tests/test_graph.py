@@ -83,23 +83,23 @@ def _stack_params(stack):
 
 
 def test_load_graph_symmetrizes(tmp_path):
-    g = load_graph(_write(tmp_path, "a\tb\n"))
+    g = load_graph(_write(tmp_path, "a\tb\n"), node_ids={"a", "b"})
     assert neighbor_ids(g, "a") == ["b"]
     assert neighbor_ids(g, "b") == ["a"]
     assert is_symmetric(g)
 
 
 def test_load_graph_dedup(tmp_path):
-    g1 = load_graph(_write(tmp_path, "a\tb\n", "one.tsv"))
-    g2 = load_graph(_write(tmp_path, "a\tb\nb\ta\n", "two.tsv"))
+    g1 = load_graph(_write(tmp_path, "a\tb\n", "one.tsv"), node_ids={"a", "b"})
+    g2 = load_graph(_write(tmp_path, "a\tb\nb\ta\n", "two.tsv"), node_ids={"a", "b"})
     assert [list(v) for v in g1.neighbors] == [list(v) for v in g2.neighbors]
 
 
 def test_load_graph_comments_and_errors(tmp_path):
-    g = load_graph(_write(tmp_path, "# header\na\tb\n"))
+    g = load_graph(_write(tmp_path, "# header\na\tb\n"), node_ids={"a", "b"})
     assert g.n == 2
     with pytest.raises(GraphFormatError):
-        load_graph(_write(tmp_path, "", "empty.tsv"))
+        load_graph(_write(tmp_path, "", "empty.tsv"), node_ids={"a", "b"})
     with pytest.raises(GraphFormatError) as e:
         load_graph(_write(tmp_path, "a\tzzz\n", "bad.tsv"), node_ids={"a", "b"})
     assert "zzz" in str(e.value)
@@ -112,7 +112,7 @@ def test_load_graph_keeps_isolated_nodes_with_node_list(tmp_path):
 
 
 def test_load_graph_drops_self_loops(tmp_path):
-    g = load_graph(_write(tmp_path, "a\ta\na\tb\n"))
+    g = load_graph(_write(tmp_path, "a\ta\na\tb\n"), node_ids={"a", "b"})
     assert degree(g, "a") == 1
 
 
@@ -122,7 +122,9 @@ def test_census_scale_adjacency_if_available():
     path = os.path.join(os.path.dirname(__file__), "..", "data", "county_adjacency.tsv")
     if not os.path.exists(path):
         pytest.skip("full census adjacency file not shipped with the repository")
-    g = load_graph(path)
+    with open(path, encoding="utf-8") as f:
+        ids = {c for line in f if not line.startswith("#") for c in line.split()}
+    g = load_graph(path, node_ids=ids)
     assert g.n == 3107
     assert max_degree(g) <= 14
 
@@ -234,7 +236,7 @@ def test_gnn_forward_isolated_node_degenerate():
     rng = np.random.default_rng(3)
     g = CountyGraph(["x"], [])
     stack = build_sage_stack(2, 3, "mean", rng)
-    block = full_block(g, ["x"])
+    block = full_block(g, ["x"], layers=len(stack))
     x = rng.normal(size=(1, 2))
     out = gnn_forward(stack, block, Tensor(x)).data
 
@@ -267,7 +269,7 @@ def test_gradient_flows_to_two_hop_neighbor():
     rng = np.random.default_rng(5)
     g = CountyGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     stack = build_sage_stack(2, 3, "mean", rng)
-    block = full_block(g, ["a"])
+    block = full_block(g, ["a"], layers=len(stack))
     base = Tensor(rng.normal(size=(len(block.input_nodes), 2)), requires_grad=True)
     gnn_forward(stack, block, base).sum().backward()
     c_row = list(block.input_nodes).index(g.index["c"])
@@ -283,7 +285,7 @@ def test_permuting_storage_order_leaves_outputs_unchanged():
     for node_order in (ids, list(reversed(ids))):
         g = CountyGraph(node_order, edges)
         stack = build_sage_stack(3, 4, "mean", np.random.default_rng(99))
-        block = full_block(g, ["p"])
+        block = full_block(g, ["p"], layers=len(stack))
         base = Tensor(np.stack([feats[g.node_ids[i]] for i in block.input_nodes]))
         outs[tuple(node_order)] = gnn_forward(stack, block, base).data
     a, b = outs.values()
@@ -296,7 +298,7 @@ def test_sage_parameter_gradients(aggregator):
     g = CountyGraph(["a", "b", "c", "d"],
                     [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")])
     stack = build_sage_stack(2, 3, aggregator, rng)
-    block = full_block(g, g.node_ids)
+    block = full_block(g, g.node_ids, layers=len(stack))
     base = Tensor(rng.normal(size=(4, 2)))
     params = {}
     for i, layer in enumerate(stack):
@@ -311,9 +313,10 @@ def test_sage_parameter_gradients(aggregator):
 def test_sample_block_requires_seeds_and_valid_dropout():
     g = CountyGraph(["a"], [])
     with pytest.raises(ValueError):
-        sample_block(g, [], rng=np.random.default_rng(0))
+        sample_block(g, [], fanout=10, layers=2, edge_dropout=0.1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        sample_block(g, ["a"], edge_dropout=1.0, rng=np.random.default_rng(0))
+        sample_block(g, ["a"], fanout=10, layers=2, edge_dropout=1.0,
+                     rng=np.random.default_rng(0))
 
 
 def _segment_edges():

@@ -14,6 +14,7 @@ from yieldgraph.layers import (
     uniform_param,
 )
 from yieldgraph.data import DEPTHS, N_EXTRAS, N_LAND, N_SOIL, N_WEATHER, WEEKS
+from yieldgraph.models import ArchWidths
 from tests.helpers import (
     check_param_gradients,
     check_tensor_gradients,
@@ -163,16 +164,20 @@ def test_conv1d_rejects_non_finite_pre_activations(second_weight):
         conv1d(x, Tensor(w), Tensor(np.zeros(1)))
 
 
-def _weekly(rng, **widths):
-    return WeeklyEncoder(rng, N_WEATHER + N_LAND, WEEKS, **widths)
+_PAPER = ArchWidths()
 
 
-def _soil(rng, **widths):
-    return SoilEncoder(rng, N_SOIL, DEPTHS, **widths)
+def _weekly(rng, channels=_PAPER.weekly_channels, out_dim=_PAPER.weekly_out):
+    return WeeklyEncoder(rng, N_WEATHER + N_LAND, WEEKS, channels, _PAPER.weekly_kernels,
+                         out_dim)
+
+
+def _soil(rng, channels=_PAPER.soil_channels, out_dim=_PAPER.soil_out):
+    return SoilEncoder(rng, N_SOIL, DEPTHS, channels, out_dim)
 
 
 def _toy_weekly(rng):
-    return _weekly(rng, channels=(4, 4, 4, 4), kernels=(7, 3, 3, 3), out_dim=6)
+    return _weekly(rng, channels=(4, 4, 4, 4), out_dim=6)
 
 
 def _toy_soil(rng):
@@ -183,30 +188,29 @@ def test_weekly_encoder_zero_input_zero_params_gives_zero():
     enc = _toy_weekly(_rng(1))
     for p in enc.parameters("e").values():
         p.data[...] = 0.0
-    out = enc.encode(Tensor(np.zeros((1, 7, 52))), Tensor(np.zeros((1, 16, 52))))
+    out = enc(Tensor(np.zeros((1, 23, 52))))
     assert np.array_equal(out.data, np.zeros((1, 6)))
 
 
 def test_weekly_encoder_output_shape_contract():
     enc = _weekly(_rng(2))
-    out = enc.encode(Tensor(_rng(3).normal(size=(2, 7, 52))), Tensor(_rng(4).normal(size=(2, 16, 52))))
+    out = enc(Tensor(_rng(3).normal(size=(2, 23, 52))))
     assert out.data.shape == (2, 64)
 
 
 def test_weekly_encoder_rejects_wrong_week_count():
     enc = _toy_weekly(_rng(2))
     with pytest.raises(ShapeError):
-        enc.encode(Tensor(np.zeros((1, 7, 51))), Tensor(np.zeros((1, 16, 51))))
+        enc(Tensor(np.zeros((1, 23, 51))))
 
 
 def test_weekly_encoder_batch_permutation_equivariance():
     rng = _rng(6)
     enc = _toy_weekly(rng)
-    w = rng.normal(size=(3, 7, 52))
-    l = rng.normal(size=(3, 16, 52))
-    out = enc.encode(Tensor(w), Tensor(l)).data
+    x = rng.normal(size=(3, 23, 52))
+    out = enc(Tensor(x)).data
     perm = [2, 0, 1]
-    out_p = enc.encode(Tensor(w[perm]), Tensor(l[perm])).data
+    out_p = enc(Tensor(x[perm])).data
     assert np.array_equal(out[perm], out_p)
 
 
@@ -274,24 +278,22 @@ def test_year_embedder_width_and_extras_passthrough():
     rng = _rng(9)
     emb = YearEmbedder(_weekly(rng), _soil(rng), N_EXTRAS)
     assert emb.out_dim == 64 + 32 + 7  # 103
-    w = Tensor(rng.normal(size=(2, 7, 52)))
-    l = Tensor(rng.normal(size=(2, 16, 52)))
+    weekly = Tensor(rng.normal(size=(2, 23, 52)))
     s = Tensor(rng.normal(size=(2, 20, 6)))
     e = rng.normal(size=(2, 7))
-    out = emb.embed(w, l, s, Tensor(e)).data
+    out = emb.embed(weekly, s, Tensor(e)).data
     assert np.array_equal(out[:, -7:], e)
 
 
 def test_year_embedder_deterministic_for_identical_counties():
     rng = _rng(10)
     emb = YearEmbedder(_toy_weekly(rng), _toy_soil(rng), N_EXTRAS)
-    w = rng.normal(size=(1, 7, 52))
-    l = rng.normal(size=(1, 16, 52))
+    weekly = rng.normal(size=(1, 23, 52))
     s = rng.normal(size=(1, 20, 6))
     e = rng.normal(size=(1, 7))
     stacked = emb.embed(
-        Tensor(np.vstack([w, w])), Tensor(np.vstack([l, l])),
-        Tensor(np.vstack([s, s])), Tensor(np.vstack([e, e])),
+        Tensor(np.vstack([weekly, weekly])), Tensor(np.vstack([s, s])),
+        Tensor(np.vstack([e, e])),
     ).data
     assert np.array_equal(stacked[0], stacked[1])
 

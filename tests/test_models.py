@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from yieldgraph import models
-from yieldgraph.data import NormStats, YearSplit, generate_synthetic, normalize
+from yieldgraph.data import N_WEATHER, NormStats, YearSplit, generate_synthetic, normalize
 from yieldgraph.evaluation import evaluate
 from yieldgraph.graph import CountyGraph
 from yieldgraph.models import (
     ArchWidths,
+    ALL_KINDS,
     ConfigurationError,
-    DEEP_KINDS,
     GRAPH_KINDS,
     LrSchedule,
     ModelCheckpoint,
@@ -24,6 +24,8 @@ from yieldgraph.models import (
 )
 from tests.helpers import batched_predict_std
 from tests.test_data import make_dataset
+
+DEEP_KINDS = tuple(k for k in ALL_KINDS if k not in ("ridge-1y", "lasso-1y"))
 
 
 def tiny_dataset(side=4, years=10, seed=0, start_year=2000):
@@ -167,14 +169,14 @@ def test_gather_year_blocks_reads_each_window_year():
     samples = [("00001", 2018), ("00000", 2018)]
     rows = [1, 0]
     for offset in range(-3, 1):
-        w, l, s, e = models.gather_year_blocks(ds, samples, "corn", offset)
+        weekly, s, e = models.gather_year_blocks(ds, samples, "corn", offset)
         yi = ds.year_index[2018 + offset]
-        assert np.array_equal(w, ds.weather[rows, yi])
-        assert np.array_equal(l, ds.land[rows, yi])
+        assert np.array_equal(weekly[:, :N_WEATHER], ds.weather[rows, yi])
+        assert np.array_equal(weekly[:, N_WEATHER:], ds.land[rows, yi])
         assert np.array_equal(s, ds.soil[rows, yi])
         assert np.array_equal(e[:, :6], ds.extras[rows, yi])
         assert e[:, 6].tolist() == [ds.prev_year_national_mean("corn", 2018 + offset)] * 2
-    _, _, _, e = models.gather_year_blocks(ds, samples, "corn", -1)
+    _, _, e = models.gather_year_blocks(ds, samples, "corn", -1)
     assert e[:, 6].tolist() == [110.0, 110.0]  # mean of the 2016 yields
 
 
