@@ -262,7 +262,7 @@ def _spec_from_config(cfg):
     test_year = int(cfg["test_year"])
     if config_switch(cfg, "toy_widths"):
         values["widths"] = ArchWidths.toy()
-    spec = default_spec(values.pop("kind"), values.pop("crop", "corn"), test_year, **values)
+    spec = default_spec(values.pop("kind"), test_year=test_year, **values)
     if "schedule" in cfg:
         spec = dataclasses.replace(spec, schedule=parse_schedule(cfg["schedule"], spec.lr))
     return spec, test_year
@@ -347,7 +347,7 @@ def cmd_benchmark(args):
     )
     methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     seeds = [int(s) for s in cfg.get("seeds", "0").split(",")]
-    crop = cfg.get("crop", "corn")
+    crop = cfg.get("crop", ModelSpec.crop)
     test_year = int(cfg["test_year"])
     early = config_switch(cfg, "early")
     dataset = _load_dataset_cfg(cfg)

@@ -6,7 +6,8 @@ builder, batched graph inference, single-record early masking, the
 whole-dataset evaluate flow with its per-county masking plan and full
 mask copy, the adjacency queries over a ``CountyGraph``, and the
 per-cell county aggregation (with a packer for its weight map) and the
-per-day weekly fold of ``geo``.
+per-day weekly fold of ``geo``, and the linear fits: ridge through an
+explicit ``lam * I`` and lasso by residual updates.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -31,7 +32,7 @@ from yieldgraph.data import WEEKS, apply_norm_stats, enumerate_windows
 from yieldgraph.evaluation import CUTOFF_WEEK, MetricError, rmse
 from yieldgraph.geo import GeoFormatError
 from yieldgraph.graph import LayerBlock, SampledBlock
-from yieldgraph.models import GRAPH_KINDS
+from yieldgraph.models import GRAPH_KINDS, LinearModel, soft_threshold
 
 
 def tanh(t):
@@ -348,6 +349,45 @@ def batched_predict_std(model, ds, samples, batch_size):
             chunk = idx[start : start + batch_size]
             out[chunk] = model.forward_samples(ds, [samples[i] for i in chunk]).data
     return out
+
+
+def reference_fit_ridge(X, y, lam):
+    """Ridge through the normal equations with ``lam * np.eye(p)`` added
+    to the Gram matrix: the formula ``models.fit_ridge`` must match bit
+    for bit."""
+    intercept = float(y.mean())
+    yc = y - intercept
+    gram = X.T @ X + lam * np.eye(X.shape[1])
+    return LinearModel(coef=np.linalg.solve(gram, X.T @ yc), intercept=intercept)
+
+
+def reference_fit_lasso(X, y, lam, max_iter=10_000, tol=1e-7):
+    """Cyclic coordinate descent that keeps the residual: each coordinate
+    reads its column of X, ``rho = X[:, j] @ resid / n + col_sq[j] * b_j``,
+    and a move updates the residual. Same sweeps, soft-threshold rule and
+    ``max_delta < tol`` stop as ``models.fit_lasso``."""
+    n, p = X.shape
+    intercept = float(y.mean())
+    col_sq = (X * X).sum(axis=0) / n
+    beta = np.zeros(p)
+    resid = y - intercept
+    converged = False
+    for _ in range(max_iter):
+        max_delta = 0.0
+        for j in range(p):
+            if col_sq[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = float(X[:, j] @ resid) / n + col_sq[j] * old
+            new = soft_threshold(rho, lam) / col_sq[j]
+            if new != old:
+                resid -= (new - old) * X[:, j]
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol:
+            converged = True
+            break
+    return LinearModel(coef=beta, intercept=intercept, converged=converged)
 
 
 def plan_row(plan, dataset, county):

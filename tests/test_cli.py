@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 
@@ -11,7 +12,7 @@ from yieldgraph.data import DataFormatError, WindowUnavailableError, load_datase
 from yieldgraph.evaluation import MetricError, parse_metrics
 from yieldgraph.geo import GeoFormatError, RasterGrid, write_ascii_grid
 from yieldgraph.graph import GraphFormatError
-from yieldgraph.models import ConfigurationError, TrainingAbort
+from yieldgraph.models import ConfigurationError, ModelCheckpoint, ModelSpec, TrainingAbort
 
 
 def run(argv):
@@ -374,6 +375,21 @@ def test_train_config_echo_golden(tmp_path):
     )
 
 
+def test_config_without_crop_takes_the_spec_field_default(tmp_path):
+    default = next(f.default for f in dataclasses.fields(ModelSpec) if f.name == "crop")
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("test_year = 2009\n", encoding="utf-8")
+    common = ["--config", str(cfg)] + dataset_flags(data)
+    train_out, bench_out = tmp_path / "train", tmp_path / "bench"
+    assert run(["train"] + common + ["--method", "ridge-1y", "--out", str(train_out)]) == 0
+    assert run(["benchmark"] + common + ["--methods", "ridge-1y", "--out", str(bench_out)]) == 0
+    for out in (train_out, bench_out):
+        assert f"crop = {default}\n" in (out / "config.txt").read_text(encoding="utf-8")
+    assert ModelCheckpoint.load(train_out / "checkpoint.ckpt").spec.crop == default
+
+
 def test_train_option_set_golden():
     """Every train option string with its config key, type, choices and const."""
     sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -586,6 +602,10 @@ _ERROR_TABLE = {
     "key": (KeyError, 2, lambda d, c, t, o: _evaluate(d, c, o),
             KeyError("county 00000 has no record for 2009")),
     "cli": (CliError, 2, lambda d, c, t, o: synth_args(o)[:3] + ["--out", str(o)], None),
+    "lasso-negative-lambda": (ValueError, 2, lambda d, c, t, o: train_args(
+        d, o, method="lasso-1y", extra=["--lasso-lambda", "-0.5"]), None),
+    "ridge-nan-lambda": (ValueError, 2, lambda d, c, t, o: train_args(
+        d, o, method="ridge-1y", extra=["--ridge-lambda", "nan"]), None),
     "training-abort": (TrainingAbort, 3, lambda d, c, t, o: train_args(
         d, o, extra=["--lr", "1e200"]), None),
     "non-finite": (NonFiniteError, 3, lambda d, c, t, o: _evaluate(
