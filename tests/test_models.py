@@ -173,11 +173,14 @@ def test_ridge_bit_identical_to_explicit_identity_formula(ingest_xy, rows):
 LASSO_PARITY_TOL = 1e-12
 
 
+# (n, p) of each seeded lasso problem; its seed is its position here.
+_LASSO_CASES = {"n<p": (24, 60), "n>p": (80, 12), "zero-column": (40, 10), "lam-zero": (60, 8),
+                "above-lam-max": (30, 15)}
+
+
 def _lasso_problem(case):
-    rng = np.random.default_rng(("n<p", "n>p", "zero-column", "lam-zero", "above-lam-max")
-                                .index(case))
-    n, p = {"n<p": (24, 60), "n>p": (80, 12), "zero-column": (40, 10), "lam-zero": (60, 8),
-            "above-lam-max": (30, 15)}[case]
+    n, p = _LASSO_CASES[case]
+    rng = np.random.default_rng(list(_LASSO_CASES).index(case))
     X = rng.normal(size=(n, p))
     if case == "zero-column":
         X[:, 3] = 0.0
@@ -198,7 +201,7 @@ def _assert_lasso_parity(got, want):
 
 
 @pytest.mark.parametrize("max_iter", (1, 2, 5, 25, 10_000))
-@pytest.mark.parametrize("case", ("n<p", "n>p", "zero-column", "lam-zero", "above-lam-max"))
+@pytest.mark.parametrize("case", _LASSO_CASES)
 def test_lasso_matches_residual_update_oracle(case, max_iter):
     X, y, lam = _lasso_problem(case)
     got = fit_lasso(X, y, lam, max_iter=max_iter)
