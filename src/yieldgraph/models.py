@@ -504,9 +504,9 @@ def fit_lasso(X, y, lam, max_iter=10_000, tol=1e-7):
     O(n p^2) work). After that a coordinate that moves costs O(p),
     ``c -= delta * G[j]``, and X is never read again; a zero coordinate
     with |c_j| <= lam would not move, so it costs no vector work. Each
-    move rounds each entry of c once, as the residual update of the
-    textbook loop rounds each entry of the residual, so the kept c drifts
-    from X^T (y - Xb) / n no faster than that residual drifts.
+    move rounds each entry of c once, as naive updates (which keep the
+    residual y - Xb instead) round each entry of the residual, so the kept
+    c drifts from X^T (y - Xb) / n no faster than a kept residual would.
     """
     X, y = _fit_inputs(X, y, lam)
     n, p = X.shape
