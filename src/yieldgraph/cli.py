@@ -496,7 +496,7 @@ def build_parser():
     p.add_argument("--adjacency")
     p.add_argument("--methods", help="comma-separated method kinds")
     p.add_argument("--seeds", help="comma-separated seeds (default 0)")
-    p.add_argument("--crop", choices=("corn", "soybean"))
+    p.add_argument("--crop", choices=_SPEC_FIELDS["crop"].metadata["choices"])
     p.add_argument("--test-year", dest="test_year", type=int)
     p.add_argument("--epochs", type=int, help="epoch override applied to every cell")
     p.add_argument("--early", action="store_const", const="true",

@@ -8,6 +8,10 @@ of the target crop, which ``models.gather_year_blocks`` appends from
 ``Dataset.prev_mean_feature`` when it gathers a window year (missing values
 are always explicit, never silently zero).
 
+``BLOCK_SHAPES`` fixes a record's blocks and their order: the order of
+the feature file's column groups, of the normalization statistics, and of
+the checkpoint's ``norm/`` blocks.
+
 Window rule. A county-year record is usable when it is present and every
 stored cell (weather, land, soil, the six stored extras) is finite. A
 window [year - dt .. year] is complete when the county's record is usable
@@ -64,6 +68,15 @@ N_LAND = len(LAND_VARS)
 N_SOIL = len(SOIL_VARS)
 N_EXTRA_STORED = len(EXTRA_VARS)
 N_EXTRAS = N_EXTRA_STORED + 1  # the stored extras and the previous-year mean
+
+# block -> per-record shape, in feature-file column order
+BLOCK_SHAPES = {
+    "weather": (N_WEATHER, WEEKS),
+    "land": (N_LAND, WEEKS),
+    "soil": (N_SOIL, DEPTHS),
+    "extras": (N_EXTRA_STORED,),
+}
+BLOCKS = tuple(BLOCK_SHAPES)
 
 
 def feature_columns():
@@ -150,18 +163,14 @@ class YearSplit:
 
 @dataclass
 class NormStats:
-    """Per-feature mean/std computed over training years only. Constant
-    features keep std 1 and are flagged."""
+    """Per-feature statistics over the training years only. ``mean``,
+    ``std`` and ``constant_flags`` map each block name in ``BLOCKS`` to an
+    array of that block's per-record shape. Constant features keep std 1
+    and are flagged."""
 
     train_years: tuple
-    weather_mean: np.ndarray
-    weather_std: np.ndarray
-    land_mean: np.ndarray
-    land_std: np.ndarray
-    soil_mean: np.ndarray
-    soil_std: np.ndarray
-    extras_mean: np.ndarray
-    extras_std: np.ndarray
+    mean: dict
+    std: dict
     constant_flags: dict
     target_mean: dict = field(default_factory=dict)  # crop -> train-year mean
     target_std: dict = field(default_factory=dict)
@@ -174,9 +183,10 @@ class NormStats:
 
 
 class Dataset:
-    """In-memory dataset: dense per-block arrays indexed [county, year].
-    ``norm_stats`` holds the statistics the blocks were normalized with, or
-    None when they hold raw values."""
+    """In-memory dataset: dense per-block arrays indexed [county, year],
+    one attribute per ``BLOCKS`` name, passed in that order. ``norm_stats``
+    holds the statistics the blocks were normalized with, or None when they
+    hold raw values."""
 
     def __init__(self, counties, years, weather, land, soil, extras, present,
                  yields, graph, norm_stats=None):
@@ -205,10 +215,8 @@ class Dataset:
         normalization state."""
         part = slice(bisect.bisect_left(self.years, first), bisect.bisect_right(self.years, last))
         return Dataset(
-            self.counties, self.years[part],
-            self.weather[:, part], self.land[:, part], self.soil[:, part],
-            self.extras[:, part], self.present[:, part], self.yields, self.graph,
-            norm_stats=self.norm_stats,
+            self.counties, self.years[part], *(getattr(self, b)[:, part] for b in BLOCKS),
+            self.present[:, part], self.yields, self.graph, norm_stats=self.norm_stats,
         )
 
     def _usable_records(self, year):
@@ -219,8 +227,8 @@ class Dataset:
             mask = np.zeros(len(self.counties), dtype=bool)
             if yi is not None:
                 mask = self.present[:, yi].copy()
-                for block in (self.weather, self.land, self.soil, self.extras):
-                    finite = np.isfinite(block[:, yi])
+                for b in BLOCKS:
+                    finite = np.isfinite(getattr(self, b)[:, yi])
                     mask &= finite.all(axis=tuple(range(1, finite.ndim)))
             self._usable[year] = mask
         return self._usable[year]
@@ -318,22 +326,19 @@ def load_dataset(features_file, yields_file, adjacency_file):
     ci = {c: i for i, c in enumerate(counties)}
     yi = {y: i for i, y in enumerate(years)}
     shape = (len(counties), len(years))
-    weather = np.full(shape + (N_WEATHER, WEEKS), np.nan)
-    land = np.full(shape + (N_LAND, WEEKS), np.nan)
-    soil = np.full(shape + (N_SOIL, DEPTHS), np.nan)
-    extras = np.full(shape + (N_EXTRA_STORED,), np.nan)
+    blocks = {name: np.full(shape + dims, np.nan) for name, dims in BLOCK_SHAPES.items()}
     present = np.zeros(shape, dtype=bool)
-    n_w = N_WEATHER * WEEKS
-    n_l = N_LAND * WEEKS
-    n_s = N_SOIL * DEPTHS
+    # a row holds each block's cells in turn: (block, its columns, its record shape)
+    runs, start = [], 0
+    for name, dims in BLOCK_SHAPES.items():
+        runs.append((blocks[name], slice(start, start + math.prod(dims)), dims))
+        start += math.prod(dims)
     for county, year, vals in rows:
         a, b = ci[county], yi[year]
         if present[a, b]:
             raise DataFormatError(f"{features_file}: duplicate record for {county}/{year}")
-        weather[a, b] = vals[:n_w].reshape(N_WEATHER, WEEKS)
-        land[a, b] = vals[n_w : n_w + n_l].reshape(N_LAND, WEEKS)
-        soil[a, b] = vals[n_w + n_l : n_w + n_l + n_s].reshape(N_SOIL, DEPTHS)
-        extras[a, b] = vals[n_w + n_l + n_s :]
+        for block, run, dims in runs:
+            block[a, b] = vals[run].reshape(dims)
         present[a, b] = True
 
     yields = YieldTable()
@@ -351,7 +356,7 @@ def load_dataset(features_file, yields_file, adjacency_file):
                 raise DataFormatError(f"{yields_file}:{lineno}: {e}") from e
 
     graph = load_graph(adjacency_file, node_ids=set(counties))
-    return Dataset(counties, years, weather, land, soil, extras, present, yields, graph)
+    return Dataset(counties, years, *blocks.values(), present, yields, graph)
 
 
 def _csv_field(text):
@@ -372,12 +377,9 @@ def save_dataset(dataset, out_dir):
         for county in dataset.counties:
             a = dataset.county_index[county]
             # one county's records as rows; never the whole dataset at once
-            records = np.concatenate([
-                dataset.weather[a].reshape(n_years, -1),
-                dataset.land[a].reshape(n_years, -1),
-                dataset.soil[a].reshape(n_years, -1),
-                dataset.extras[a],
-            ], axis=1)
+            records = np.concatenate(
+                [getattr(dataset, name)[a].reshape(n_years, -1) for name in BLOCKS], axis=1
+            )
             prefix = _csv_field(county)
             for year in dataset.years:
                 b = dataset.year_index[year]
@@ -427,20 +429,11 @@ def compute_norm_stats(dataset, split):
         in_train[dataset.year_index[y]] = True
     # [county, year]: the present training records, gathered in one copy
     keep = dataset.present & in_train
-
-    wm, ws, wc = _block_stats(dataset.weather[keep])
-    lm, ls, lc = _block_stats(dataset.land[keep])
-    sm, ss, sc = _block_stats(dataset.soil[keep])
-    em, es, ec = _block_stats(dataset.extras[keep])
-
-    stats = NormStats(
-        train_years=tuple(train_years),
-        weather_mean=wm, weather_std=ws,
-        land_mean=lm, land_std=ls,
-        soil_mean=sm, soil_std=ss,
-        extras_mean=em, extras_std=es,
-        constant_flags={"weather": wc, "land": lc, "soil": sc, "extras": ec},
-    )
+    stats = NormStats(train_years=tuple(train_years), mean={}, std={}, constant_flags={})
+    for b in BLOCKS:
+        stats.mean[b], stats.std[b], stats.constant_flags[b] = _block_stats(
+            getattr(dataset, b)[keep]
+        )
     train = set(train_years)
     for crop in CROPS:
         vals = [
@@ -458,10 +451,7 @@ def apply_norm_stats(dataset, stats):
     return Dataset(
         dataset.counties,
         dataset.years,
-        (dataset.weather - stats.weather_mean) / stats.weather_std,
-        (dataset.land - stats.land_mean) / stats.land_std,
-        (dataset.soil - stats.soil_mean) / stats.soil_std,
-        (dataset.extras - stats.extras_mean) / stats.extras_std,
+        *((getattr(dataset, b) - stats.mean[b]) / stats.std[b] for b in BLOCKS),
         dataset.present,
         dataset.yields,
         dataset.graph,

@@ -138,16 +138,13 @@ def build_masking_plan(dataset, split, stats=None, cutoff_week=CUTOFF_WEEK):
     record gets no row and stays unmasked."""
     train_idx = [dataset.year_index[y] for y in split.train_years(dataset.years)]
     rows = np.flatnonzero(dataset.present[:, train_idx].any(axis=1))
-    weather_norm = land_norm = None
-    if stats is not None:
-        weather_norm = (stats.weather_mean, stats.weather_std)
-        land_norm = (stats.land_mean, stats.land_std)
 
-    def means(block, norm):
-        return _training_means(block, norm, dataset.present, rows, train_idx, cutoff_week)
+    def means(b):
+        norm = None if stats is None else (stats.mean[b], stats.std[b])
+        return _training_means(getattr(dataset, b), norm, dataset.present, rows, train_idx,
+                               cutoff_week)
 
-    return MaskingPlan(cutoff_week, rows, means(dataset.weather, weather_norm),
-                       means(dataset.land, land_norm))
+    return MaskingPlan(cutoff_week, rows, means("weather"), means("land"))
 
 
 def mask_dataset_year(dataset, plan, year):

@@ -104,7 +104,7 @@ def _segment_mean(x, edge_src, edge_dst, counts, n_dst):
     return apply_op(out, (x,), vjp)
 
 
-def _segment_max(x, edge_src, edge_dst, counts, n_dst):
+def _segment_max(x, edge_src, edge_dst, n_dst):
     """Elementwise max of x rows grouped by destination; empty groups are
     zero. Ties route gradient to the earliest edge (lowest source index
     within the sorted neighbor list).
@@ -161,7 +161,7 @@ class SageLayer:
             agg = _segment_mean(src_embeddings, edge_src, edge_dst, counts, n_dst)
         else:
             transformed = self.pool_transform(src_embeddings).relu()
-            agg = _segment_max(transformed, edge_src, edge_dst, counts, n_dst)
+            agg = _segment_max(transformed, edge_src, edge_dst, n_dst)
         z = self.combine(concat([take_rows(src_embeddings, self_rows), agg], axis=1))
         return z.relu()
 

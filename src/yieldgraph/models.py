@@ -23,6 +23,7 @@ import numpy as np
 
 from yieldgraph.autodiff import NonFiniteError, Tensor, concat, no_grad, take_rows
 from yieldgraph.data import (
+    BLOCKS,
     CROPS,
     DEPTHS,
     N_EXTRAS,
@@ -751,7 +752,8 @@ def _spec_from_header(kv):
 _HEADER_KEYS = tuple(key for key, _, _ in _header_fields()) + (
     "best_epoch", "test_year", "skipped_windows", "lasso_converged", "train_years", "blocks",
 )
-_NORM_ARRAYS = tuple(f.name for f in fields(NormStats) if f.type == "np.ndarray")
+# (checkpoint block name, NormStats field, record block) of each norm array, in file order
+_NORM_ARRAYS = tuple((f"norm/{b}_{stat}", stat, b) for b in BLOCKS for stat in ("mean", "std"))
 _HISTORY = ("train_loss", "val_rmse", "lr")
 
 
@@ -821,7 +823,7 @@ class ModelCheckpoint:
 
         blocks = {f"param/{k}": v for k, v in sorted(self.params.items())}
         ns = self.norm_stats
-        blocks.update({f"norm/{name}": getattr(ns, name) for name in _NORM_ARRAYS})
+        blocks.update({name: getattr(ns, stat)[b] for name, stat, b in _NORM_ARRAYS})
         for block_name, flags in sorted(ns.constant_flags.items()):
             blocks[f"norm/const_{block_name}"] = flags.astype(np.float64)
         for crop in sorted(ns.target_mean):
@@ -894,8 +896,8 @@ class ModelCheckpoint:
             raise ConfigurationError(
                 f"{path}: {len(raw) - pos} trailing bytes after {n_blocks} blocks"
             )
-        lacking = [name for name in [f"norm/{n}" for n in _NORM_ARRAYS]
-                   + [f"history/{k}" for k in _HISTORY] if name not in blocks]
+        wanted = [name for name, _, _ in _NORM_ARRAYS] + [f"history/{k}" for k in _HISTORY]
+        lacking = [name for name in wanted if name not in blocks]
         if lacking:
             raise ConfigurationError(f"{path}: checkpoint lacks blocks {lacking}")
 
@@ -904,8 +906,9 @@ class ModelCheckpoint:
             k[len("norm/const_"):]: blocks[k].astype(bool)
             for k in blocks if k.startswith("norm/const_")
         }
-        stats = NormStats(train_years=train_years, constant_flags=constant_flags,
-                          **{name: blocks[f"norm/{name}"] for name in _NORM_ARRAYS})
+        stats = NormStats(train_years=train_years, mean={}, std={}, constant_flags=constant_flags)
+        for name, stat, b in _NORM_ARRAYS:
+            getattr(stats, stat)[b] = blocks[name]
         for key in blocks:
             if key.startswith("norm/target_"):
                 crop = key[len("norm/target_"):]

@@ -269,7 +269,7 @@ def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=
     raise ValueError(f"unknown aggregator {aggregator!r}")
 
 
-def reference_segment_max(x, edge_src, edge_dst, counts, n_dst):
+def reference_segment_max(x, edge_src, edge_dst, n_dst):
     """``graph._segment_max`` one destination at a time: np.argmax over each
     destination's edge rows picks the first maximum. Same signature and
     result."""

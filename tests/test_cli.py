@@ -390,6 +390,13 @@ def test_config_without_crop_takes_the_spec_field_default(tmp_path):
     assert ModelCheckpoint.load(train_out / "checkpoint.ckpt").spec.crop == default
 
 
+def test_benchmark_and_train_offer_the_same_crops():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    crops = [next(a.choices for a in sub.choices[cmd]._actions if a.dest == "crop")
+             for cmd in ("benchmark", "train")]
+    assert tuple(crops[0]) == tuple(crops[1]) == ("corn", "soybean")
+
+
 def test_train_option_set_golden():
     """Every train option string with its config key, type, choices and const."""
     sub = next(a for a in build_parser()._actions if a.dest == "command")

@@ -1,9 +1,12 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from yieldgraph.data import (
+    BLOCK_SHAPES,
     CROPS,
     DataFormatError,
     Dataset,
@@ -44,6 +47,13 @@ def test_feature_manifest_width():
     assert len(cols) == 2 + 7 * 52 + 16 * 52 + 20 * 6 + 6
     assert cols[2] == "w_precip_0"
     assert cols[-1] == "e_nccpi_soybean"
+
+
+def test_feature_columns_follow_the_block_table():
+    groups = itertools.groupby(feature_columns()[2:], key=lambda col: col[:2])
+    assert [(prefix, len(list(cols))) for prefix, cols in groups] == [
+        (f"{b[0]}_", math.prod(dims)) for b, dims in BLOCK_SHAPES.items()
+    ]
 
 
 def test_toy_roundtrip(tmp_path):
@@ -130,8 +140,8 @@ def test_normalize_zscore_example():
     ds.weather[:, :, 0, 0] = [[3.0, 7.0, 5.0, 7.0], [3.0, 7.0, 5.0, 7.0]]
     split = YearSplit(test_year=2003)  # train on 2000, 2001
     normed, stats = normalize(ds, split)
-    assert stats.weather_mean[0, 0] == 5.0
-    assert stats.weather_std[0, 0] == 2.0
+    assert stats.mean["weather"][0, 0] == 5.0
+    assert stats.std["weather"][0, 0] == 2.0
     assert normed.weather[0, 2, 0, 0] == 0.0  # value 5 -> z-score 0
     assert normed.weather[0, 3, 0, 0] == 1.0  # value 7 -> z-score 1
 
@@ -144,7 +154,7 @@ def test_normalize_idempotent_on_train_years():
     mask = [normed.year_index[y] for y in split.train_years(normed.years)]
     block = renormed.weather[:, mask]
     assert abs(block.mean()) < 1e-9
-    assert np.allclose(stats2.weather_mean, 0.0, atol=1e-9)
+    assert np.allclose(stats2.mean["weather"], 0.0, atol=1e-9)
 
 
 def test_normalize_no_leakage_into_test_year():
@@ -160,7 +170,7 @@ def test_normalize_constant_feature_fallback():
     ds = make_dataset()
     ds.soil[:, :, 0, 0] = 4.2
     normed, stats = normalize(ds, YearSplit(test_year=2002))
-    assert stats.soil_std[0, 0] == 1.0
+    assert stats.std["soil"][0, 0] == 1.0
     assert stats.constant_flags["soil"][0, 0]
     assert np.all(normed.soil[:, :, 0, 0] == 0.0)
 

@@ -2,7 +2,7 @@
 
 Code under ``src/`` or ``perfbench/`` must use every public part of
 ``src/yieldgraph``; tests do not count, so code that only tests use fails
-here. Four checks:
+here. Five checks:
 
 - every top-level function and class is read: loaded as a name or an
   attribute, imported, or named by a string the benchmark looks a
@@ -15,7 +15,11 @@ here. Four checks:
 - every defaulted parameter of a public function or method (and of
   ``__init__``) is passed, by keyword or by position, by some call that
   uses the function's name (for ``__init__``, the class name). A call
-  with ``*args`` or ``**kwargs`` passes every parameter it could.
+  with ``*args`` or ``**kwargs`` passes every parameter it could;
+- every parameter of a library function or method, nested ones included,
+  is loaded as a name in its body. A method's receiver is not checked
+  (zero-argument ``super()`` reads it unnamed), and neither is a method
+  whose body only raises, nor a lambda.
 
 The checks match by name, so a dead member that shares its name with a
 live one passes. Known limit: a member whose name matches a numpy array
@@ -45,6 +49,12 @@ TEST_ONLY_PARAMETERS = {
     "main(argv)": "the console entry point reads sys.argv; tests pass argv",
     "build_masking_plan(cutoff_week)": "a test seam for the cutoff's edge cases",
     "fit_lasso(tol)": "a test seam for the convergence edge cases",
+}
+
+UNREAD_PARAMETERS = {
+    "LinearWrapper.__init__(rng)": "every kind is built through one constructor signature",
+    "LinearWrapper.forward_blocks(training)": "every kind runs through one forward signature",
+    "LinearWrapper.forward_blocks(rng)": "every kind runs through one forward signature",
 }
 
 
@@ -254,3 +264,39 @@ def test_every_module_constant_is_read():
         if name != "__all__" and name not in read
     )
     assert unread == [], unread
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, function, is a method) for every function under
+    ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child, isinstance(node, ast.ClassDef)
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _only_raises(fn):
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for tree in _library(dict(_sources())).values():
+        for name, fn, is_method in _definitions(tree):
+            if is_method and _only_raises(fn):
+                continue
+            args = fn.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            receiver = 1 if is_method and not static else 0
+            params = (args.posonlyargs + args.args)[receiver:] + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            loaded = {node.id for statement in fn.body for node in ast.walk(statement)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread.update(f"{name}({a.arg})" for a in params if a.arg not in loaded)
+    # a listed parameter that gets read, or is deleted, leaves the list too
+    assert unread == set(UNREAD_PARAMETERS), sorted(unread)

@@ -324,11 +324,11 @@ def _segment_edges():
     pairs = [(1, 0), (1, 2), (1, 5), (2, 4), (4, 0), (4, 1), (4, 3), (4, 6), (5, 6)]
     edge_dst = np.array([d for d, _ in pairs], dtype=np.intp)
     edge_src = np.array([s for _, s in pairs], dtype=np.intp)
-    return edge_src, edge_dst, np.bincount(edge_dst, minlength=7), 7
+    return edge_src, edge_dst, 7
 
 
 def test_segment_max_matches_oracle_with_ties_and_isolated_destinations():
-    edge_src, edge_dst, counts, n_dst = _segment_edges()
+    edge_src, edge_dst, n_dst = _segment_edges()
     rng = np.random.default_rng(3)
     x = rng.integers(-2, 3, size=(7, 5)).astype(np.float64)  # many ties
     x[2] = x[0]  # destination 1 ties row for row between sources 0 and 2,
@@ -338,7 +338,7 @@ def test_segment_max_matches_oracle_with_ties_and_isolated_destinations():
     results = []
     for fn in (_segment_max, reference_segment_max):
         leaf = Tensor(x.copy(), requires_grad=True)
-        out = fn(leaf, edge_src, edge_dst, counts, n_dst)
+        out = fn(leaf, edge_src, edge_dst, n_dst)
         (out * weights).sum().backward()
         results.append((out.data, leaf.grad))
     (out, grad), (ref_out, ref_grad) = results
@@ -349,12 +349,12 @@ def test_segment_max_matches_oracle_with_ties_and_isolated_destinations():
 
 
 def test_segment_max_gradient_and_empty_edge_list():
-    edge_src, edge_dst, counts, n_dst = _segment_edges()
+    edge_src, edge_dst, n_dst = _segment_edges()
     x = np.random.default_rng(4).normal(size=(7, 3))
     check_tensor_gradients(
-        lambda t: tanh(_segment_max(t, edge_src, edge_dst, counts, n_dst)).sum(), [x])
+        lambda t: tanh(_segment_max(t, edge_src, edge_dst, n_dst)).sum(), [x])
     none = np.array([], dtype=np.intp)
-    out = _segment_max(Tensor(x), none, none, np.zeros(4, dtype=np.intp), 4)
+    out = _segment_max(Tensor(x), none, none, 4)
     assert out.shape == (4, 3) and not out.data.any()
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from yieldgraph import models
 from yieldgraph.data import (
+    BLOCKS,
+    CROPS,
     N_WEATHER,
     NormStats,
     YearSplit,
@@ -519,10 +521,8 @@ def _all_fields_checkpoint():
                           weekly_out=9, soil_channels=(2, 3, 4), soil_out=5, rnn_hidden=6,
                           gnn_hidden=7, head_hidden=10),
     )
-    z = np.zeros(1)
-    stats = NormStats(train_years=(2000, 2001, 2002), weather_mean=z, weather_std=z,
-                      land_mean=z, land_std=z, soil_mean=z, soil_std=z, extras_mean=z,
-                      extras_std=z, constant_flags={})
+    z = {b: np.zeros(1) for b in BLOCKS}
+    stats = NormStats(train_years=(2000, 2001, 2002), mean=z, std=z, constant_flags={})
     stats.target_mean["soybean"] = 40.0
     stats.target_std["soybean"] = 5.0
     return ModelCheckpoint(
@@ -583,6 +583,23 @@ def test_checkpoint_header_golden(tmp_path):
     assert loaded.spec == ckpt.spec
     assert (loaded.best_epoch, loaded.test_year, loaded.skipped_windows,
             loaded.lasso_converged) == (0, 2004, 2, False)
+
+
+def test_checkpoint_roundtrip_keeps_norm_stats(tmp_path):
+    ds = tiny_dataset(side=2, years=8)
+    ds.soil[:, :, 0, 0] = 4.2  # a constant feature
+    ds.weather[1, 2, 3, 4] = np.nan  # a missing cell in a training year
+    ckpt = train(tiny_spec("ridge-1y"), ds, YearSplit(test_year=2007))
+    saved = ckpt.norm_stats
+    assert saved.constant_flags["soil"][0, 0] and np.isfinite(saved.mean["weather"]).all()
+    loaded = ModelCheckpoint.load(ckpt.save(tmp_path / "model.ckpt")).norm_stats
+    assert loaded.train_years == saved.train_years
+    for b in BLOCKS:
+        assert np.array_equal(loaded.mean[b], saved.mean[b])
+        assert np.array_equal(loaded.std[b], saved.std[b])
+        assert np.array_equal(loaded.constant_flags[b], saved.constant_flags[b])
+    assert loaded.target_mean == saved.target_mean and set(saved.target_mean) == set(CROPS)
+    assert loaded.target_std == saved.target_std
 
 
 def _header_end(raw):
