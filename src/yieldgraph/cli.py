@@ -46,7 +46,7 @@ from yieldgraph.geo import (
 )
 from yieldgraph.graph import GraphFormatError
 from yieldgraph.models import (
-    ALL_KINDS,
+    KIND_TABLE,
     ArchWidths,
     ConfigurationError,
     ModelCheckpoint,
@@ -358,7 +358,7 @@ def cmd_benchmark(args):
     if "epochs" in cfg:
         overrides["epochs"] = int(cfg["epochs"])
 
-    unknown = [m for m in methods if m not in ALL_KINDS]
+    unknown = [m for m in methods if m not in KIND_TABLE]
     if unknown:
         raise CliError(f"unknown method {unknown[0]!r}")
 
@@ -375,7 +375,7 @@ def cmd_benchmark(args):
 
     rows = []
     for method in methods:
-        group = "5y" if method.endswith("-5y") else "1y"
+        group = "5y" if KIND_TABLE[method].history_years else "1y"
         cells = [results[(method, s)] for s in seeds]
         failures = [c for c in cells if isinstance(c, Exception)]
         good = [c for c in cells if not isinstance(c, Exception)]
@@ -514,9 +514,6 @@ def main(argv=None):
     except (TrainingAbort, NonFiniteError) as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -587,10 +587,7 @@ def generate_synthetic(n_counties, n_years, grid_side, seed, start_year=2000):
         u[t] = carry * u[t - 1] + fresh * _standardized_smooth_field(graph, rng)
 
     shape = (n, n_years)
-    weather = np.empty(shape + (N_WEATHER, WEEKS))
-    land = np.empty(shape + (N_LAND, WEEKS))
-    soil = np.empty(shape + (N_SOIL, DEPTHS))
-    extras = np.empty(shape + (N_EXTRA_STORED,))
+    blocks = {b: np.empty(shape + dims) for b, dims in BLOCK_SHAPES.items()}
     present = np.ones(shape, dtype=bool)
 
     july = np.zeros(WEEKS)
@@ -602,13 +599,15 @@ def generate_synthetic(n_counties, n_years, grid_side, seed, start_year=2000):
             + w_load[None, :, None] * measured[:, None, None] * july[None, None, :]
             + w_climate[None, :, None] * climate[:, None, None]
         )
-        weather[:, t] = w_signal + rng.normal(scale=_CELL_NOISE, size=(n, N_WEATHER, WEEKS))
+        blocks["weather"][:, t] = w_signal + rng.normal(
+            scale=_CELL_NOISE, size=(n, N_WEATHER, WEEKS))
         l_signal = (
             l_season[None, :, :]
             + l_load[None, :, None] * measured[:, None, None] * july[None, None, :]
             + l_climate[None, :, None] * climate[:, None, None]
         )
-        land[:, t] = l_signal + rng.normal(scale=_CELL_NOISE, size=(n, N_LAND, WEEKS))
+        blocks["land"][:, t] = l_signal + rng.normal(
+            scale=_CELL_NOISE, size=(n, N_LAND, WEEKS))
 
     soil_core = s_load[None, :, None] * depth_profile[None, None, :] * fert_observed[:, None, None]
     soil_static = soil_core + rng.normal(scale=_CELL_NOISE, size=(n, N_SOIL, DEPTHS))
@@ -616,8 +615,8 @@ def generate_synthetic(n_counties, n_years, grid_side, seed, start_year=2000):
         scale=0.2, size=(n, N_EXTRA_STORED)
     )
     for t in range(n_years):
-        soil[:, t] = soil_static
-        extras[:, t] = extras_static
+        blocks["soil"][:, t] = soil_static
+        blocks["extras"][:, t] = extras_static
 
     yields = YieldTable()
     for crop in CROPS:
@@ -634,4 +633,4 @@ def generate_synthetic(n_counties, n_years, grid_side, seed, start_year=2000):
             for i, county in enumerate(graph.node_ids):
                 yields.set(county, year, crop, vals[i])
 
-    return Dataset(graph.node_ids, years, weather, land, soil, extras, present, yields, graph)
+    return Dataset(graph.node_ids, years, *blocks.values(), present, yields, graph)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from yieldgraph.autodiff import NonFiniteError
-from yieldgraph.data import apply_norm_stats, enumerate_windows
+from yieldgraph.data import BLOCKS, apply_norm_stats, enumerate_windows
 
 CUTOFF_WEEK = 22  # June 1
 
@@ -152,27 +152,26 @@ def mask_dataset_year(dataset, plan, year):
     to the plan's means, for every planned county with a record that year;
     ``dataset`` is untouched. Only its blocks are copied, so pass it the
     window years alone."""
-    weather = dataset.weather.copy()
-    land = dataset.land.copy()
     yi = dataset.year_index[year]
     cut = plan.cutoff_week
     here = dataset.present[plan.rows, yi]
-    weather[plan.rows[here], yi, :, cut:] = plan.weather[here]
-    land[plan.rows[here], yi, :, cut:] = plan.land[here]
+    blocks = {b: getattr(dataset, b) for b in BLOCKS}
+    for b in ("weather", "land"):
+        blocks[b] = blocks[b].copy()
+        blocks[b][plan.rows[here], yi, :, cut:] = getattr(plan, b)[here]
     return type(dataset)(
-        dataset.counties, dataset.years, weather, land,
-        dataset.soil, dataset.extras, dataset.present,
-        dataset.yields, dataset.graph,
-        norm_stats=dataset.norm_stats,
+        dataset.counties, dataset.years, *blocks.values(), dataset.present,
+        dataset.yields, dataset.graph, norm_stats=dataset.norm_stats,
     )
 
 
 def evaluate(predictor, dataset, split, early=False):
     """Score a predictor on the split's test year.
 
-    ``predictor`` needs: crop, history_years, seed, method_name,
-    norm_stats (None to skip normalization), and
-    predict_year(dataset, counties, year) -> raw-unit predictions.
+    ``predictor`` needs three members: ``spec`` (a ``ModelSpec``; its crop,
+    history_years, seed and kind are read), ``norm_stats`` (None to skip
+    normalization) and predict_year(dataset, counties, year) -> raw-unit
+    predictions.
     Predictions cover the test-year samples of ``enumerate_windows``:
     every labeled county with a complete window; the rest are counted as
     skipped. Unlabeled counties stay available as graph message sources.
@@ -181,19 +180,20 @@ def evaluate(predictor, dataset, split, early=False):
     raises ``NonFiniteError``.
     """
     test_year = split.test_year
-    crop = predictor.crop
+    spec = predictor.spec
+    crop = spec.crop
     if test_year not in dataset.year_index:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
                           f"not a dataset year")
     stats = predictor.norm_stats
-    ds = dataset.year_range(test_year - predictor.history_years, test_year)
+    ds = dataset.year_range(test_year - spec.history_years, test_year)
     if stats is not None:
         ds = apply_norm_stats(ds, stats)
     if early:
         plan = build_masking_plan(dataset, split, stats)
         ds = mask_dataset_year(ds, plan, test_year)
 
-    samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.history_years)
+    samples, skipped = enumerate_windows(ds, [test_year], crop, spec.history_years)
     counties = [c for c, _ in samples]
     if not counties:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}")
@@ -201,7 +201,7 @@ def evaluate(predictor, dataset, split, early=False):
     preds = np.asarray(predictor.predict_year(ds, counties, test_year), dtype=np.float64)
     true = np.array([ds.yields.get(c, test_year, crop) for c in counties])
     yield_std = ds.yields.std_all_years(crop)
-    where = f"{predictor.method_name} on {crop} {test_year}"
+    where = f"{spec.kind} on {crop} {test_year}"
     if not np.all(np.isfinite(preds)):
         raise NonFiniteError(f"non-finite predictions from {where}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,8 +219,8 @@ def evaluate(predictor, dataset, split, early=False):
     return EvalReport(
         crop=crop,
         test_year=test_year,
-        method=predictor.method_name,
-        seed=predictor.seed,
+        method=spec.kind,
+        seed=spec.seed,
         rmse_normalized=rmse_value,
         r2=r2,
         corr=corr,

@@ -55,10 +55,6 @@ from yieldgraph.layers import (
 )
 from yieldgraph.optim import AdamState, LrSchedule, adam_step, logcosh_loss, lr_at
 
-KINDS_1Y = ("ridge-1y", "lasso-1y", "gru-1y", "lstm-1y", "cnn-1y", "gnn-1y")
-KINDS_5Y = ("gru-5y", "lstm-5y", "cnn-rnn-5y", "gnn-rnn-5y")
-ALL_KINDS = KINDS_1Y + KINDS_5Y
-GRAPH_KINDS = ("gnn-1y", "gnn-rnn-5y")
 WEEKLY_CHANNELS = N_WEATHER + N_LAND  # weather and land series stacked per week
 FLAT_WIDTH = WEEKLY_CHANNELS * WEEKS + N_SOIL * DEPTHS + N_EXTRAS
 
@@ -97,45 +93,6 @@ class ArchWidths:
         )
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Every hyperparameter of a run. The train command's flags and config
-    keys, its config echo and the checkpoint header are made from these
-    fields (and those of LrSchedule and ArchWidths); a field's ``choices``
-    metadata is checked here and offered on the command line."""
-
-    kind: str = field(metadata={"choices": ALL_KINDS})
-    crop: str = field(default="corn", metadata={"choices": CROPS})
-    lr: float = 1e-4
-    batch_size: int = 64
-    epochs: int = 100
-    weight_decay: float = 1e-5
-    schedule: LrSchedule | None = None  # None -> constant at lr
-    fanout: int = 10
-    edge_dropout: float = 0.1
-    aggregator: str = field(default="pool", metadata={"choices": AGGREGATORS})
-    seed: int = 0
-    head_dropout: float = 0.0
-    ridge_lambda: float = 1.0
-    lasso_lambda: float = 0.01
-    widths: ArchWidths = field(default_factory=ArchWidths)
-
-    def __post_init__(self):
-        for f in fields(self):
-            choices = f.metadata.get("choices", ())
-            value = getattr(self, f.name)
-            if choices and value not in choices:
-                raise ConfigurationError(
-                    f"unknown {f.name} {value!r}; choose from {', '.join(choices)}"
-                )
-        if self.schedule is None:
-            object.__setattr__(self, "schedule", LrSchedule(kind="constant", lr_max=self.lr))
-
-    @property
-    def history_years(self):
-        return 4 if self.kind in KINDS_5Y else 0
-
-
 # A hyperparameter's text form follows its field's annotation. This module
 # and optim postpone annotations, so each annotation is the type's name.
 _PARSERS = {
@@ -157,46 +114,6 @@ def format_field(f, value):
 def parse_field(f, text):
     """Inverse of format_field."""
     return _PARSERS[f.type](text)
-
-
-# Final configurations from the hyperparameter study, keyed by
-# (kind, crop, test_year) with (kind, crop) fallback.
-_DEFAULT_HP = {
-    ("cnn-rnn-5y", "corn"): dict(batch_size=128, lr=1e-4, weight_decay=1e-5, epochs=100,
-                                 schedule=LrSchedule("step", 1e-4, period=25, gamma=0.5)),
-    ("cnn-rnn-5y", "soybean"): dict(batch_size=128, lr=5e-4, weight_decay=1e-5, epochs=100,
-                                    schedule=LrSchedule("step", 5e-4, period=25, gamma=0.5)),
-    ("gnn-1y", "corn", 2018): dict(batch_size=32, lr=1e-4, weight_decay=1e-5, epochs=100,
-                                   schedule=LrSchedule("cosine", 1e-4, t0=200, eta_min=1e-5),
-                                   edge_dropout=0.1, aggregator="pool"),
-    ("gnn-1y", "corn", 2019): dict(batch_size=64, lr=5e-5, weight_decay=1e-5, epochs=200,
-                                   schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-5),
-                                   edge_dropout=0.0, aggregator="mean"),
-    ("gnn-1y", "soybean"): dict(batch_size=64, lr=1e-4, weight_decay=1e-5, epochs=100,
-                                schedule=LrSchedule("step", 1e-4, period=25, gamma=0.8),
-                                edge_dropout=0.1, aggregator="pool"),
-    ("gnn-rnn-5y", "corn", 2018): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
-                                       schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-6),
-                                       edge_dropout=0.1, aggregator="pool"),
-    ("gnn-rnn-5y", "corn", 2019): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
-                                       schedule=LrSchedule("cosine", 5e-5, t0=200, eta_min=1e-6),
-                                       edge_dropout=0.1, aggregator="pool"),
-    ("gnn-rnn-5y", "soybean", 2018): dict(batch_size=32, lr=1e-4, weight_decay=1e-4, epochs=100,
-                                          schedule=LrSchedule("cosine", 1e-4, t0=100, eta_min=1e-6),
-                                          edge_dropout=0.1, aggregator="pool"),
-    ("gnn-rnn-5y", "soybean", 2019): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
-                                          schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-6),
-                                          edge_dropout=0.1, aggregator="pool"),
-}
-
-
-def default_spec(kind, crop=ModelSpec.crop, test_year=None, **overrides):
-    hp = _DEFAULT_HP.get((kind, crop, test_year), _DEFAULT_HP.get((kind, crop), {}))
-    merged = dict(hp)
-    if "lr" in overrides and "schedule" not in overrides:
-        merged.pop("schedule", None)  # a bare lr override means a constant schedule
-    merged.update(overrides)
-    return ModelSpec(kind=kind, crop=crop, **merged)
 
 
 # -- feature assembly ---------------------------------------------------------
@@ -296,11 +213,11 @@ def _make_embedder(spec, rng):
 
 
 def _year_head(spec, in_dim, rng):
-    """(cell, head): for five-year kinds a GRU/LSTM over the window years
-    (cell is None otherwise), then the regression head."""
+    """(cell, head): the kind's GRU/LSTM over the window years (None for a
+    kind without a cell), then the regression head."""
     cell = None
-    if spec.history_years:
-        cell_kind = "gru" if spec.kind.startswith("gru") else "lstm"
+    cell_kind = KIND_TABLE[spec.kind].cell
+    if cell_kind is not None:
         cell = RecurrentCell(cell_kind, in_dim, spec.widths.rnn_hidden, rng)
         in_dim = spec.widths.rnn_hidden
     return cell, RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
@@ -340,8 +257,8 @@ class RecurrentWeeklyModel(_Model):
 
     def __init__(self, spec, rng):
         super().__init__(spec)
-        cell_kind = "gru" if spec.kind.startswith("gru") else "lstm"
-        self.cell = RecurrentCell(cell_kind, WEEKLY_CHANNELS, spec.widths.rnn_hidden, rng)
+        self.cell = RecurrentCell(KIND_TABLE[spec.kind].cell, WEEKLY_CHANNELS,
+                                  spec.widths.rnn_hidden, rng)
         self.soil = _make_soil(spec, rng)
         in_dim = spec.widths.rnn_hidden + spec.widths.soil_out + N_EXTRAS
         self.head = RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
@@ -369,6 +286,16 @@ class FlatHistoryModel(_Model):
     def forward_blocks(self, years, training=False, rng=None):
         steps = [Tensor(flatten_blocks(*blocks)) for blocks in years]
         return self.head(_over_years(self.cell, steps), training, rng)
+
+
+def _reorder(block, ds, counties, z):
+    """Rows of ``z`` (one per seed node of ``block``) in ``counties`` order."""
+    seed_ids = [ds.graph.node_ids[i] for i in block.seed_nodes]
+    pos = {c: i for i, c in enumerate(seed_ids)}
+    order = np.array([pos[c] for c in counties], dtype=np.intp)
+    if np.array_equal(order, np.arange(len(counties))):
+        return z
+    return take_rows(z, order)
 
 
 # Rows per embedder call at inference. A call's im2col buffers grow with
@@ -412,7 +339,7 @@ class GnnModel(_Model):
         input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
         zs = [gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y, training))
               for y in years]
-        h = self._reorder(block, ds, counties, _over_years(self.cell, zs))
+        h = _reorder(block, ds, counties, _over_years(self.cell, zs))
         return self.head(h, training, rng)
 
     def _block(self, ds, counties, years, training, rng):
@@ -439,13 +366,6 @@ class GnnModel(_Model):
             parts.append(self.embedder.embed(*(Tensor(b) for b in blocks)))
         return parts[0] if len(parts) == 1 else concat(parts, axis=0)
 
-    def _reorder(self, block, ds, counties, z):
-        seed_ids = [ds.graph.node_ids[i] for i in block.seed_nodes]
-        pos = {c: i for i, c in enumerate(seed_ids)}
-        order = np.array([pos[c] for c in counties], dtype=np.intp)
-        if np.array_equal(order, np.arange(len(counties))):
-            return z
-        return take_rows(z, order)
 
 # -- linear baselines -----------------------------------------------------------
 
@@ -560,22 +480,114 @@ class LinearWrapper(_Model):
         return Tensor(flatten_blocks(*blocks) @ self.coef.data + float(self.intercept.data[0]))
 
 
-_MODEL_CLASSES = {
-    "ridge-1y": LinearWrapper,
-    "lasso-1y": LinearWrapper,
-    "cnn-1y": CnnModel,
-    "gru-1y": RecurrentWeeklyModel,
-    "lstm-1y": RecurrentWeeklyModel,
-    "gnn-1y": GnnModel,
-    "gru-5y": FlatHistoryModel,
-    "lstm-5y": FlatHistoryModel,
-    "cnn-rnn-5y": CnnModel,
-    "gnn-rnn-5y": GnnModel,
+# -- kinds and specs -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    model: type
+    history_years: int  # years before the target year in a window
+    cell: str | None  # "gru" or "lstm": the recurrent cell, if the kind has one
+
+
+# The only place a kind is declared: its model class, its window and its cell.
+KIND_TABLE = {
+    "ridge-1y": ModelKind(LinearWrapper, 0, None),
+    "lasso-1y": ModelKind(LinearWrapper, 0, None),
+    "gru-1y": ModelKind(RecurrentWeeklyModel, 0, "gru"),
+    "lstm-1y": ModelKind(RecurrentWeeklyModel, 0, "lstm"),
+    "cnn-1y": ModelKind(CnnModel, 0, None),
+    "gnn-1y": ModelKind(GnnModel, 0, None),
+    "gru-5y": ModelKind(FlatHistoryModel, 4, "gru"),
+    "lstm-5y": ModelKind(FlatHistoryModel, 4, "lstm"),
+    "cnn-rnn-5y": ModelKind(CnnModel, 4, "lstm"),
+    "gnn-rnn-5y": ModelKind(GnnModel, 4, "lstm"),
+}
+ALL_KINDS = tuple(KIND_TABLE)
+GRAPH_KINDS = tuple(k for k, entry in KIND_TABLE.items() if entry.model is GnnModel)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Every hyperparameter of a run. The train command's flags and config
+    keys, its config echo and the checkpoint header are made from these
+    fields (and those of LrSchedule and ArchWidths); a field's ``choices``
+    metadata is checked here and offered on the command line."""
+
+    kind: str = field(metadata={"choices": ALL_KINDS})
+    crop: str = field(default="corn", metadata={"choices": CROPS})
+    lr: float = 1e-4
+    batch_size: int = 64
+    epochs: int = 100
+    weight_decay: float = 1e-5
+    schedule: LrSchedule | None = None  # None -> constant at lr
+    fanout: int = 10
+    edge_dropout: float = 0.1
+    aggregator: str = field(default="pool", metadata={"choices": AGGREGATORS})
+    seed: int = 0
+    head_dropout: float = 0.0
+    ridge_lambda: float = 1.0
+    lasso_lambda: float = 0.01
+    widths: ArchWidths = field(default_factory=ArchWidths)
+
+    def __post_init__(self):
+        for f in fields(self):
+            choices = f.metadata.get("choices", ())
+            value = getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigurationError(
+                    f"unknown {f.name} {value!r}; choose from {', '.join(choices)}"
+                )
+        if self.schedule is None:
+            object.__setattr__(self, "schedule", LrSchedule(kind="constant", lr_max=self.lr))
+
+    @property
+    def history_years(self):
+        return KIND_TABLE[self.kind].history_years
+
+
+# Final configurations from the hyperparameter study, keyed by
+# (kind, crop, test_year) with (kind, crop) fallback.
+_DEFAULT_HP = {
+    ("cnn-rnn-5y", "corn"): dict(batch_size=128, lr=1e-4, weight_decay=1e-5, epochs=100,
+                                 schedule=LrSchedule("step", 1e-4, period=25, gamma=0.5)),
+    ("cnn-rnn-5y", "soybean"): dict(batch_size=128, lr=5e-4, weight_decay=1e-5, epochs=100,
+                                    schedule=LrSchedule("step", 5e-4, period=25, gamma=0.5)),
+    ("gnn-1y", "corn", 2018): dict(batch_size=32, lr=1e-4, weight_decay=1e-5, epochs=100,
+                                   schedule=LrSchedule("cosine", 1e-4, t0=200, eta_min=1e-5),
+                                   edge_dropout=0.1, aggregator="pool"),
+    ("gnn-1y", "corn", 2019): dict(batch_size=64, lr=5e-5, weight_decay=1e-5, epochs=200,
+                                   schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-5),
+                                   edge_dropout=0.0, aggregator="mean"),
+    ("gnn-1y", "soybean"): dict(batch_size=64, lr=1e-4, weight_decay=1e-5, epochs=100,
+                                schedule=LrSchedule("step", 1e-4, period=25, gamma=0.8),
+                                edge_dropout=0.1, aggregator="pool"),
+    ("gnn-rnn-5y", "corn", 2018): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
+                                       schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-6),
+                                       edge_dropout=0.1, aggregator="pool"),
+    ("gnn-rnn-5y", "corn", 2019): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
+                                       schedule=LrSchedule("cosine", 5e-5, t0=200, eta_min=1e-6),
+                                       edge_dropout=0.1, aggregator="pool"),
+    ("gnn-rnn-5y", "soybean", 2018): dict(batch_size=32, lr=1e-4, weight_decay=1e-4, epochs=100,
+                                          schedule=LrSchedule("cosine", 1e-4, t0=100, eta_min=1e-6),
+                                          edge_dropout=0.1, aggregator="pool"),
+    ("gnn-rnn-5y", "soybean", 2019): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
+                                          schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-6),
+                                          edge_dropout=0.1, aggregator="pool"),
 }
 
 
+def default_spec(kind, crop=ModelSpec.crop, test_year=None, **overrides):
+    hp = _DEFAULT_HP.get((kind, crop, test_year), _DEFAULT_HP.get((kind, crop), {}))
+    merged = dict(hp)
+    if "lr" in overrides and "schedule" not in overrides:
+        merged.pop("schedule", None)  # a bare lr override means a constant schedule
+    merged.update(overrides)
+    return ModelSpec(kind=kind, crop=crop, **merged)
+
+
 def build_model(spec, rng):
-    return _MODEL_CLASSES[spec.kind](spec, rng)
+    return KIND_TABLE[spec.kind].model(spec, rng)
 
 
 # -- training -------------------------------------------------------------------
@@ -641,7 +653,7 @@ def train(spec, dataset, split):
     if not val_samples:
         raise ConfigurationError(f"no {crop} validation samples in {split.val_year}")
 
-    if spec.kind in ("ridge-1y", "lasso-1y"):
+    if KIND_TABLE[spec.kind].model is LinearWrapper:
         return _train_linear(spec, ds, split, stats, samples, val_samples, skipped)
 
     ss = np.random.SeedSequence(spec.seed)
@@ -772,23 +784,6 @@ class ModelCheckpoint:
         self.lasso_converged = lasso_converged
         self._model = None
 
-    # evaluation protocol
-    @property
-    def crop(self):
-        return self.spec.crop
-
-    @property
-    def history_years(self):
-        return self.spec.history_years
-
-    @property
-    def seed(self):
-        return self.spec.seed
-
-    @property
-    def method_name(self):
-        return self.spec.kind
-
     def model(self):
         if self._model is None:
             model = build_model(self.spec, np.random.default_rng(0))
@@ -896,7 +891,8 @@ class ModelCheckpoint:
             raise ConfigurationError(
                 f"{path}: {len(raw) - pos} trailing bytes after {n_blocks} blocks"
             )
-        wanted = [name for name, _, _ in _NORM_ARRAYS] + [f"history/{k}" for k in _HISTORY]
+        wanted = [name for name, _, _ in _NORM_ARRAYS] + [f"norm/target_{spec.crop}"]
+        wanted += [f"history/{k}" for k in _HISTORY]
         lacking = [name for name in wanted if name not in blocks]
         if lacking:
             raise ConfigurationError(f"{path}: checkpoint lacks blocks {lacking}")

@@ -466,7 +466,7 @@ def reference_evaluate(predictor, dataset, split, early=False):
     flow: normalize every year, the loop plan, the full mask copy, then
     ``predict_year``. The oracle of ``evaluation.evaluate``'s scoring."""
     test_year = split.test_year
-    crop = predictor.crop
+    crop = predictor.spec.crop
     if test_year not in dataset.year_index:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
                           f"not a dataset year")
@@ -475,7 +475,7 @@ def reference_evaluate(predictor, dataset, split, early=False):
         ds = apply_norm_stats(dataset, predictor.norm_stats)
     if early:
         ds = reference_mask_dataset_year(ds, reference_masking_plan(ds, split), test_year)
-    samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.history_years)
+    samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.spec.history_years)
     counties = [c for c, _ in samples]
     if not counties:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import os
@@ -12,7 +13,13 @@ from yieldgraph.data import DataFormatError, WindowUnavailableError, load_datase
 from yieldgraph.evaluation import MetricError, parse_metrics
 from yieldgraph.geo import GeoFormatError, RasterGrid, write_ascii_grid
 from yieldgraph.graph import GraphFormatError
-from yieldgraph.models import ConfigurationError, ModelCheckpoint, ModelSpec, TrainingAbort
+from yieldgraph.models import (
+    ALL_KINDS,
+    ConfigurationError,
+    ModelCheckpoint,
+    ModelSpec,
+    TrainingAbort,
+)
 
 
 def run(argv):
@@ -213,6 +220,23 @@ def test_benchmark_failed_cell_still_emits_table(tmp_path, capsys):
     failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
     assert len(failed) == 1
     assert "cnn-rnn-5y seed 0" in failed[0] and "ConfigurationError: " in failed[0]
+
+
+def test_benchmark_group_is_5y_exactly_for_kinds_with_history(tmp_path, monkeypatch):
+    def no_cell(spec, dataset, split, early):
+        raise ConfigurationError("cell not run")
+
+    monkeypatch.setattr(cli, "_benchmark_cell", no_cell)
+    data = tmp_path / "data"
+    assert run(synth_args(data, years=6)) == 0
+    out = tmp_path / "bench"
+    assert run(
+        ["benchmark"] + dataset_flags(data)
+        + ["--methods", ",".join(ALL_KINDS), "--test-year", "2005", "--out", str(out)]
+    ) == 0
+    with open(out / "benchmark.csv", encoding="utf-8", newline="") as f:
+        groups = {row["method"]: row["group"] for row in csv.DictReader(f)}
+    assert groups == {k: "5y" if ModelSpec(kind=k).history_years else "1y" for k in ALL_KINDS}
 
 
 def test_benchmark_programming_error_propagates(tmp_path, monkeypatch):

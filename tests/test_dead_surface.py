@@ -17,9 +17,9 @@ here. Five checks:
   uses the function's name (for ``__init__``, the class name). A call
   with ``*args`` or ``**kwargs`` passes every parameter it could;
 - every parameter of a library function or method, nested ones included,
-  is loaded as a name in its body. A method's receiver is not checked
-  (zero-argument ``super()`` reads it unnamed), and neither is a method
-  whose body only raises, nor a lambda.
+  is loaded as a name in its body. A method's receiver counts too, unless
+  the method calls zero-argument ``super()``, which reads it unnamed. A
+  method whose body only raises is not checked, nor is a lambda.
 
 The checks match by name, so a dead member that shares its name with a
 live one passes. Known limit: a member whose name matches a numpy array
@@ -284,6 +284,11 @@ def _only_raises(fn):
     return len(body) == 1 and isinstance(body[0], ast.Raise)
 
 
+def _calls_bare_super(fn):
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "super"
+               and not node.args for statement in fn.body for node in ast.walk(statement))
+
+
 def test_every_parameter_is_read():
     unread = set()
     for tree in _library(dict(_sources())).values():
@@ -291,8 +296,7 @@ def test_every_parameter_is_read():
             if is_method and _only_raises(fn):
                 continue
             args = fn.args
-            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-            receiver = 1 if is_method and not static else 0
+            receiver = 1 if is_method and _calls_bare_super(fn) else 0
             params = (args.posonlyargs + args.args)[receiver:] + args.kwonlyargs
             params += [a for a in (args.vararg, args.kwarg) if a is not None]
             loaded = {node.id for statement in fn.body for node in ast.walk(statement)

@@ -38,19 +38,17 @@ from tests.test_data import make_dataset
 
 
 class OraclePredictor:
-    """Predicts the stored truth (optionally shifted / held constant)."""
+    """Predicts the stored truth (optionally shifted / held constant); the
+    spec's kind sets only the window length."""
 
-    def __init__(self, dataset, crop="corn", mode="truth"):
+    def __init__(self, dataset, crop="corn", mode="truth", kind="cnn-1y"):
         self.dataset = dataset
-        self.crop = crop
-        self.history_years = 0
-        self.seed = 0
-        self.method_name = f"oracle-{mode}"
+        self.spec = models.ModelSpec(kind=kind, crop=crop)
         self.norm_stats = None
         self.mode = mode
 
     def predict_year(self, ds, counties, year):
-        truth = np.array([self.dataset.yields.get(c, year, self.crop) for c in counties])
+        truth = np.array([self.dataset.yields.get(c, year, self.spec.crop) for c in counties])
         if self.mode == "truth":
             return truth
         if self.mode == "constant":
@@ -202,8 +200,7 @@ def test_window_rule_parity_across_training_evaluation_and_graph(monkeypatch, dt
     monkeypatch.setattr(models, "full_block", spy)
     spec = models.default_spec(kind, widths=models.ArchWidths.toy(), batch_size=64)
     model = models.build_model(spec, np.random.default_rng(0))
-    predictor = OraclePredictor(ds)
-    predictor.history_years = dt
+    predictor = OraclePredictor(ds, kind=kind)
     for year in ds.years[dt:]:
         expected = _complete_by_brute_force(ds, year, dt)
         samples, skipped = enumerate_windows(ds, [year], "corn", dt)
@@ -371,7 +368,7 @@ def test_evaluate_matches_the_whole_dataset_flow_bit_for_bit(kind, test_year):
         got = _scored(window_only, early)
         assert got == _scored(whole_dataset, early)
         outcomes.append(got)
-    five = kind in models.KINDS_5Y
+    five = models.ModelSpec(kind=kind).history_years == 4
     if five and test_year == 2003:
         assert outcomes == ["MetricError: no evaluable counties for corn in 2003"] * 2
         return

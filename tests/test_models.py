@@ -21,6 +21,7 @@ from yieldgraph.models import (
     ALL_KINDS,
     ConfigurationError,
     GRAPH_KINDS,
+    KIND_TABLE,
     LrSchedule,
     ModelCheckpoint,
     ModelSpec,
@@ -236,6 +237,23 @@ def test_spec_history_years_invariant():
         ModelSpec(kind="cnn-1y", aggregator="bogus")
 
 
+_GATES = {"gru": 3, "lstm": 4}  # gate blocks stacked in a cell's w_x rows
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kind_table_fixes_model_class_window_and_cell(kind):
+    entry = KIND_TABLE[kind]
+    spec = ModelSpec(kind=kind, widths=ArchWidths.toy())
+    model = build_model(spec, np.random.default_rng(0))
+    assert type(model) is entry.model
+    assert spec.history_years == entry.history_years
+    # a window of several years needs a cell to run over them
+    assert entry.history_years == 0 or entry.cell is not None
+    rows = [p.data.shape[0] for name, p in model.parameters().items() if name.endswith(".w_x")]
+    hidden = spec.widths.rnn_hidden
+    assert rows == ([] if entry.cell is None else [_GATES[entry.cell] * hidden])
+
+
 def test_default_spec_matches_tuned_tables():
     spec = default_spec("gnn-rnn-5y", "corn", 2019)
     assert spec.batch_size == 32
@@ -285,7 +303,7 @@ def test_forward_shapes_and_determinism(kind):
     ds, _ = normalize(ds_raw, split)
     model = build_model(tiny_spec(kind), np.random.default_rng(0))
     counties = ds.counties[:5]
-    year = 2009 if kind.endswith("-5y") else 2009
+    year = 2009
     samples = [(c, year) for c in counties]
     a = model.forward_samples(ds, samples).data
     b = model.forward_samples(ds, samples).data
@@ -623,6 +641,7 @@ _CORRUPTIONS = {
     "trailing-bytes": lambda raw: raw + b"\0",
     "bad-block-line": lambda raw: raw.replace(b"head.fc2.b 1 1", b"head.fc2.b 2 1"),
     "renamed-block": lambda raw: raw.replace(b"history/lr", b"history/lx"),
+    "renamed-target": lambda raw: raw.replace(b"norm/target_soybean", b"norm/target_soybeax"),
 }
 
 
