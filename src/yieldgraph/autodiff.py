@@ -47,7 +47,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(arr, context):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
 
 

@@ -202,7 +202,7 @@ def evaluate(predictor, dataset, split, early=False):
     true = np.array([ds.yields.get(c, test_year, crop) for c in counties])
     yield_std = ds.yields.std_all_years(crop)
     where = f"{spec.kind} on {crop} {test_year}"
-    if not np.all(np.isfinite(preds)):
+    if not np.isfinite(preds).all():
         raise NonFiniteError(f"non-finite predictions from {where}")
     with np.errstate(over="ignore", invalid="ignore"):
         rmse_value = rmse(true, preds, yield_std)

@@ -1,11 +1,10 @@
-"""Raster-to-county aggregation, daily-to-weekly reduction, soil texture.
+"""Raster-to-county aggregation and daily-to-weekly reduction.
 
 County values are overlap- and agland-weighted means of raster cells; a
 county whose valid-cell weight sum is zero yields missing (None), never
 an error. Daily series fold to 52 weeks with days 364+ merged into week
 51; accumulated ("flux") variables are summed per week, instantaneous
-("state") variables averaged. Soil texture classification follows the
-NRCS twelve-class sand/silt/clay rules encoded as inequality tables.
+("state") variables averaged.
 """
 
 from __future__ import annotations
@@ -15,12 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from yieldgraph.data import WEEKS, csv_rows
-
-TEXTURE_CLASSES = (
-    "Sand", "Loamy Sand", "Sandy Loam", "Loam", "Silt Loam", "Silt",
-    "Sandy Clay Loam", "Clay Loam", "Silty Clay Loam", "Sandy Clay",
-    "Silty Clay", "Clay",
-)
 
 
 class GeoFormatError(ValueError):
@@ -223,77 +216,3 @@ def daily_to_weekly(series, variable_kind):
         return sums
     counts = np.bincount(week_of_day, minlength=WEEKS)
     return sums / counts
-
-
-# -- soil texture -------------------------------------------------------------
-
-
-@dataclass
-class TexturePoint:
-    """Sand/silt/clay percentages; renormalized to sum 100 (inputs may be
-    rounded, tolerance 0.5)."""
-
-    sand: float
-    silt: float
-    clay: float
-
-    def __post_init__(self):
-        for name, v in (("sand", self.sand), ("silt", self.silt), ("clay", self.clay)):
-            if not 0.0 <= v <= 100.0:
-                raise ValueError(f"{name} percentage {v} outside [0, 100]")
-        total = self.sand + self.silt + self.clay
-        if abs(total - 100.0) > 0.5:
-            raise ValueError(f"sand+silt+clay = {total}, expected 100 +- 0.5")
-        self.sand = self.sand * 100.0 / total
-        self.silt = self.silt * 100.0 / total
-        self.clay = self.clay * 100.0 / total
-
-
-def classify_texture(point):
-    """Map a simplex point to exactly one of the twelve NRCS classes."""
-    sand, silt, clay = point.sand, point.silt, point.clay
-    if silt + 1.5 * clay < 15:
-        return "Sand"
-    if silt + 2.0 * clay < 30:
-        return "Loamy Sand"
-    if (7 <= clay < 20 and sand > 52) or (clay < 7 and silt < 50):
-        if silt + 2.0 * clay >= 30:
-            return "Sandy Loam"
-    if 7 <= clay < 27 and 28 <= silt < 50 and sand <= 52:
-        return "Loam"
-    if silt >= 50 and ((12 <= clay < 27) or (silt < 80 and clay < 12)):
-        return "Silt Loam"
-    if silt >= 80 and clay < 12:
-        return "Silt"
-    if 20 <= clay < 35 and silt < 28 and sand > 45:
-        return "Sandy Clay Loam"
-    if 27 <= clay < 40 and 20 < sand <= 45:
-        return "Clay Loam"
-    if 27 <= clay < 40 and sand <= 20:
-        return "Silty Clay Loam"
-    if clay >= 35 and sand > 45:
-        return "Sandy Clay"
-    if clay >= 40 and silt >= 40:
-        return "Silty Clay"
-    return "Clay"
-
-
-def county_texture_fractions(points, weights=None):
-    """Weight-normalized histogram over the twelve classes; empty input is
-    missing (None)."""
-    points = list(points)
-    if not points:
-        return None
-    if weights is None:
-        weights = [1.0] * len(points)
-    weights = np.asarray(list(weights), dtype=np.float64)
-    if weights.size != len(points) or np.any(weights < 0):
-        raise ValueError("weights must be non-negative, one per point")
-    total = weights.sum()
-    if total == 0.0:
-        return None
-    hist = np.zeros(len(TEXTURE_CLASSES))
-    index = {name: i for i, name in enumerate(TEXTURE_CLASSES)}
-    for p, w in zip(points, weights):
-        hist[index[classify_texture(p)]] += w
-    return hist / total

@@ -16,6 +16,11 @@ avg-pool) is one autodiff op, ``conv1d``, with a hand-written vjp. The
 output is transposed back once before the projection, which therefore
 sees the [C, L] flatten order its weights were laid out for.
 
+The recurrent cell carries its state as one tensor: [B, 2 * hidden] laid
+out h|c for the LSTM, [B, hidden] h for the GRU. One time step is one
+autodiff op from state to state, so a sequence of T steps records T tape
+nodes, plus one ``narrow`` that takes the LSTM's h out of its last state.
+
 All parameters initialize uniform(-a, a), a = sqrt(1/fan_in), from the
 caller's seeded generator.
 """
@@ -246,18 +251,20 @@ class YearEmbedder:
 
 
 class RecurrentCell:
-    """Standard LSTM or GRU cell; hidden state is [batch, hidden_size].
+    """Standard LSTM or GRU cell over [batch, hidden_size] hidden states.
 
+    The state is a 1-tuple of one tensor: ``(h|c,)``, [B, 2 * hidden_size]
+    with h in the first half and c in the second, for the LSTM, and
+    ``(h,)``, [B, hidden_size], for the GRU. ``hidden(state)`` gives h.
     One time step is one autodiff op with a hand-written vjp (``_lstm_step``
-    / ``_gru_step``), so a step records one tape node instead of one per
-    matmul, slice, gate and product. The forward keeps the op order of the
-    composed cell (``zx = x @ w_x.T + b_x``, ``zh = h @ w_h.T + b_h``, then
-    the gates), so its values are bit-identical to it. The LSTM op emits
-    [B, 2 * hidden_size] laid out h|c, and ``step`` splits it with two
-    ``narrow`` ops, 3 tape nodes per step in all. sigmoid and tanh
-    saturate an overflowed pre-activation into a finite gate, so the op
-    checks the pre-activations (``z`` for the LSTM, ``zx`` and ``zh`` for
-    the GRU) for NaN/Inf itself.
+    / ``_gru_step``) from state to state, so a step records one tape node
+    instead of one per matmul, slice, gate and product; the LSTM's h is
+    narrowed out of h|c once, after the last step. The forward keeps the op
+    order of the composed cell (``zx = x @ w_x.T + b_x``, ``zh = h @ w_h.T
+    + b_h``, then the gates), so its values are bit-identical to it. sigmoid
+    and tanh saturate an overflowed pre-activation into a finite gate, so
+    the op checks the pre-activations (``z`` for the LSTM, ``zx`` and ``zh``
+    for the GRU) for NaN/Inf itself.
 
     Both biases b_x and b_h draw from U(-a, a), a = sqrt(1/hidden_size).
     For the LSTM, only the forget slice of b_x is then set to 1.0; the
@@ -281,22 +288,21 @@ class RecurrentCell:
             self.b_x.data[h : 2 * h] = 1.0  # forget gate opens at init
 
     def zero_state(self, batch):
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        if self.kind == "lstm":
-            return h, Tensor(np.zeros((batch, self.hidden_size)))
-        return (h,)
+        width = 2 * self.hidden_size if self.kind == "lstm" else self.hidden_size
+        return (Tensor(np.zeros((batch, width))),)
 
     def step(self, x, state):
-        """One time step: x [B, input_size] and the state -> the next state,
-        ``(h, c)`` for the LSTM and ``(h,)`` for the GRU."""
+        """One time step: x [B, input_size] and the state -> the next state."""
         if x.data.ndim != 2 or x.data.shape[1] != self.input_size:
             raise ShapeError(f"cell expects [B,{self.input_size}] input, got {x.shape}")
-        params = (self.w_x, self.w_h, self.b_x, self.b_h)
+        fused = _lstm_step if self.kind == "lstm" else _gru_step
+        return (fused(x, state[0], self.w_x, self.w_h, self.b_x, self.b_h),)
+
+    def hidden(self, state):
+        """h [B, hidden_size] of a state."""
         if self.kind == "gru":
-            return (_gru_step(x, state[0], *params),)
-        h = self.hidden_size
-        hc = _lstm_step(x, state[0], state[1], *params)
-        return narrow(hc, 1, 0, h), narrow(hc, 1, h, h)
+            return state[0]
+        return narrow(state[0], 1, 0, self.hidden_size)
 
     def parameters(self, prefix):
         return {
@@ -308,41 +314,54 @@ class RecurrentCell:
 
 
 def _affine_grads(x, h, w_x, w_h, b_x, b_h, dzx, dzh):
-    """Gradients of zx = x @ w_x.T + b_x and zh = h @ w_h.T + b_h for
-    (x, h, w_x, w_h, b_x, b_h), None where an input is not tracked; the
-    same products the composed matmul/transpose/add_rowvec vjps form."""
+    """Gradients of zx = x @ w_x.T + b_x and zh = h @ w_h.T + b_h (h an
+    array) for (x, w_x, w_h, b_x, b_h), None where an input is not tracked;
+    the same products the composed matmul/transpose/add_rowvec vjps form.
+    The caller forms the state's gradient. When dzx is dzh, the bias sum is
+    formed once and b_h gets a copy of it."""
+    db_x = dzx.sum(axis=0)
+    db_h = db_x.copy() if dzh is dzx else dzh.sum(axis=0)
     return (
         dzx @ w_x.data if x.requires_grad else None,
-        dzh @ w_h.data if h.requires_grad else None,
         (x.data.T @ dzx).T if w_x.requires_grad else None,
-        (h.data.T @ dzh).T if w_h.requires_grad else None,
-        dzx.sum(axis=0) if b_x.requires_grad else None,
-        dzh.sum(axis=0) if b_h.requires_grad else None,
+        (h.T @ dzh).T if w_h.requires_grad else None,
+        db_x if b_x.requires_grad else None,
+        db_h if b_h.requires_grad else None,
     )
 
 
-def _lstm_step(x, h, c, w_x, w_h, b_x, b_h):
-    """One LSTM step as one op -> [B, 2n] laid out h'|c'; gates i|f|g|o."""
-    n = h.data.shape[1]
-    z = (x.data @ w_x.data.T + b_x.data[None, :]) + (h.data @ w_h.data.T + b_h.data[None, :])
+def _lstm_step(x, hc, w_x, w_h, b_x, b_h):
+    """One LSTM step as one op: the [B, 2n] state h|c -> h'|c'; gates
+    i|f|g|o. h and c are views of the state, and h'|c' is written into
+    one buffer."""
+    n = hc.data.shape[1] // 2
+    h, c = hc.data[:, :n], hc.data[:, n:]
+    z = (x.data @ w_x.data.T + b_x.data[None, :]) + (h @ w_h.data.T + b_h.data[None, :])
     autodiff._check_finite(z, "LSTM gate pre-activations")
     act = autodiff._stable_sigmoid(z)
     act[:, 2 * n : 3 * n] = np.tanh(z[:, 2 * n : 3 * n])
     i, f, g, o = (act[:, k * n : (k + 1) * n] for k in range(4))
-    c_new = f * c.data + i * g
+    out = np.empty_like(hc.data)
+    c_new = np.multiply(f, c, out=out[:, n:])
+    c_new += i * g
     tc = np.tanh(c_new)
+    np.multiply(o, tc, out=out[:, :n])
 
     def vjp(grad):
         gh, gc = grad[:, :n], grad[:, n:]
         dc = gc + gh * o * (1.0 - tc * tc)
-        d_act = np.concatenate([dc * g, dc * c.data, dc * i, gh * tc], axis=1)
+        d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tc], axis=1)
         dz = d_act * act * (1.0 - act)
         dz[:, 2 * n : 3 * n] = dc * i * (1.0 - g * g)  # the g block is a tanh
-        dx, dh, dw_x, dw_h, db_x, db_h = _affine_grads(x, h, w_x, w_h, b_x, b_h, dz, dz)
-        return dx, dh, dc * f if c.requires_grad else None, dw_x, dw_h, db_x, db_h
+        dhc = None
+        if hc.requires_grad:
+            dhc = np.empty_like(hc.data)
+            dhc[:, :n] = dz @ w_h.data
+            np.multiply(dc, f, out=dhc[:, n:])
+        dx, dw_x, dw_h, db_x, db_h = _affine_grads(x, h, w_x, w_h, b_x, b_h, dz, dz)
+        return dx, dhc, dw_x, dw_h, db_x, db_h
 
-    out = np.concatenate([o * tc, c_new], axis=1)
-    return apply_op(out, (x, h, c, w_x, w_h, b_x, b_h), vjp)
+    return apply_op(out, (x, hc, w_x, w_h, b_x, b_h), vjp)
 
 
 def _gru_step(x, h, w_x, w_h, b_x, b_h):
@@ -363,9 +382,8 @@ def _gru_step(x, h, w_x, w_h, b_x, b_h):
         d_ru = d_gates * ru * (1.0 - ru)
         dzx = np.concatenate([d_ru, d_pre], axis=1)
         dzh = np.concatenate([d_ru, d_pre * r], axis=1)
-        dx, dh, dw_x, dw_h, db_x, db_h = _affine_grads(x, h, w_x, w_h, b_x, b_h, dzx, dzh)
-        if dh is not None:
-            dh = dh + grad * u
+        dx, dw_x, dw_h, db_x, db_h = _affine_grads(x, h.data, w_x, w_h, b_x, b_h, dzx, dzh)
+        dh = dzh @ w_h.data + grad * u if h.requires_grad else None
         return dx, dh, dw_x, dw_h, db_x, db_h
 
     out = (1.0 - u) * cand + u * h.data
@@ -374,7 +392,7 @@ def _gru_step(x, h, w_x, w_h, b_x, b_h):
 
 def rnn_forward(cell, sequence):
     """Run a cell over a list of [B, d] tensors from zero state; return the
-    final hidden state."""
+    final hidden state h."""
     if not sequence:
         raise ValueError("rnn_forward needs a non-empty sequence")
     widths = {t.data.shape[1] for t in sequence}
@@ -383,4 +401,4 @@ def rnn_forward(cell, sequence):
     state = cell.zero_state(sequence[0].data.shape[0])
     for x in sequence:
         state = cell.step(x, state)
-    return state[0]
+    return cell.hidden(state)

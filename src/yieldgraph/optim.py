@@ -57,7 +57,7 @@ def adam_step(params, state):
     """
     live = [(name, p) for name, p in sorted(params.items()) if p.grad is not None]
     for name, p in live:
-        if not np.all(np.isfinite(p.grad)):
+        if not np.isfinite(p.grad).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}; step aborted")
     state.step_count += 1
     t = state.step_count

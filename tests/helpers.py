@@ -6,8 +6,9 @@ builder, batched graph inference, single-record early masking, the
 whole-dataset evaluate flow with its per-county masking plan and full
 mask copy, the adjacency queries over a ``CountyGraph``, and the
 per-cell county aggregation (with a packer for its weight map) and the
-per-day weekly fold of ``geo``, and the linear fits: ridge through an
-explicit ``lam * I`` and lasso by residual updates.
+per-day weekly fold of ``geo``, the linear fits: ridge through an
+explicit ``lam * I`` and lasso by residual updates, and the NRCS
+soil-texture classes.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -15,6 +16,7 @@ independent of the reverse-mode implementation it checks.
 
 import warnings
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from yieldgraph.autodiff import (
     Tensor,
     add_rowvec,
     apply_op,
+    concat,
     matmul,
     narrow,
     take_rows,
@@ -227,16 +230,17 @@ def reference_cell_step(cell, x, state):
     tape node per matmul, slice, gate and product); the oracle for the
     fused step. Same signature and result as ``cell.step``."""
     h = cell.hidden_size
+    h_prev = narrow(state[0], 1, 0, h) if cell.kind == "lstm" else state[0]
     zx = add_rowvec(matmul(x, cell.w_x.transpose()), cell.b_x)
-    zh = add_rowvec(matmul(state[0], cell.w_h.transpose()), cell.b_h)
+    zh = add_rowvec(matmul(h_prev, cell.w_h.transpose()), cell.b_h)
     if cell.kind == "lstm":
         z = zx + zh
         i = sigmoid(narrow(z, 1, 0, h))
         f = sigmoid(narrow(z, 1, h, h))
         g = tanh(narrow(z, 1, 2 * h, h))
         o = sigmoid(narrow(z, 1, 3 * h, h))
-        c_new = f * state[1] + i * g
-        return o * tanh(c_new), c_new
+        c_new = f * narrow(state[0], 1, h, h) + i * g
+        return (concat([o * tanh(c_new), c_new], axis=1),)
     r = sigmoid(narrow(zx, 1, 0, h) + narrow(zh, 1, 0, h))
     u = sigmoid(narrow(zx, 1, h, h) + narrow(zh, 1, h, h))
     n = tanh(narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h))
@@ -542,3 +546,83 @@ def reference_daily_to_weekly(series, variable_kind):
     if variable_kind == "flux":
         return sums
     return sums / np.bincount(week_of_day, minlength=WEEKS)
+
+
+# The soil-texture schema behind the tex_* soil columns: the NRCS
+# twelve-class sand/silt/clay rules encoded as inequality tables.
+TEXTURE_CLASSES = (
+    "Sand", "Loamy Sand", "Sandy Loam", "Loam", "Silt Loam", "Silt",
+    "Sandy Clay Loam", "Clay Loam", "Silty Clay Loam", "Sandy Clay",
+    "Silty Clay", "Clay",
+)
+
+
+@dataclass
+class TexturePoint:
+    """Sand/silt/clay percentages; renormalized to sum 100 (inputs may be
+    rounded, tolerance 0.5)."""
+
+    sand: float
+    silt: float
+    clay: float
+
+    def __post_init__(self):
+        for name, v in (("sand", self.sand), ("silt", self.silt), ("clay", self.clay)):
+            if not 0.0 <= v <= 100.0:
+                raise ValueError(f"{name} percentage {v} outside [0, 100]")
+        total = self.sand + self.silt + self.clay
+        if abs(total - 100.0) > 0.5:
+            raise ValueError(f"sand+silt+clay = {total}, expected 100 +- 0.5")
+        self.sand = self.sand * 100.0 / total
+        self.silt = self.silt * 100.0 / total
+        self.clay = self.clay * 100.0 / total
+
+
+def classify_texture(point):
+    """Map a simplex point to exactly one of the twelve NRCS classes."""
+    sand, silt, clay = point.sand, point.silt, point.clay
+    if silt + 1.5 * clay < 15:
+        return "Sand"
+    if silt + 2.0 * clay < 30:
+        return "Loamy Sand"
+    if (7 <= clay < 20 and sand > 52) or (clay < 7 and silt < 50):
+        if silt + 2.0 * clay >= 30:
+            return "Sandy Loam"
+    if 7 <= clay < 27 and 28 <= silt < 50 and sand <= 52:
+        return "Loam"
+    if silt >= 50 and ((12 <= clay < 27) or (silt < 80 and clay < 12)):
+        return "Silt Loam"
+    if silt >= 80 and clay < 12:
+        return "Silt"
+    if 20 <= clay < 35 and silt < 28 and sand > 45:
+        return "Sandy Clay Loam"
+    if 27 <= clay < 40 and 20 < sand <= 45:
+        return "Clay Loam"
+    if 27 <= clay < 40 and sand <= 20:
+        return "Silty Clay Loam"
+    if clay >= 35 and sand > 45:
+        return "Sandy Clay"
+    if clay >= 40 and silt >= 40:
+        return "Silty Clay"
+    return "Clay"
+
+
+def county_texture_fractions(points, weights=None):
+    """Weight-normalized histogram over the twelve classes; empty input is
+    missing (None)."""
+    points = list(points)
+    if not points:
+        return None
+    if weights is None:
+        weights = [1.0] * len(points)
+    weights = np.asarray(list(weights), dtype=np.float64)
+    if weights.size != len(points) or np.any(weights < 0):
+        raise ValueError("weights must be non-negative, one per point")
+    total = weights.sum()
+    if total == 0.0:
+        return None
+    hist = np.zeros(len(TEXTURE_CLASSES))
+    index = {name: i for i, name in enumerate(TEXTURE_CLASSES)}
+    for p, w in zip(points, weights):
+        hist[index[classify_texture(p)]] += w
+    return hist / total

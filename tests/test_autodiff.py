@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yieldgraph import autodiff
 from yieldgraph.autodiff import (
     DomainError,
     NonFiniteError,
@@ -235,3 +236,22 @@ def test_no_grad_nests_and_restores_after_exception():
         with no_grad():
             raise KeyError("escapes")
     assert (x * x).node is not None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_rejects_non_contiguous_and_0d(bad):
+    base = np.arange(12.0).reshape(3, 4)
+    base[2, 1] = bad
+    view = base.T
+    assert not view.flags.c_contiguous
+    with pytest.raises(NonFiniteError, match="view"):
+        autodiff._check_finite(view, "view")
+    with pytest.raises(NonFiniteError, match="scalar"):
+        autodiff._check_finite(np.array(bad), "scalar")
+    autodiff._check_finite(np.delete(base, 2, axis=0).T, "finite view")
+    autodiff._check_finite(np.array(1.5), "finite scalar")
+
+
+def test_check_finite_accepts_empty():
+    autodiff._check_finite(np.empty((0, 3)), "empty")
+    autodiff._check_finite(np.empty((0, 3)).T, "empty view")

@@ -41,8 +41,6 @@ PACKAGE = os.path.join(ROOT, "src", "yieldgraph")
 TEST_ONLY = {
     "parse_metrics": "reads metrics.txt back; a report reader for tests and users",
     "lasso_objective": "the optimality oracle the lasso tests check fit_lasso against",
-    "TexturePoint": "the soil-texture schema behind the tex_* feature columns",
-    "county_texture_fractions": "the soil-texture schema behind the tex_* feature columns",
 }
 
 TEST_ONLY_PARAMETERS = {

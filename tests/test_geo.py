@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from yieldgraph.geo import (
     GeoFormatError,
     RasterGrid,
-    TEXTURE_CLASSES,
-    TexturePoint,
     aggregate_to_county,
     build_weight_map,
-    classify_texture,
-    county_texture_fractions,
     daily_to_weekly,
     read_ascii_grid,
     save_weight_map,
@@ -21,6 +17,10 @@ from yieldgraph.geo import (
 )
 
 from tests.helpers import (
+    TEXTURE_CLASSES,
+    TexturePoint,
+    classify_texture,
+    county_texture_fractions,
     pack_weight_map,
     reference_aggregate_to_county,
     reference_daily_to_weekly,

@@ -361,7 +361,7 @@ def _reference_forward(cell, sequence):
     state = cell.zero_state(sequence[0].data.shape[0])
     for x in sequence:
         state = reference_cell_step(cell, x, state)
-    return state[0]
+    return cell.hidden(state)
 
 
 def _gradients(cell, forward, xs):
@@ -395,6 +395,39 @@ def test_rnn_forward_records_at_most_three_tape_nodes_per_step(kind):
     steps = 7
     loss = rnn_forward(cell, [Tensor(rng.normal(size=(3, 4))) for _ in range(steps)]).sum()
     assert _tape_nodes(loss) <= 3 * steps + 1
+
+
+def test_lstm_forward_records_one_tape_node_per_step():
+    # one fused node per step, the narrow of h out of h|c, and the sum
+    rng = _rng(21)
+    cell = RecurrentCell("lstm", 4, 6, rng)
+    steps = 7
+    loss = rnn_forward(cell, [Tensor(rng.normal(size=(3, 4))) for _ in range(steps)]).sum()
+    assert _tape_nodes(loss) == steps + 2
+
+
+def test_lstm_state_is_h_then_c():
+    rng = _rng(24)
+    cell = RecurrentCell("lstm", 3, 4, rng)
+    state = cell.zero_state(2)
+    assert len(state) == 1 and np.array_equal(state[0].data, np.zeros((2, 8)))
+    x = Tensor(rng.normal(size=(2, 3)))
+    fused = cell.step(x, state)[0].data
+    composed = reference_cell_step(cell, x, state)[0].data
+    assert np.array_equal(fused, composed)
+    assert np.array_equal(cell.hidden((Tensor(fused),)).data, fused[:, :4])
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_cell_bias_gradients_are_equal_but_not_shared(kind):
+    rng = _rng(25)
+    cell = RecurrentCell(kind, 3, 4, rng)
+    xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
+    rnn_forward(cell, xs).sum().backward()
+    if kind == "lstm":  # both biases enter the same pre-activation z
+        assert np.array_equal(cell.b_x.grad, cell.b_h.grad)
+    assert cell.b_x.grad is not cell.b_h.grad
+    assert not np.shares_memory(cell.b_x.grad, cell.b_h.grad)
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
