@@ -163,15 +163,13 @@ class YearSplit:
 
 @dataclass
 class NormStats:
-    """Per-feature statistics over the training years only. ``mean``,
-    ``std`` and ``constant_flags`` map each block name in ``BLOCKS`` to an
-    array of that block's per-record shape. Constant features keep std 1
-    and are flagged."""
+    """Per-feature statistics over the training years only. ``mean`` and
+    ``std`` map each block name in ``BLOCKS`` to an array of that block's
+    per-record shape; a constant or all-missing feature has std 1."""
 
     train_years: tuple
     mean: dict
     std: dict
-    constant_flags: dict
     target_mean: dict = field(default_factory=dict)  # crop -> train-year mean
     target_std: dict = field(default_factory=dict)
 
@@ -416,9 +414,7 @@ def _block_stats(stack):
         std = np.nanstd(stack, axis=0)
     mean = np.where(np.isnan(mean), 0.0, mean)
     std = np.where(np.isnan(std), 0.0, std)
-    constant = std < 1e-12
-    std = np.where(constant, 1.0, std)
-    return mean, std, constant
+    return mean, np.where(std < 1e-12, 1.0, std)
 
 
 def compute_norm_stats(dataset, split):
@@ -429,11 +425,9 @@ def compute_norm_stats(dataset, split):
         in_train[dataset.year_index[y]] = True
     # [county, year]: the present training records, gathered in one copy
     keep = dataset.present & in_train
-    stats = NormStats(train_years=tuple(train_years), mean={}, std={}, constant_flags={})
+    stats = NormStats(train_years=tuple(train_years), mean={}, std={})
     for b in BLOCKS:
-        stats.mean[b], stats.std[b], stats.constant_flags[b] = _block_stats(
-            getattr(dataset, b)[keep]
-        )
+        stats.mean[b], stats.std[b] = _block_stats(getattr(dataset, b)[keep])
     train = set(train_years)
     for crop in CROPS:
         vals = [

@@ -18,12 +18,13 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 
 import numpy as np
 
 from yieldgraph.autodiff import NonFiniteError, Tensor, concat, no_grad, take_rows
 from yieldgraph.data import (
-    BLOCKS,
+    BLOCK_SHAPES,
     CROPS,
     DEPTHS,
     N_EXTRAS,
@@ -764,9 +765,17 @@ def _spec_from_header(kv):
 _HEADER_KEYS = tuple(key for key, _, _ in _header_fields()) + (
     "best_epoch", "test_year", "skipped_windows", "lasso_converged", "train_years", "blocks",
 )
-# (checkpoint block name, NormStats field, record block) of each norm array, in file order
-_NORM_ARRAYS = tuple((f"norm/{b}_{stat}", stat, b) for b in BLOCKS for stat in ("mean", "std"))
 _HISTORY = ("train_loss", "val_rmse", "lr")
+
+
+def _layout(spec, model, epochs):
+    """(block name, shape) of each block of a checkpoint, in file order."""
+    params = model.parameters()
+    return ([(f"param/{k}", params[k].data.shape) for k in sorted(params)]
+            + [(f"norm/{b}_{stat}", shape) for b, shape in BLOCK_SHAPES.items()
+               for stat in ("mean", "std")]
+            + [(f"norm/target_{spec.crop}", (2,))]
+            + [(f"history/{k}", (epochs,)) for k in _HISTORY])
 
 
 class ModelCheckpoint:
@@ -787,10 +796,7 @@ class ModelCheckpoint:
     def model(self):
         if self._model is None:
             model = build_model(self.spec, np.random.default_rng(0))
-            live = model.parameters()
-            if set(live) != set(self.params):
-                raise ConfigurationError("checkpoint parameters do not match the architecture")
-            for name, tensor in live.items():
+            for name, tensor in model.parameters().items():
                 tensor.data[...] = self.params[name]
             self._model = model
         return self._model
@@ -816,23 +822,19 @@ class ModelCheckpoint:
         for key, value in [*_spec_header(self.spec), *run.items()]:
             header.write(f"{key} = {value}\n")
 
-        blocks = {f"param/{k}": v for k, v in sorted(self.params.items())}
-        ns = self.norm_stats
-        blocks.update({name: getattr(ns, stat)[b] for name, stat, b in _NORM_ARRAYS})
-        for block_name, flags in sorted(ns.constant_flags.items()):
-            blocks[f"norm/const_{block_name}"] = flags.astype(np.float64)
-        for crop in sorted(ns.target_mean):
-            blocks[f"norm/target_{crop}"] = np.array(
-                [ns.target_mean[crop], ns.target_std[crop]]
-            )
-        for key in _HISTORY:
-            blocks[f"history/{key}"] = np.array([h[key] for h in self.history])
+        ns, crop = self.norm_stats, self.spec.crop
+        arrays = {f"param/{k}": v for k, v in self.params.items()}
+        for b in BLOCK_SHAPES:
+            arrays[f"norm/{b}_mean"], arrays[f"norm/{b}_std"] = ns.mean[b], ns.std[b]
+        arrays[f"norm/target_{crop}"] = [ns.target_mean[crop], ns.target_std[crop]]
+        arrays.update({f"history/{k}": [h[k] for h in self.history] for k in _HISTORY})
+        layout = _layout(self.spec, self.model(), len(self.history))
 
-        header.write(f"blocks = {len(blocks)}\n\n")
+        header.write(f"blocks = {len(layout)}\n\n")
         with open(path, "wb") as f:
             f.write(header.getvalue().encode("utf-8"))
-            for name, arr in blocks.items():
-                arr = np.asarray(arr, dtype=np.float64)
+            for name, _ in layout:
+                arr = np.asarray(arrays[name], dtype=np.float64)
                 dims = " ".join(str(d) for d in arr.shape)
                 f.write(f"{name} {arr.ndim} {dims}\n".encode("utf-8"))
                 f.write(arr.astype("<f8").tobytes())
@@ -841,7 +843,9 @@ class ModelCheckpoint:
     @staticmethod
     def load(path):
         """Read a v1 checkpoint; a truncated or garbled file raises
-        ConfigurationError naming what is wrong."""
+        ConfigurationError naming what is wrong. Its blocks must be exactly
+        ``_layout`` of its spec once the ones older writers added are dropped
+        by exact name: ``norm/const_<b>`` per record block, the other crop's target."""
         with open(path, "rb") as f:
             raw = f.read()
         head_end = raw.find(b"\n\n")
@@ -860,12 +864,12 @@ class ModelCheckpoint:
             train_years = tuple(int(x) for x in kv["train_years"].split(","))
             run = dict(best_epoch=int(kv["best_epoch"]), test_year=int(kv["test_year"]),
                        skipped_windows=int(kv["skipped_windows"]),
-                       lasso_converged=kv["lasso_converged"] == "True")
+                       lasso_converged={"True": True, "False": False}[kv["lasso_converged"]])
             n_blocks = int(kv["blocks"])
-        except ValueError as e:
+        except (KeyError, ValueError) as e:
             raise ConfigurationError(f"{path}: bad checkpoint header value: {e}") from e
 
-        blocks = {}
+        parsed = []
         pos = head_end + 2
         for index in range(n_blocks):
             line_end = raw.find(b"\n", pos)
@@ -885,33 +889,34 @@ class ModelCheckpoint:
             if pos + 8 * count > len(raw):
                 raise ConfigurationError(f"{path}: block {name!r} is truncated")
             arr = np.frombuffer(raw[pos : pos + 8 * count], dtype="<f8").reshape(shape)
-            blocks[name] = arr.copy()
+            parsed.append((name, arr.copy()))
             pos += 8 * count
         if pos != len(raw):
             raise ConfigurationError(
                 f"{path}: {len(raw) - pos} trailing bytes after {n_blocks} blocks"
             )
-        wanted = [name for name, _, _ in _NORM_ARRAYS] + [f"norm/target_{spec.crop}"]
-        wanted += [f"history/{k}" for k in _HISTORY]
-        lacking = [name for name in wanted if name not in blocks]
-        if lacking:
-            raise ConfigurationError(f"{path}: checkpoint lacks blocks {lacking}")
+        legacy = {f"norm/const_{b}" for b in BLOCK_SHAPES}
+        legacy.update(f"norm/target_{crop}" for crop in CROPS if crop != spec.crop)
+        kept = [(name, arr) for name, arr in parsed if name not in legacy]
+        blocks = dict(kept)
+        model = build_model(spec, np.random.default_rng(0))
+        layout = _layout(spec, model, blocks.get(f"history/{_HISTORY[0]}", np.empty(0)).size)
+        found = [(name, arr.shape) for name, arr in kept]
+        if found != layout:
+            have, want = next((f, w) for f, w in zip_longest(found, layout) if f != w)
+            raise ConfigurationError(f"{path}: block {have} is not the layout's {want}")
 
-        params = {k[len("param/"):]: v for k, v in blocks.items() if k.startswith("param/")}
-        constant_flags = {
-            k[len("norm/const_"):]: blocks[k].astype(bool)
-            for k in blocks if k.startswith("norm/const_")
-        }
-        stats = NormStats(train_years=train_years, mean={}, std={}, constant_flags=constant_flags)
-        for name, stat, b in _NORM_ARRAYS:
-            getattr(stats, stat)[b] = blocks[name]
-        for key in blocks:
-            if key.startswith("norm/target_"):
-                crop = key[len("norm/target_"):]
-                stats.target_mean[crop] = float(blocks[key][0])
-                stats.target_std[crop] = float(blocks[key][1])
+        params = {name: blocks[f"param/{name}"] for name in model.parameters()}
+        for name, tensor in model.parameters().items():
+            tensor.data = params[name]
+        mean, std = blocks[f"norm/target_{spec.crop}"]
+        stats = NormStats(train_years, {b: blocks[f"norm/{b}_mean"] for b in BLOCK_SHAPES},
+                          {b: blocks[f"norm/{b}_std"] for b in BLOCK_SHAPES},
+                          {spec.crop: float(mean)}, {spec.crop: float(std)})
         columns = zip(*(blocks[f"history/{key}"] for key in _HISTORY))
         history = [{"epoch": i, **{k: float(v) for k, v in zip(_HISTORY, row)}}
                    for i, row in enumerate(columns)]
-        return ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=history,
+        ckpt = ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=history,
                                **run)
+        ckpt._model = model
+        return ckpt

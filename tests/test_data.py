@@ -171,7 +171,6 @@ def test_normalize_constant_feature_fallback():
     ds.soil[:, :, 0, 0] = 4.2
     normed, stats = normalize(ds, YearSplit(test_year=2002))
     assert stats.std["soil"][0, 0] == 1.0
-    assert stats.constant_flags["soil"][0, 0]
     assert np.all(normed.soil[:, :, 0, 0] == 0.0)
 
 

@@ -1,15 +1,18 @@
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
 
 from yieldgraph import models
 from yieldgraph.data import (
+    BLOCK_SHAPES,
     BLOCKS,
     CROPS,
     N_WEATHER,
     NormStats,
     YearSplit,
+    apply_norm_stats,
     enumerate_windows,
     generate_synthetic,
     normalize,
@@ -428,13 +431,11 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
-@pytest.mark.parametrize("kind", ["cnn-1y", "gnn-rnn-5y", "ridge-1y", "lasso-1y"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_checkpoint_roundtrip_bit_identical_predictions(tmp_path, kind):
     ds = tiny_dataset(side=2, years=10)
     split = YearSplit(test_year=2009)
     ckpt = train(tiny_spec(kind, epochs=2), ds, split)
-    from yieldgraph.data import apply_norm_stats
-
     ds_norm = apply_norm_stats(ds, ckpt.norm_stats)
     counties = [c for c, ok in zip(ds_norm.counties, ds_norm.window_mask(2009, 0)) if ok][:3]
     before = ckpt.predict_year(ds_norm, counties, 2009)
@@ -539,12 +540,14 @@ def _all_fields_checkpoint():
                           weekly_out=9, soil_channels=(2, 3, 4), soil_out=5, rnn_hidden=6,
                           gnn_hidden=7, head_hidden=10),
     )
-    z = {b: np.zeros(1) for b in BLOCKS}
-    stats = NormStats(train_years=(2000, 2001, 2002), mean=z, std=z, constant_flags={})
+    params = build_model(spec, np.random.default_rng(0)).parameters()
+    z = {b: np.zeros(shape) for b, shape in BLOCK_SHAPES.items()}
+    stats = NormStats(train_years=(2000, 2001, 2002), mean=z, std=z)
     stats.target_mean["soybean"] = 40.0
     stats.target_std["soybean"] = 5.0
     return ModelCheckpoint(
-        spec=spec, params={"head.fc2.b": np.array([0.5])}, norm_stats=stats,
+        spec=spec, params={k: np.full(t.data.shape, 0.5) for k, t in params.items()},
+        norm_stats=stats,
         history=[{"epoch": 0, "train_loss": 0.25, "val_rmse": 0.5, "lr": 3e-4}],
         best_epoch=0, test_year=2004, skipped_windows=2, lasso_converged=False,
     )
@@ -583,7 +586,7 @@ test_year = 2004
 skipped_windows = 2
 lasso_converged = False
 train_years = 2000,2001,2002
-blocks = 13
+blocks = 42
 
 """
 
@@ -595,7 +598,7 @@ def test_checkpoint_header_golden(tmp_path):
     raw = path.read_bytes()
     assert raw[: raw.index(b"\n\n") + 2].decode("utf-8") == _GOLDEN_HEADER
     assert hashlib.sha256(raw).hexdigest() == (
-        "2d2cccfb4c28c4103dd3cd0f58875663fb7a7d051ed192fe844b4da924f49d2c"
+        "f66447aa3407626d2a3297513e88c65bb1fa739e7cc970d41911476793a6dae9"
     )
     loaded = ModelCheckpoint.load(path)
     assert loaded.spec == ckpt.spec
@@ -609,15 +612,43 @@ def test_checkpoint_roundtrip_keeps_norm_stats(tmp_path):
     ds.weather[1, 2, 3, 4] = np.nan  # a missing cell in a training year
     ckpt = train(tiny_spec("ridge-1y"), ds, YearSplit(test_year=2007))
     saved = ckpt.norm_stats
-    assert saved.constant_flags["soil"][0, 0] and np.isfinite(saved.mean["weather"]).all()
+    assert np.isfinite(saved.mean["weather"]).all()
     loaded = ModelCheckpoint.load(ckpt.save(tmp_path / "model.ckpt")).norm_stats
     assert loaded.train_years == saved.train_years
     for b in BLOCKS:
         assert np.array_equal(loaded.mean[b], saved.mean[b])
         assert np.array_equal(loaded.std[b], saved.std[b])
-        assert np.array_equal(loaded.constant_flags[b], saved.constant_flags[b])
-    assert loaded.target_mean == saved.target_mean and set(saved.target_mean) == set(CROPS)
-    assert loaded.target_std == saved.target_std
+    # only the spec's crop is saved
+    crop = ckpt.spec.crop
+    assert set(saved.target_mean) == set(CROPS)
+    assert loaded.target_mean == {crop: saved.target_mean[crop]}
+    assert loaded.target_std == {crop: saved.target_std[crop]}
+
+
+# A toy-width corn cnn-1y checkpoint from an earlier v1 writer (commit
+# da8a96e), which also wrote norm/const_<block> flags and both crops'
+# targets: train(tiny_spec("cnn-1y"), tiny_dataset(side=2, years=10),
+# YearSplit(test_year=2009)).save(...). Its predictions for the four
+# counties in 2009, as that writer's code gave them.
+_LEGACY_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "cnn-1y-v1-legacy.ckpt"
+_LEGACY_PREDICTIONS = [
+    127.70821865439328, 126.27540009963509, 126.38820064968401, 127.76908997263764,
+]
+
+
+def test_legacy_checkpoint_loads_with_identical_predictions(tmp_path):
+    raw = _LEGACY_CHECKPOINT.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == (
+        "6359d550971d76627655f0245e7080ba1ad6badc7f144de2a3d5378d770f687d"
+    )
+    assert raw.count(b"norm/const_") == 4 and b"norm/target_soybean 1 2\n" in raw
+    ckpt = ModelCheckpoint.load(_LEGACY_CHECKPOINT)
+    assert set(ckpt.norm_stats.target_mean) == {"corn"}
+    ds = apply_norm_stats(tiny_dataset(side=2, years=10), ckpt.norm_stats)
+    preds = ckpt.predict_year(ds, ds.counties, 2009)
+    assert preds.tolist() == _LEGACY_PREDICTIONS
+    resaved = ModelCheckpoint.load(ckpt.save(tmp_path / "resaved.ckpt"))
+    assert np.array_equal(resaved.predict_year(ds, ds.counties, 2009), preds)
 
 
 def _header_end(raw):
@@ -636,12 +667,19 @@ _CORRUPTIONS = {
     "dropped-line": lambda raw: raw.replace(b"fanout = 3\n", b""),
     "extra-line": lambda raw: raw.replace(b"blocks = ", b"extra = 1\nblocks = "),
     "bad-value": lambda raw: raw.replace(b"epochs = 7", b"epochs = seven"),
-    "fewer-blocks": lambda raw: raw.replace(b"blocks = 13", b"blocks = 12"),
-    "more-blocks": lambda raw: raw.replace(b"blocks = 13", b"blocks = 14"),
+    "fewer-blocks": lambda raw: raw.replace(b"blocks = 42", b"blocks = 41"),
+    "more-blocks": lambda raw: raw.replace(b"blocks = 42", b"blocks = 43"),
     "trailing-bytes": lambda raw: raw + b"\0",
-    "bad-block-line": lambda raw: raw.replace(b"head.fc2.b 1 1", b"head.fc2.b 2 1"),
+    "bad-block-line": lambda raw: raw.replace(b"head.fc2.bias 1 1", b"head.fc2.bias 2 1"),
     "renamed-block": lambda raw: raw.replace(b"history/lr", b"history/lx"),
     "renamed-target": lambda raw: raw.replace(b"norm/target_soybean", b"norm/target_soybeax"),
+    "bad-flag": lambda raw: raw.replace(b"lasso_converged = False", b"lasso_converged = Fals"),
+    "reshaped-param": lambda raw: raw.replace(b"head.fc1.bias 1 10", b"head.fc1.bias 2 1 10"),
+    "transposed-norm": lambda raw: raw.replace(b"norm/soil_mean 2 20 6", b"norm/soil_mean 2 6 20"),
+    # the last block, history/lr, keeps 0 of its 1 rows
+    "short-history": lambda raw: raw[:-8].replace(b"history/lr 1 1", b"history/lr 1 0"),
+    "legacy-renamed-const": lambda raw: _LEGACY_CHECKPOINT.read_bytes().replace(
+        b"norm/const_soil", b"norm/const_soix"),
 }
 
 
