@@ -8,8 +8,9 @@ overwrites a non-empty output directory unless --force is given.
 The train command's hyperparameter keys are the ``ModelSpec`` fields that
 hold one value (``--batch-size`` sets ``batch_size``), with three names of
 its own: ``method`` is the spec's ``kind``, ``schedule`` is the schedule's
-text form (constant | step:P:G | cosine:T0:ETA), and ``toy_widths`` selects
-``ArchWidths.toy()``. The echo pins every one of them, as resolved.
+text form (constant | step:P:G | cosine:T0:ETA), peaking at ``lr``, and
+``toy_widths`` selects ``ArchWidths.toy()``. The echo pins every one of
+them, as resolved.
 
 Exit codes: 0 success, 2 input/config error, 3 numerical abort.
 """
@@ -134,15 +135,15 @@ def prepare_out_dir(out_dir, force):
     os.makedirs(out_dir, exist_ok=True)
 
 
-def parse_schedule(text, lr):
-    """constant | step:PERIOD:GAMMA | cosine:T0:ETA_MIN (lr_max = lr)."""
+def parse_schedule(text):
+    """constant | step:PERIOD:GAMMA | cosine:T0:ETA_MIN; the peak is the spec's lr."""
     parts = text.split(":")
     if parts[0] == "constant" and len(parts) == 1:
-        return LrSchedule(kind="constant", lr_max=lr)
+        return LrSchedule(kind="constant")
     if parts[0] == "step" and len(parts) == 3:
-        return LrSchedule(kind="step", lr_max=lr, period=int(parts[1]), gamma=float(parts[2]))
+        return LrSchedule(kind="step", period=int(parts[1]), gamma=float(parts[2]))
     if parts[0] == "cosine" and len(parts) == 3:
-        return LrSchedule(kind="cosine", lr_max=lr, t0=int(parts[1]), eta_min=float(parts[2]))
+        return LrSchedule(kind="cosine", t0=int(parts[1]), eta_min=float(parts[2]))
     raise CliError(f"bad schedule {text!r}; use constant, step:P:G, or cosine:T0:ETA")
 
 
@@ -264,7 +265,7 @@ def _spec_from_config(cfg):
         values["widths"] = ArchWidths.toy()
     spec = default_spec(values.pop("kind"), test_year=test_year, **values)
     if "schedule" in cfg:
-        spec = dataclasses.replace(spec, schedule=parse_schedule(cfg["schedule"], spec.lr))
+        spec = dataclasses.replace(spec, schedule=parse_schedule(cfg["schedule"]))
     return spec, test_year
 
 

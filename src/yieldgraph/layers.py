@@ -43,8 +43,9 @@ from yieldgraph.autodiff import (
 )
 
 
-# The weekly encoder average-pools pairs of weeks after each conv; every
-# soil conv spans two adjacent depth levels.
+# The weekly encoder's four conv widths, each conv followed by an average
+# pool over pairs of weeks; every soil conv spans two adjacent depth levels.
+WEEKLY_KERNELS = (7, 3, 3, 3)
 POOL_WINDOW = 2
 SOIL_KERNEL = 2
 
@@ -124,17 +125,6 @@ def conv1d(x, weight, bias, pool=None):
     return apply_op(out, (x, weight, bias), vjp)
 
 
-def dropout(x, p, training, rng):
-    """Unit dropout: zero with probability p and scale survivors by 1/(1-p)
-    during training; identity at inference."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
-
-
 class Dense:
     """Affine map x @ W.T + b with W: [out, in]."""
 
@@ -203,13 +193,13 @@ class _ConvStack:
 
 
 class WeeklyEncoder(_ConvStack):
-    """Four conv/relu/avg-pool blocks over the week axis of the stacked
-    weather and land-surface series."""
+    """Four conv/relu/avg-pool blocks, of kernel widths WEEKLY_KERNELS, over
+    the week axis of the stacked weather and land-surface series."""
 
-    def __init__(self, rng, in_channels, weeks, channels, kernels, out_dim):
-        if len(channels) != 4 or len(kernels) != 4:
+    def __init__(self, rng, in_channels, weeks, channels, out_dim):
+        if len(channels) != 4:
             raise ValueError("weekly encoder is fixed at four pooled conv blocks")
-        super().__init__(rng, in_channels, weeks, channels, kernels, out_dim, POOL_WINDOW)
+        super().__init__(rng, in_channels, weeks, channels, WEEKLY_KERNELS, out_dim, POOL_WINDOW)
 
     def __call__(self, x):
         return self._forward(x)
@@ -253,9 +243,9 @@ class YearEmbedder:
 class RecurrentCell:
     """Standard LSTM or GRU cell over [batch, hidden_size] hidden states.
 
-    The state is a 1-tuple of one tensor: ``(h|c,)``, [B, 2 * hidden_size]
-    with h in the first half and c in the second, for the LSTM, and
-    ``(h,)``, [B, hidden_size], for the GRU. ``hidden(state)`` gives h.
+    The state is one tensor: h|c, [B, 2 * hidden_size] with h in the first
+    half and c in the second, for the LSTM, and h, [B, hidden_size], for
+    the GRU. ``hidden(state)`` gives h.
     One time step is one autodiff op with a hand-written vjp (``_lstm_step``
     / ``_gru_step``) from state to state, so a step records one tape node
     instead of one per matmul, slice, gate and product; the LSTM's h is
@@ -289,20 +279,20 @@ class RecurrentCell:
 
     def zero_state(self, batch):
         width = 2 * self.hidden_size if self.kind == "lstm" else self.hidden_size
-        return (Tensor(np.zeros((batch, width))),)
+        return Tensor(np.zeros((batch, width)))
 
     def step(self, x, state):
         """One time step: x [B, input_size] and the state -> the next state."""
         if x.data.ndim != 2 or x.data.shape[1] != self.input_size:
             raise ShapeError(f"cell expects [B,{self.input_size}] input, got {x.shape}")
         fused = _lstm_step if self.kind == "lstm" else _gru_step
-        return (fused(x, state[0], self.w_x, self.w_h, self.b_x, self.b_h),)
+        return fused(x, state, self.w_x, self.w_h, self.b_x, self.b_h)
 
     def hidden(self, state):
         """h [B, hidden_size] of a state."""
         if self.kind == "gru":
-            return state[0]
-        return narrow(state[0], 1, 0, self.hidden_size)
+            return state
+        return narrow(state, 1, 0, self.hidden_size)
 
     def parameters(self, prefix):
         return {

@@ -51,7 +51,6 @@ from yieldgraph.layers import (
     SoilEncoder,
     WeeklyEncoder,
     YearEmbedder,
-    dropout,
     rnn_forward,
 )
 from yieldgraph.optim import AdamState, LrSchedule, adam_step, logcosh_loss, lr_at
@@ -73,11 +72,10 @@ class TrainingAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class ArchWidths:
-    """Architecture widths; defaults keep 52 weeks divisible through the
-    four pooling stages and the graph input near 100 dimensions."""
+    """Architecture widths; defaults keep the graph input near 100 dimensions.
+    The conv kernel widths are layers.WEEKLY_KERNELS and SOIL_KERNEL."""
 
     weekly_channels: tuple = (32, 64, 96, 128)
-    weekly_kernels: tuple = (7, 3, 3, 3)
     weekly_out: int = 64
     soil_channels: tuple = (24, 28, 32)
     soil_out: int = 32
@@ -156,18 +154,14 @@ def _weekly_sequence(weekly):
 
 
 class RegressionHead:
-    """Dense(hidden) -> relu -> optional dropout -> Dense(1)."""
+    """Dense(hidden) -> relu -> Dense(1)."""
 
-    def __init__(self, in_dim, hidden, rng, drop_p):
+    def __init__(self, in_dim, hidden, rng):
         self.fc1 = Dense(in_dim, hidden, rng)
         self.fc2 = Dense(hidden, 1, rng)
-        self.drop_p = drop_p
 
-    def __call__(self, x, training=False, rng=None):
-        h = self.fc1(x).relu()
-        if self.drop_p > 0.0:
-            h = dropout(h, self.drop_p, training, rng)
-        return self.fc2(h).reshape((x.data.shape[0],))
+    def __call__(self, x):
+        return self.fc2(self.fc1(x).relu()).reshape((x.data.shape[0],))
 
     def parameters(self, prefix):
         params = self.fc1.parameters(f"{prefix}.fc1")
@@ -183,8 +177,9 @@ class _Model:
 
     A non-graph model reads only each sample's own records, so its forward
     is ``forward_blocks(years)``: one (weekly, soil, extras) tuple of
-    [B, ...] arrays per window year, oldest first. Graph models override
-    forward_samples, since they also read the neighbouring counties.
+    [B, ...] arrays per window year, oldest first, alike in training and at
+    inference. Graph models override forward_samples, since they also read
+    the neighbouring counties (sampled from ``rng`` in training).
     """
 
     def __init__(self, spec):
@@ -193,13 +188,13 @@ class _Model:
     def parameters(self):
         raise NotImplementedError
 
-    def forward_blocks(self, years, training=False, rng=None):
+    def forward_blocks(self, years):
         raise NotImplementedError
 
     def forward_samples(self, ds, samples, training=False, rng=None):
         years = [gather_year_blocks(ds, samples, self.spec.crop, offset)
                  for offset in range(-self.spec.history_years, 1)]
-        return self.forward_blocks(years, training, rng)
+        return self.forward_blocks(years)
 
 
 def _make_soil(spec, rng):
@@ -208,8 +203,7 @@ def _make_soil(spec, rng):
 
 def _make_embedder(spec, rng):
     w = spec.widths
-    weekly = WeeklyEncoder(rng, WEEKLY_CHANNELS, WEEKS, w.weekly_channels, w.weekly_kernels,
-                           w.weekly_out)
+    weekly = WeeklyEncoder(rng, WEEKLY_CHANNELS, WEEKS, w.weekly_channels, w.weekly_out)
     return YearEmbedder(weekly, _make_soil(spec, rng), N_EXTRAS)
 
 
@@ -221,7 +215,7 @@ def _year_head(spec, in_dim, rng):
     if cell_kind is not None:
         cell = RecurrentCell(cell_kind, in_dim, spec.widths.rnn_hidden, rng)
         in_dim = spec.widths.rnn_hidden
-    return cell, RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
+    return cell, RegressionHead(in_dim, spec.widths.head_hidden, rng)
 
 
 def _over_years(cell, steps):
@@ -248,9 +242,9 @@ class CnnModel(_Model):
     def parameters(self):
         return _collect(embed=self.embedder, cell=self.cell, head=self.head)
 
-    def forward_blocks(self, years, training=False, rng=None):
+    def forward_blocks(self, years):
         steps = [self.embedder.embed(*(Tensor(b) for b in blocks)) for blocks in years]
-        return self.head(_over_years(self.cell, steps), training, rng)
+        return self.head(_over_years(self.cell, steps))
 
 
 class RecurrentWeeklyModel(_Model):
@@ -262,16 +256,15 @@ class RecurrentWeeklyModel(_Model):
                                   spec.widths.rnn_hidden, rng)
         self.soil = _make_soil(spec, rng)
         in_dim = spec.widths.rnn_hidden + spec.widths.soil_out + N_EXTRAS
-        self.head = RegressionHead(in_dim, spec.widths.head_hidden, rng, spec.head_dropout)
+        self.head = RegressionHead(in_dim, spec.widths.head_hidden, rng)
 
     def parameters(self):
         return _collect(cell=self.cell, soil=self.soil, head=self.head)
 
-    def forward_blocks(self, years, training=False, rng=None):
+    def forward_blocks(self, years):
         ((weekly, soil, extras),) = years
         h_weekly = rnn_forward(self.cell, _weekly_sequence(weekly))
-        h = concat([h_weekly, self.soil(Tensor(soil)), Tensor(extras)], axis=1)
-        return self.head(h, training, rng)
+        return self.head(concat([h_weekly, self.soil(Tensor(soil)), Tensor(extras)], axis=1))
 
 
 class FlatHistoryModel(_Model):
@@ -284,9 +277,9 @@ class FlatHistoryModel(_Model):
     def parameters(self):
         return _collect(cell=self.cell, head=self.head)
 
-    def forward_blocks(self, years, training=False, rng=None):
+    def forward_blocks(self, years):
         steps = [Tensor(flatten_blocks(*blocks)) for blocks in years]
-        return self.head(_over_years(self.cell, steps), training, rng)
+        return self.head(_over_years(self.cell, steps))
 
 
 def _reorder(block, ds, counties, z):
@@ -340,8 +333,7 @@ class GnnModel(_Model):
         input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
         zs = [gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y, training))
               for y in years]
-        h = _reorder(block, ds, counties, _over_years(self.cell, zs))
-        return self.head(h, training, rng)
+        return self.head(_reorder(block, ds, counties, _over_years(self.cell, zs)))
 
     def _block(self, ds, counties, years, training, rng):
         complete = ds.window_mask(years[-1], len(years) - 1)
@@ -476,7 +468,7 @@ class LinearWrapper(_Model):
     def parameters(self):
         return {"linear.coef": self.coef, "linear.intercept": self.intercept}
 
-    def forward_blocks(self, years, training=False, rng=None):
+    def forward_blocks(self, years):
         (blocks,) = years
         return Tensor(flatten_blocks(*blocks) @ self.coef.data + float(self.intercept.data[0]))
 
@@ -513,7 +505,8 @@ class ModelSpec:
     """Every hyperparameter of a run. The train command's flags and config
     keys, its config echo and the checkpoint header are made from these
     fields (and those of LrSchedule and ArchWidths); a field's ``choices``
-    metadata is checked here and offered on the command line."""
+    metadata is checked here and offered on the command line, as are lr > 0
+    (the peak of ``schedule``), batch_size >= 1 and epochs >= 1."""
 
     kind: str = field(metadata={"choices": ALL_KINDS})
     crop: str = field(default="corn", metadata={"choices": CROPS})
@@ -521,12 +514,11 @@ class ModelSpec:
     batch_size: int = 64
     epochs: int = 100
     weight_decay: float = 1e-5
-    schedule: LrSchedule | None = None  # None -> constant at lr
+    schedule: LrSchedule = field(default_factory=LrSchedule)
     fanout: int = 10
     edge_dropout: float = 0.1
     aggregator: str = field(default="pool", metadata={"choices": AGGREGATORS})
     seed: int = 0
-    head_dropout: float = 0.0
     ridge_lambda: float = 1.0
     lasso_lambda: float = 0.01
     widths: ArchWidths = field(default_factory=ArchWidths)
@@ -539,8 +531,9 @@ class ModelSpec:
                 raise ConfigurationError(
                     f"unknown {f.name} {value!r}; choose from {', '.join(choices)}"
                 )
-        if self.schedule is None:
-            object.__setattr__(self, "schedule", LrSchedule(kind="constant", lr_max=self.lr))
+        if not (self.lr > 0 and self.batch_size >= 1 and self.epochs >= 1):
+            raise ConfigurationError(f"need lr > 0, batch_size >= 1 and epochs >= 1, got "
+                                     f"{self.lr!r}, {self.batch_size}, {self.epochs}")
 
     @property
     def history_years(self):
@@ -551,29 +544,29 @@ class ModelSpec:
 # (kind, crop, test_year) with (kind, crop) fallback.
 _DEFAULT_HP = {
     ("cnn-rnn-5y", "corn"): dict(batch_size=128, lr=1e-4, weight_decay=1e-5, epochs=100,
-                                 schedule=LrSchedule("step", 1e-4, period=25, gamma=0.5)),
+                                 schedule=LrSchedule("step", period=25, gamma=0.5)),
     ("cnn-rnn-5y", "soybean"): dict(batch_size=128, lr=5e-4, weight_decay=1e-5, epochs=100,
-                                    schedule=LrSchedule("step", 5e-4, period=25, gamma=0.5)),
+                                    schedule=LrSchedule("step", period=25, gamma=0.5)),
     ("gnn-1y", "corn", 2018): dict(batch_size=32, lr=1e-4, weight_decay=1e-5, epochs=100,
-                                   schedule=LrSchedule("cosine", 1e-4, t0=200, eta_min=1e-5),
+                                   schedule=LrSchedule("cosine", t0=200, eta_min=1e-5),
                                    edge_dropout=0.1, aggregator="pool"),
     ("gnn-1y", "corn", 2019): dict(batch_size=64, lr=5e-5, weight_decay=1e-5, epochs=200,
-                                   schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-5),
+                                   schedule=LrSchedule("cosine", t0=100, eta_min=1e-5),
                                    edge_dropout=0.0, aggregator="mean"),
     ("gnn-1y", "soybean"): dict(batch_size=64, lr=1e-4, weight_decay=1e-5, epochs=100,
-                                schedule=LrSchedule("step", 1e-4, period=25, gamma=0.8),
+                                schedule=LrSchedule("step", period=25, gamma=0.8),
                                 edge_dropout=0.1, aggregator="pool"),
     ("gnn-rnn-5y", "corn", 2018): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
-                                       schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-6),
+                                       schedule=LrSchedule("cosine", t0=100, eta_min=1e-6),
                                        edge_dropout=0.1, aggregator="pool"),
     ("gnn-rnn-5y", "corn", 2019): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
-                                       schedule=LrSchedule("cosine", 5e-5, t0=200, eta_min=1e-6),
+                                       schedule=LrSchedule("cosine", t0=200, eta_min=1e-6),
                                        edge_dropout=0.1, aggregator="pool"),
     ("gnn-rnn-5y", "soybean", 2018): dict(batch_size=32, lr=1e-4, weight_decay=1e-4, epochs=100,
-                                          schedule=LrSchedule("cosine", 1e-4, t0=100, eta_min=1e-6),
+                                          schedule=LrSchedule("cosine", t0=100, eta_min=1e-6),
                                           edge_dropout=0.1, aggregator="pool"),
     ("gnn-rnn-5y", "soybean", 2019): dict(batch_size=32, lr=5e-5, weight_decay=1e-5, epochs=100,
-                                          schedule=LrSchedule("cosine", 5e-5, t0=100, eta_min=1e-6),
+                                          schedule=LrSchedule("cosine", t0=100, eta_min=1e-6),
                                           edge_dropout=0.1, aggregator="pool"),
 }
 
@@ -658,9 +651,7 @@ def train(spec, dataset, split):
         return _train_linear(spec, ds, split, stats, samples, val_samples, skipped)
 
     ss = np.random.SeedSequence(spec.seed)
-    init_rng, order_rng, graph_rng, drop_rng = (
-        np.random.default_rng(s) for s in ss.spawn(4)
-    )
+    init_rng, order_rng, graph_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     model = build_model(spec, init_rng)
     params = model.parameters()
     adam = AdamState(lr=spec.lr, weight_decay=spec.weight_decay)
@@ -669,17 +660,14 @@ def train(spec, dataset, split):
     history = []
     best = None
     for epoch in range(spec.epochs):
-        adam.lr = lr_at(spec.schedule, epoch)
+        adam.lr = lr_at(spec.schedule, spec.lr, epoch)
         epoch_loss = 0.0
         seen = 0
         for batch_idx, batch in enumerate(_batches(samples, spec.batch_size, order_rng, by_year)):
             try:
                 # overflow surfaces as NonFiniteError from the finiteness checks
                 with np.errstate(over="ignore", invalid="ignore"):
-                    preds = model.forward_samples(
-                        ds, batch, training=True,
-                        rng=graph_rng if by_year else drop_rng,
-                    )
+                    preds = model.forward_samples(ds, batch, training=True, rng=graph_rng)
                     loss = logcosh_loss(preds, _standardized_targets(ds, batch, crop))
                     for p in params.values():
                         p.zero_grad()
@@ -765,6 +753,9 @@ def _spec_from_header(kv):
 _HEADER_KEYS = tuple(key for key, _, _ in _header_fields()) + (
     "best_epoch", "test_year", "skipped_windows", "lasso_converged", "train_years", "blocks",
 )
+# Header keys of hyperparameters that earlier v1 writers recorded and that
+# now hold one value (a file with other weekly kernels fails the layout).
+_RETIRED_KEYS = ("schedule_lr_max", "head_dropout", "weekly_kernels")
 _HISTORY = ("train_loss", "val_rmse", "lr")
 
 
@@ -776,6 +767,13 @@ def _layout(spec, model, epochs):
                for stat in ("mean", "std")]
             + [(f"norm/target_{spec.crop}", (2,))]
             + [(f"history/{k}", (epochs,)) for k in _HISTORY])
+
+
+def _check_layout(path, found, layout):
+    """ConfigurationError naming the first (name, shape) not the layout's."""
+    if found != layout:
+        have, want = next((f, w) for f, w in zip_longest(found, layout) if f != w)
+        raise ConfigurationError(f"{path}: block {have} is not the layout's {want}")
 
 
 class ModelCheckpoint:
@@ -810,6 +808,7 @@ class ModelCheckpoint:
         return self.norm_stats.destandardize_target(self.spec.crop, std)
 
     def save(self, path):
+        """Write a v1 checkpoint, once every block is checked against ``_layout``."""
         header = io.StringIO()
         header.write(_MAGIC + "\n")
         run = {
@@ -829,6 +828,7 @@ class ModelCheckpoint:
         arrays[f"norm/target_{crop}"] = [ns.target_mean[crop], ns.target_std[crop]]
         arrays.update({f"history/{k}": [h[k] for h in self.history] for k in _HISTORY})
         layout = _layout(self.spec, self.model(), len(self.history))
+        _check_layout(path, sorted((k, np.shape(v)) for k, v in arrays.items()), sorted(layout))
 
         header.write(f"blocks = {len(layout)}\n\n")
         with open(path, "wb") as f:
@@ -843,9 +843,10 @@ class ModelCheckpoint:
     @staticmethod
     def load(path):
         """Read a v1 checkpoint; a truncated or garbled file raises
-        ConfigurationError naming what is wrong. Its blocks must be exactly
-        ``_layout`` of its spec once the ones older writers added are dropped
-        by exact name: ``norm/const_<b>`` per record block, the other crop's target."""
+        ConfigurationError naming what is wrong. What older writers added is
+        dropped by exact name: ``_RETIRED_KEYS`` and the blocks ``norm/const_<b>``
+        per record block and the other crop's target. The blocks left must be
+        exactly ``_layout`` of its spec."""
         with open(path, "rb") as f:
             raw = f.read()
         head_end = raw.find(b"\n\n")
@@ -854,7 +855,7 @@ class ModelCheckpoint:
             raise ConfigurationError(f"{path}: not a checkpoint file")
         kv = dict(line.partition(" = ")[::2] for line in header_lines[1:])
         missing = sorted(set(_HEADER_KEYS) - set(kv))
-        unknown = sorted(set(kv) - set(_HEADER_KEYS))
+        unknown = sorted(set(kv) - set(_HEADER_KEYS) - set(_RETIRED_KEYS))
         if missing or unknown or len(header_lines) - 1 != len(kv):
             raise ConfigurationError(
                 f"{path}: bad checkpoint header (missing {missing}, unknown {unknown})"
@@ -901,10 +902,7 @@ class ModelCheckpoint:
         blocks = dict(kept)
         model = build_model(spec, np.random.default_rng(0))
         layout = _layout(spec, model, blocks.get(f"history/{_HISTORY[0]}", np.empty(0)).size)
-        found = [(name, arr.shape) for name, arr in kept]
-        if found != layout:
-            have, want = next((f, w) for f, w in zip_longest(found, layout) if f != w)
-            raise ConfigurationError(f"{path}: block {have} is not the layout's {want}")
+        _check_layout(path, [(name, arr.shape) for name, arr in kept], layout)
 
         params = {name: blocks[f"param/{name}"] for name in model.parameters()}
         for name, tensor in model.parameters().items():

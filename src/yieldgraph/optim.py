@@ -81,10 +81,9 @@ def adam_step(params, state):
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """constant, step decay, or cosine annealing with restarts."""
+    """constant, step decay, or cosine annealing with restarts; the peak is the run's lr."""
 
     kind: str = "constant"
-    lr_max: float = 1e-3
     period: int = 25       # step: epochs per decay
     gamma: float = 0.5     # step: decay factor
     t0: int = 100          # cosine: restart period
@@ -93,16 +92,17 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "step", "cosine"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.lr_max <= 0 or (self.kind == "cosine" and self.eta_min <= 0):
+        if self.kind == "cosine" and self.eta_min <= 0:
             raise ValueError("learning rates must stay positive")
 
 
-def lr_at(schedule, epoch):
+def lr_at(schedule, lr, epoch):
+    """The learning rate of ``epoch`` (from 0) under ``schedule``, peaking at ``lr``."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     if schedule.kind == "constant":
-        return schedule.lr_max
+        return lr
     if schedule.kind == "step":
-        return schedule.lr_max * schedule.gamma ** (epoch // schedule.period)
+        return lr * schedule.gamma ** (epoch // schedule.period)
     phase = math.pi * (epoch % schedule.t0) / schedule.t0
-    return schedule.eta_min + (schedule.lr_max - schedule.eta_min) * (1.0 + math.cos(phase)) / 2.0
+    return schedule.eta_min + (lr - schedule.eta_min) * (1.0 + math.cos(phase)) / 2.0

@@ -230,7 +230,7 @@ def reference_cell_step(cell, x, state):
     tape node per matmul, slice, gate and product); the oracle for the
     fused step. Same signature and result as ``cell.step``."""
     h = cell.hidden_size
-    h_prev = narrow(state[0], 1, 0, h) if cell.kind == "lstm" else state[0]
+    h_prev = narrow(state, 1, 0, h) if cell.kind == "lstm" else state
     zx = add_rowvec(matmul(x, cell.w_x.transpose()), cell.b_x)
     zh = add_rowvec(matmul(h_prev, cell.w_h.transpose()), cell.b_h)
     if cell.kind == "lstm":
@@ -239,13 +239,13 @@ def reference_cell_step(cell, x, state):
         f = sigmoid(narrow(z, 1, h, h))
         g = tanh(narrow(z, 1, 2 * h, h))
         o = sigmoid(narrow(z, 1, 3 * h, h))
-        c_new = f * narrow(state[0], 1, h, h) + i * g
-        return (concat([o * tanh(c_new), c_new], axis=1),)
+        c_new = f * narrow(state, 1, h, h) + i * g
+        return concat([o * tanh(c_new), c_new], axis=1)
     r = sigmoid(narrow(zx, 1, 0, h) + narrow(zh, 1, 0, h))
     u = sigmoid(narrow(zx, 1, h, h) + narrow(zh, 1, h, h))
     n = tanh(narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h))
     ones = Tensor(np.ones((x.data.shape[0], h)))
-    return ((ones - u) * n + u * state[0],)
+    return (ones - u) * n + u * state
 
 
 def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=None,

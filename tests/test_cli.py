@@ -372,7 +372,7 @@ def test_train_config_echo_golden(tmp_path):
     out = tmp_path / "run"
     argv = (["train", "--config", str(cfg)] + dataset_flags(data)
             + ["--test-year", "2009", "--epochs", "2", "--toy-widths", "--batch-size", "16",
-               "--schedule", "step:3:0.5", "--head-dropout", "0.25", "--out", str(out)])
+               "--schedule", "step:3:0.5", "--out", str(out)])
     assert run(argv) == 0
     assert (out / "config.txt").read_text(encoding="utf-8") == (
         "command = train\n"
@@ -384,7 +384,6 @@ def test_train_config_echo_golden(tmp_path):
         "epochs = 2\n"
         "fanout = 5\n"
         f"features = {data / 'features.csv'}\n"
-        "head_dropout = 0.25\n"
         "lasso_lambda = 0.01\n"
         "lr = 1e-3\n"
         "method = cnn-1y\n"
@@ -442,7 +441,6 @@ def test_train_option_set_golden():
         ("--fanout", "fanout", "int", None, None),
         ("--features", "features", None, None, None),
         ("--force", "force", None, None, True),
-        ("--head-dropout", "head_dropout", "float", None, None),
         ("--help", "help", None, None, None),
         ("--lasso-lambda", "lasso_lambda", "float", None, None),
         ("--lr", "lr", "float", None, None),
@@ -637,6 +635,12 @@ _ERROR_TABLE = {
         d, o, method="lasso-1y", extra=["--lasso-lambda", "-0.5"]), None),
     "ridge-nan-lambda": (ValueError, 2, lambda d, c, t, o: train_args(
         d, o, method="ridge-1y", extra=["--ridge-lambda", "nan"]), None),
+    "zero-epochs": (ConfigurationError, 2, lambda d, c, t, o: train_args(
+        d, o, method="gnn-1y", epochs=0), None),
+    "negative-batch-size": (ConfigurationError, 2, lambda d, c, t, o: train_args(
+        d, o, extra=["--batch-size", "-3"]), None),
+    "ridge-negative-batch-size": (ConfigurationError, 2, lambda d, c, t, o: train_args(
+        d, o, method="ridge-1y", extra=["--batch-size", "-3"]), None),
     "training-abort": (TrainingAbort, 3, lambda d, c, t, o: train_args(
         d, o, extra=["--lr", "1e200"]), None),
     "non-finite": (NonFiniteError, 3, lambda d, c, t, o: _evaluate(

@@ -51,8 +51,8 @@ TEST_ONLY_PARAMETERS = {
 
 UNREAD_PARAMETERS = {
     "LinearWrapper.__init__(rng)": "every kind is built through one constructor signature",
-    "LinearWrapper.forward_blocks(training)": "every kind runs through one forward signature",
-    "LinearWrapper.forward_blocks(rng)": "every kind runs through one forward signature",
+    "_Model.forward_samples(training)": "every kind runs through one forward signature",
+    "_Model.forward_samples(rng)": "every kind runs through one forward signature",
 }
 
 

@@ -9,7 +9,6 @@ from yieldgraph.layers import (
     WeeklyEncoder,
     YearEmbedder,
     conv1d,
-    dropout,
     rnn_forward,
     uniform_param,
 )
@@ -168,8 +167,7 @@ _PAPER = ArchWidths()
 
 
 def _weekly(rng, channels=_PAPER.weekly_channels, out_dim=_PAPER.weekly_out):
-    return WeeklyEncoder(rng, N_WEATHER + N_LAND, WEEKS, channels, _PAPER.weekly_kernels,
-                         out_dim)
+    return WeeklyEncoder(rng, N_WEATHER + N_LAND, WEEKS, channels, out_dim)
 
 
 def _soil(rng, channels=_PAPER.soil_channels, out_dim=_PAPER.soil_out):
@@ -303,7 +301,7 @@ def test_rnn_length_one_equals_single_step():
     cell = RecurrentCell("gru", 3, 4, rng)
     x = Tensor(rng.normal(size=(2, 3)))
     out = rnn_forward(cell, [x])
-    single = cell.step(x, cell.zero_state(2))[0]
+    single = cell.step(x, cell.zero_state(2))
     assert np.array_equal(out.data, single.data)
 
 
@@ -410,12 +408,12 @@ def test_lstm_state_is_h_then_c():
     rng = _rng(24)
     cell = RecurrentCell("lstm", 3, 4, rng)
     state = cell.zero_state(2)
-    assert len(state) == 1 and np.array_equal(state[0].data, np.zeros((2, 8)))
+    assert np.array_equal(state.data, np.zeros((2, 8)))
     x = Tensor(rng.normal(size=(2, 3)))
-    fused = cell.step(x, state)[0].data
-    composed = reference_cell_step(cell, x, state)[0].data
+    fused = cell.step(x, state).data
+    composed = reference_cell_step(cell, x, state).data
     assert np.array_equal(fused, composed)
-    assert np.array_equal(cell.hidden((Tensor(fused),)).data, fused[:, :4])
+    assert np.array_equal(cell.hidden(Tensor(fused)).data, fused[:, :4])
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
@@ -451,25 +449,6 @@ def test_rnn_forward_rejects_overflowed_hidden_pre_activations(kind):
     cell.w_h.data[...] = 1.5e308
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         rnn_forward(cell, [Tensor(np.ones((1, 1)))] * 2)
-
-
-def test_dropout_identity_cases():
-    x = Tensor(np.ones((4, 4)))
-    rng = _rng(16)
-    assert dropout(x, 0.0, True, rng) is x
-    assert dropout(x, 0.5, False, rng) is x
-    with pytest.raises(ValueError):
-        dropout(x, 1.0, True, rng)
-
-
-def test_dropout_empirical_rate():
-    rng = _rng(17)
-    x = Tensor(np.ones(100_000))
-    out = dropout(x, 0.3, True, rng).data
-    drop_rate = np.mean(out == 0.0)
-    assert abs(drop_rate - 0.3) < 0.01
-    survivors = out[out != 0.0]
-    assert np.allclose(survivors, 1.0 / 0.7)
 
 
 def test_dense_parameter_init_range():

@@ -274,8 +274,17 @@ def test_default_spec_matches_tuned_tables():
 
 def test_bare_lr_override_resets_schedule():
     spec = default_spec("gnn-rnn-5y", "corn", 2019, lr=1e-3)
-    assert spec.schedule.kind == "constant"
-    assert spec.schedule.lr_max == 1e-3
+    assert spec.schedule == LrSchedule()
+    assert spec.lr == 1e-3
+
+
+@pytest.mark.parametrize("bad", [
+    dict(lr=0.0, schedule=LrSchedule("step")), dict(lr=-1e-4), dict(lr=float("nan")),
+    dict(batch_size=0), dict(batch_size=-3), dict(epochs=0),
+], ids=["zero-lr-step", "negative-lr", "nan-lr", "zero-batch", "negative-batch", "zero-epochs"])
+def test_spec_rejects_bad_lr_batch_size_and_epochs(bad):
+    with pytest.raises(ConfigurationError):
+        ModelSpec(kind="cnn-rnn-5y", **bad)
 
 
 # -- models ----------------------------------------------------------------------
@@ -533,12 +542,11 @@ def _all_fields_checkpoint():
     spec = ModelSpec(
         kind="gnn-rnn-5y", crop="soybean", lr=3e-4, batch_size=16, epochs=7,
         weight_decay=2.5e-5,
-        schedule=LrSchedule("step", 3e-4, period=5, gamma=0.7, t0=50, eta_min=2e-6),
-        fanout=3, edge_dropout=0.25, aggregator="mean", seed=11, head_dropout=0.125,
+        schedule=LrSchedule("step", period=5, gamma=0.7, t0=50, eta_min=2e-6),
+        fanout=3, edge_dropout=0.25, aggregator="mean", seed=11,
         ridge_lambda=2.5, lasso_lambda=0.05,
-        widths=ArchWidths(weekly_channels=(3, 5, 6, 7), weekly_kernels=(5, 3, 3, 1),
-                          weekly_out=9, soil_channels=(2, 3, 4), soil_out=5, rnn_hidden=6,
-                          gnn_hidden=7, head_hidden=10),
+        widths=ArchWidths(weekly_channels=(3, 5, 6, 7), weekly_out=9, soil_channels=(2, 3, 4),
+                          soil_out=5, rnn_hidden=6, gnn_hidden=7, head_hidden=10),
     )
     params = build_model(spec, np.random.default_rng(0)).parameters()
     z = {b: np.zeros(shape) for b, shape in BLOCK_SHAPES.items()}
@@ -561,7 +569,6 @@ batch_size = 16
 epochs = 7
 weight_decay = 2.5e-05
 schedule_kind = step
-schedule_lr_max = 0.0003
 schedule_period = 5
 schedule_gamma = 0.7
 schedule_t0 = 50
@@ -570,11 +577,9 @@ fanout = 3
 edge_dropout = 0.25
 aggregator = mean
 seed = 11
-head_dropout = 0.125
 ridge_lambda = 2.5
 lasso_lambda = 0.05
 weekly_channels = 3,5,6,7
-weekly_kernels = 5,3,3,1
 weekly_out = 9
 soil_channels = 2,3,4
 soil_out = 5
@@ -598,7 +603,7 @@ def test_checkpoint_header_golden(tmp_path):
     raw = path.read_bytes()
     assert raw[: raw.index(b"\n\n") + 2].decode("utf-8") == _GOLDEN_HEADER
     assert hashlib.sha256(raw).hexdigest() == (
-        "f66447aa3407626d2a3297513e88c65bb1fa739e7cc970d41911476793a6dae9"
+        "e7b6eb1f2fe0d18ad0ab953e1bcc4b66b5b6fb46b8cf88b6f571fdfeffe1d5de"
     )
     loaded = ModelCheckpoint.load(path)
     assert loaded.spec == ckpt.spec
@@ -649,6 +654,24 @@ def test_legacy_checkpoint_loads_with_identical_predictions(tmp_path):
     assert preds.tolist() == _LEGACY_PREDICTIONS
     resaved = ModelCheckpoint.load(ckpt.save(tmp_path / "resaved.ckpt"))
     assert np.array_equal(resaved.predict_year(ds, ds.counties, 2009), preds)
+
+
+def test_checkpoint_save_rejects_a_parameter_off_the_layout(tmp_path):
+    # a broadcastable shape fills the model, so it predicts; save refuses it
+    spec = tiny_spec("cnn-1y")
+    params = {k: t.data.copy() for k, t in build_model(spec, np.random.default_rng(0))
+              .parameters().items()}
+    params["head.fc1.bias"] = params["head.fc1.bias"].reshape(1, -1)
+    ds = tiny_dataset(side=2, years=10)
+    ds_norm, stats = normalize(ds, YearSplit(test_year=2009))
+    ckpt = ModelCheckpoint(spec=spec, params=params, norm_stats=stats,
+                           history=[{"epoch": 0, "train_loss": 0.5, "val_rmse": 0.5, "lr": 1e-3}],
+                           best_epoch=0, test_year=2009)
+    assert np.isfinite(ckpt.predict_year(ds_norm, ds.counties, 2009)).all()
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ConfigurationError, match="head.fc1.bias"):
+        ckpt.save(path)
+    assert not path.exists()
 
 
 def _header_end(raw):

@@ -106,22 +106,22 @@ def test_adam_rejects_non_finite_gradient_and_leaves_params():
 
 
 def test_step_schedule_paper_values():
-    sched = LrSchedule(kind="step", lr_max=1e-4, period=25, gamma=0.5)
-    assert lr_at(sched, 24) == 1e-4
-    assert lr_at(sched, 25) == 5e-5
+    sched = LrSchedule(kind="step", period=25, gamma=0.5)
+    assert lr_at(sched, 1e-4, 24) == 1e-4
+    assert lr_at(sched, 1e-4, 25) == 5e-5
 
 
 def test_cosine_schedule_start_and_midpoint():
-    sched = LrSchedule(kind="cosine", lr_max=1e-4, t0=100, eta_min=1e-6)
-    assert lr_at(sched, 0) == 1e-4
-    assert abs(lr_at(sched, 50) - 5.05e-5) < 1e-12
+    sched = LrSchedule(kind="cosine", t0=100, eta_min=1e-6)
+    assert lr_at(sched, 1e-4, 0) == 1e-4
+    assert abs(lr_at(sched, 1e-4, 50) - 5.05e-5) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 1000))
 def test_cosine_schedule_bounded(epoch):
-    sched = LrSchedule(kind="cosine", lr_max=1e-4, t0=200, eta_min=1e-5)
-    lr = lr_at(sched, epoch)
+    sched = LrSchedule(kind="cosine", t0=200, eta_min=1e-5)
+    lr = lr_at(sched, 1e-4, epoch)
     assert 1e-5 <= lr <= 1e-4
 
 
@@ -129,4 +129,4 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         LrSchedule(kind="linear")
     with pytest.raises(ValueError):
-        lr_at(LrSchedule(), -1)
+        lr_at(LrSchedule(), 1e-3, -1)
