@@ -237,8 +237,10 @@ def _binary(a, b, fwd, da, db):
     return apply_op(fwd(ad, bd), (a, b), vjp)
 
 
-# False inside no_grad(); read by apply_op. Process-wide: the package
-# starts no threads.
+# False inside no_grad(); read by apply_op. Process-wide, and safe as one
+# flag: the package's only other thread, the conv worker of layers.conv1d,
+# runs numpy calls on arrays alone, never apply_op, so every op is
+# recorded (or not) on the thread that set the mode.
 _recording = True
 
 

@@ -16,6 +16,15 @@ avg-pool) is one autodiff op, ``conv1d``, with a hand-written vjp. The
 output is transposed back once before the projection, which therefore
 sees the [C, L] flatten order its weights were laid out for.
 
+A large block runs on two threads: the caller and one conv worker,
+started by the first block of at least SPLIT_ROWS output rows (batch *
+out_len) in a process allowed two or more CPUs. numpy releases the GIL
+inside its GEMMs and large array passes, so both threads make progress.
+The worker runs numpy calls only, on rows of arrays the caller hands it,
+and the caller waits for it inside the op; the tape, ``no_grad()`` and
+the finiteness checks stay on the calling thread. ``_conv1d_split`` says
+which passes split and why no bit changes.
+
 The recurrent cell carries its state as one tensor: [B, 2 * hidden] laid
 out h|c for the LSTM, [B, hidden] h for the GRU. One time step is one
 autodiff op from state to state, so a sequence of T steps records T tape
@@ -27,7 +36,12 @@ caller's seeded generator.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -49,10 +63,83 @@ WEEKLY_KERNELS = (7, 3, 3, 3)
 POOL_WINDOW = 2
 SOIL_KERNEL = 2
 
+# A conv block with at least this many output rows (batch * out_len) runs
+# on two threads (see conv1d); below it, handing half to the worker costs
+# more than the second core gives back.
+SPLIT_ROWS = 1024
+
+_worker = None  # the conv worker's job queue, made when the first split block starts it
+
 
 def uniform_param(rng, shape, fan_in):
     a = math.sqrt(1.0 / fan_in)
     return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _split_point(batch, out_len):
+    """Where a block's batch splits over two threads, or None when the block
+    runs on the calling thread alone: it has fewer than SPLIT_ROWS output
+    rows, a single batch item, or one CPU to run on."""
+    if batch < 2 or batch * out_len < SPLIT_ROWS or _cpus() < 2:
+        return None
+    return batch // 2
+
+
+def _serve(jobs):
+    """The conv worker's loop: run each job, then put its failure (or None)
+    on the job's own reply queue."""
+    while True:
+        job, reply = jobs.get()
+        try:
+            job()
+        except BaseException as err:
+            reply.put(err)
+        else:
+            reply.put(None)
+
+
+def _in_parallel(here, there):
+    """Run ``there`` on the conv worker while ``here`` runs on the calling
+    thread, and return once both have finished. A failure propagates only
+    then, so the worker is idle again: the caller's first, else the
+    worker's. ``there`` runs in a copy of the caller's context, which holds
+    numpy's error state (a contextvar since numpy 2)."""
+    global _worker
+    if _worker is None:
+        _worker = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_worker,), name="yieldgraph-conv",
+                         daemon=True).start()
+    reply = queue.SimpleQueue()
+    _worker.put((functools.partial(contextvars.copy_context().run, there), reply))
+    try:
+        here()
+    finally:
+        err = reply.get()
+    if err is not None:
+        raise err
+
+
+def _forget_worker():
+    global _worker
+    _worker = None  # a forked child has no worker thread; start a new one
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _halves(job, batch, split):
+    """job(b0, b1) over batch items [0, split) here and [split, batch) on
+    the conv worker."""
+    _in_parallel(lambda: job(0, split), lambda: job(split, batch))
 
 
 def conv1d(x, weight, bias, pool=None):
@@ -68,6 +155,10 @@ def conv1d(x, weight, bias, pool=None):
     pre-activations are checked for NaN/Inf before it. The vjp forms the
     input, weight and bias gradients only for the operands that are
     tracked; the first block's input is raw data.
+
+    A block of at least SPLIT_ROWS output rows (batch * out_len), with two
+    or more batch items and two or more CPUs, runs on two threads, in
+    ``_conv1d_split``, with the same bits.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d needs [B,L,C] and [O,C,K], got {x.shape}, {weight.shape}")
@@ -80,6 +171,9 @@ def conv1d(x, weight, bias, pool=None):
     out_len = length - k + 1
     if pool is not None and out_len < pool:
         raise ShapeError(f"conv1d output length {out_len} shorter than pool window {pool}")
+    split = _split_point(batch, out_len)
+    if split is not None:
+        return _conv1d_split(x, weight, bias, pool, split)
 
     # im2col: the [B, L', C, K] window view flattens to [B*L', C*K] rows
     # whose columns follow the weight's (C, K) layout.
@@ -123,6 +217,102 @@ def conv1d(x, weight, bias, pool=None):
         return dx, dw, db
 
     return apply_op(out, (x, weight, bias), vjp)
+
+
+def _conv1d_split(x, weight, bias, pool, split):
+    """``conv1d`` of a large block on two threads: the caller and the conv
+    worker. Each takes half the batch, at ``split``, for im2col, the GEMM
+    into its rows of ``z`` and the bias; then, once the caller has checked
+    all of ``z``, for the relu, its mask and the pool; in the vjp, for the
+    gradient's spread and mask (``gmat``). Then the caller forms dx (the
+    ``gmat @ wmat`` GEMM and the col2im scatter) while the worker forms dw
+    and db. Every value comes from ``conv1d``'s elementwise passes and a
+    row-split of its forward GEMM, and dx, dw and db from its very calls,
+    so the split changes no bit.
+
+    A row-split GEMM keeps the bits only while each half takes the kernel
+    path of the whole: on OpenBLAS's AVX-512 kernels a product of under
+    about 1200 output elements takes a small-matrix kernel, and scans of
+    the forward GEMM at every default-width shape found no changed bit in
+    parts of 128 rows or more (a half here has at least a third of
+    SPLIT_ROWS). A row split of the dx GEMM did change bits, and one of dw
+    would sum in another order, so neither is split.
+    ``tests/test_conv_split.py`` checks every default-width block.
+    """
+    batch, length, ch_in = x.data.shape
+    ch_out, _, k = weight.data.shape
+    out_len = length - k + 1
+    rows = batch * out_len
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
+    wmat = weight.data.reshape(ch_out, ch_in * k)
+    cols, z = np.empty((rows, ch_in * k)), np.empty((rows, ch_out))
+    mask = np.empty((rows, ch_out), dtype=bool)
+    out = z.reshape(batch, out_len, ch_out)
+    if pool is not None:
+        keep = out_len // pool * pool
+        pooled = np.empty((batch, keep // pool, ch_out))
+
+    def affine(b0, b1):
+        r0, r1 = b0 * out_len, b1 * out_len
+        cols[r0:r1].reshape(b1 - b0, out_len, ch_in, k)[...] = windows[b0:b1]
+        np.matmul(cols[r0:r1], wmat.T, out=z[r0:r1])
+        z[r0:r1] += bias.data
+
+    def activate(b0, b1):
+        r0, r1 = b0 * out_len, b1 * out_len
+        zb = z[r0:r1]
+        np.greater(zb, 0, out=mask[r0:r1])
+        np.maximum(zb, 0.0, out=zb)
+        zb += 0.0
+        if pool is not None:
+            pb = pooled[b0:b1]
+            pb[...] = out[b0:b1, 0:keep:pool]
+            for j in range(1, pool):
+                pb += out[b0:b1, j:keep:pool]
+            pb /= pool
+
+    _halves(affine, batch, split)
+    autodiff._check_finite(z, "conv pre-activations")
+    _halves(activate, batch, split)
+
+    def vjp(g):
+        gmat = np.empty((rows, ch_out))
+        dx = dw = db = None
+
+        def spread(b0, b1):
+            r0, r1 = b0 * out_len, b1 * out_len
+            gb = gmat[r0:r1]
+            if pool is None:
+                np.multiply(g[b0:b1].reshape(r1 - r0, ch_out), mask[r0:r1], out=gb)
+            else:
+                gb[...] = 0.0
+                spread_b, g_pool = gb.reshape(b1 - b0, out_len, ch_out), g[b0:b1] / pool
+                for j in range(pool):
+                    spread_b[:, j:keep:pool] = g_pool
+                gb *= mask[r0:r1]
+
+        def input_grad():
+            nonlocal dx
+            dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
+            dx = np.zeros((batch, length, ch_in))
+            for j in range(k):
+                dx[:, j : j + out_len] += dcols[:, :, :, j]
+
+        def param_grads():
+            nonlocal dw, db
+            if weight.requires_grad:
+                dw = (gmat.T @ cols).reshape(ch_out, ch_in, k)
+            if bias.requires_grad:
+                db = gmat.sum(axis=0)
+
+        _halves(spread, batch, split)
+        if x.requires_grad:
+            _in_parallel(input_grad, param_grads)
+        else:
+            param_grads()
+        return dx, dw, db
+
+    return apply_op(out if pool is None else pooled, (x, weight, bias), vjp)
 
 
 class Dense:
