@@ -4,7 +4,11 @@ Values live in numpy arrays. Every operation whose inputs are tracked
 records a node (inputs plus a local vector-Jacobian rule) on the implicit
 tape formed by the creation graph; ``backward`` topologically sorts the
 nodes reachable from a scalar loss and sweeps them exactly once in
-reverse, accumulating gradients into the tracked leaves.
+reverse, accumulating gradients into the tracked leaves. A vjp may hand
+back a ``Pending`` gradient that another thread is still forming (the
+conv worker's weight and bias gradients, see ``layers.conv1d``); the
+sweep walks on without it, and its leaf's accumulation waits for it
+until the sweep is done.
 
 Broadcasting is deliberately restricted to scalar-versus-tensor so that
 shape bugs surface at the call site instead of propagating. All data is
@@ -29,6 +33,7 @@ __all__ = [
     "take_rows",
     "add_rowvec",
     "apply_op",
+    "Pending",
     "backward",
     "no_grad",
 ]
@@ -49,6 +54,27 @@ class NonFiniteError(FloatingPointError):
 def _check_finite(arr, context):
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {context}")
+
+
+class Pending:
+    """A gradient that another thread is still forming, which a vjp may
+    return in place of an array. ``done()`` blocks until that thread's job
+    has finished and returns its failure, or None (the same at once when
+    called again); the job fills in ``grads[index]``."""
+
+    __slots__ = ("done", "_grads", "_index")
+
+    def __init__(self, done, grads, index):
+        self.done = done
+        self._grads = grads
+        self._index = index
+
+    def result(self):
+        """The gradient, once formed; the job's failure is raised here."""
+        err = self.done()
+        if err is not None:
+            raise err
+        return self._grads[self._index]
 
 
 class _Node:
@@ -239,7 +265,9 @@ def _binary(a, b, fwd, da, db):
 
 # False inside no_grad(); read by apply_op. Process-wide, and safe as one
 # flag: the package's only other thread, the conv worker of layers.conv1d,
-# runs numpy calls on arrays alone, never apply_op, so every op is
+# runs numpy calls and finiteness checks on arrays alone, never apply_op
+# (in the backward pass it forms a block's weight and bias gradients
+# behind the caller, which walks on down the tape), so every op is
 # recorded (or not) on the thread that set the mode.
 _recording = True
 
@@ -374,7 +402,14 @@ def _topo_order(root):
 def backward(loss):
     """Populate ``grad`` on every tracked leaf reachable from ``loss``.
 
-    Repeated calls without ``zero_grad`` accumulate.
+    Each leaf gradient is added to its leaf as the sweep forms it, except
+    behind a ``Pending`` one: that leaf's later gradients are held, and
+    once the sweep is done each pending one is waited for and the held
+    ones are added in the order the sweep formed them, so every leaf gets
+    the sums of adding each gradient at once. Every gradient is checked
+    for NaN/Inf before it is added. If anything fails, ``backward`` waits
+    for every pending gradient before it raises. Repeated calls without
+    ``zero_grad`` accumulate.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -386,16 +421,40 @@ def backward(loss):
 
     order = _topo_order(loss)
     grads = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(order):
-        g = grads.pop(id(t), None)
-        if g is None:
-            continue
-        for parent, pg in zip(t.node.inputs, t.node.vjp(g)):
-            if pg is None or not parent.requires_grad:
+    held = {}  # id(leaf) -> (leaf, its gradients from its first Pending one on)
+    pgs = ()
+    try:
+        for t in reversed(order):
+            g = grads.pop(id(t), None)
+            if g is None:
                 continue
-            _check_finite(pg, "gradient during backward")
-            if parent.node is None:
-                parent.grad = pg if parent.grad is None else parent.grad + pg
-            else:
-                key = id(parent)
-                grads[key] = pg if key not in grads else grads[key] + pg
+            pgs = t.node.vjp(g)
+            for parent, pg in zip(t.node.inputs, pgs):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent.node is None and (isinstance(pg, Pending) or id(parent) in held):
+                    held.setdefault(id(parent), (parent, []))[1].append(pg)
+                    continue
+                if isinstance(pg, Pending):
+                    pg = pg.result()
+                _accumulate(parent, pg, grads)
+            pgs = ()  # a gradient summed into another is freed before the next vjp
+        for leaf, later in held.values():
+            for pg in later:
+                _accumulate(leaf, pg.result() if isinstance(pg, Pending) else pg, grads)
+    except BaseException:
+        for pg in (*pgs, *(pg for _, later in held.values() for pg in later)):
+            if isinstance(pg, Pending):
+                pg.done()
+        raise
+
+
+def _accumulate(parent, pg, grads):
+    """Add a checked gradient to a leaf's ``grad``, or to a non-leaf's entry
+    in the sweep's ``grads``."""
+    _check_finite(pg, "gradient during backward")
+    if parent.node is None:
+        parent.grad = pg if parent.grad is None else parent.grad + pg
+    else:
+        key = id(parent)
+        grads[key] = pg if key not in grads else grads[key] + pg

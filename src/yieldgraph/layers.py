@@ -17,13 +17,17 @@ output is transposed back once before the projection, which therefore
 sees the [C, L] flatten order its weights were laid out for.
 
 A large block runs on two threads: the caller and one conv worker,
-started by the first block of at least SPLIT_ROWS output rows (batch *
-out_len) in a process allowed two or more CPUs. numpy releases the GIL
-inside its GEMMs and large array passes, so both threads make progress.
-The worker runs numpy calls only, on rows of arrays the caller hands it,
-and the caller waits for it inside the op; the tape, ``no_grad()`` and
-the finiteness checks stay on the calling thread. ``_conv1d_split`` says
-which passes split and why no bit changes.
+started by the first block of at least SPLIT_WORK multiply-adds in its
+GEMM (batch * out_len * ch_in * k * ch_out) in a process allowed two or
+more CPUs. numpy releases the GIL inside its GEMMs and large array
+passes, so both threads make progress. The worker runs numpy calls and
+finiteness checks only, on arrays the caller hands it. In a split block's
+forward pass the caller waits for it inside the op. In the backward pass
+the worker, once started, forms every block's weight and bias gradients
+behind the caller, which forms the input gradient and walks on down the
+tape, and ``autodiff.backward`` waits for them once the sweep is done.
+The tape and ``no_grad()`` stay on the calling thread. ``_conv1d_split``
+says why the split changes no bit.
 
 The recurrent cell carries its state as one tensor: [B, 2 * hidden] laid
 out h|c for the LSTM, [B, hidden] h for the GRU. One time step is one
@@ -63,10 +67,14 @@ WEEKLY_KERNELS = (7, 3, 3, 3)
 POOL_WINDOW = 2
 SOIL_KERNEL = 2
 
-# A conv block with at least this many output rows (batch * out_len) runs
-# on two threads (see conv1d); below it, handing half to the worker costs
-# more than the second core gives back.
-SPLIT_ROWS = 1024
+# A conv block whose GEMM has at least SPLIT_WORK multiply-adds (batch *
+# out_len * ch_in * k * ch_out) runs on two threads (see conv1d); below it,
+# handing half to the worker costs more than the second core gives back.
+# Each half must also have at least MIN_HALF_ROWS output rows: the scans
+# that found a row-split GEMM bit-equal to the whole one covered parts of
+# that many rows and more (see _conv1d_split).
+SPLIT_WORK = 5_000_000
+MIN_HALF_ROWS = 128
 
 _worker = None  # the conv worker's job queue, made when the first split block starts it
 
@@ -84,13 +92,16 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _split_point(batch, out_len):
+def _split_point(batch, out_len, ch_in, k, ch_out):
     """Where a block's batch splits over two threads, or None when the block
-    runs on the calling thread alone: it has fewer than SPLIT_ROWS output
-    rows, a single batch item, or one CPU to run on."""
-    if batch < 2 or batch * out_len < SPLIT_ROWS or _cpus() < 2:
+    runs on the calling thread alone: its GEMM has fewer than SPLIT_WORK
+    multiply-adds, a half would have fewer than MIN_HALF_ROWS output rows,
+    or there is one CPU to run on."""
+    half = batch // 2
+    if (half * out_len < MIN_HALF_ROWS or batch * out_len * ch_in * k * ch_out < SPLIT_WORK
+            or _cpus() < 2):
         return None
-    return batch // 2
+    return half
 
 
 def _serve(jobs):
@@ -106,23 +117,38 @@ def _serve(jobs):
             reply.put(None)
 
 
-def _in_parallel(here, there):
-    """Run ``there`` on the conv worker while ``here`` runs on the calling
-    thread, and return once both have finished. A failure propagates only
-    then, so the worker is idle again: the caller's first, else the
-    worker's. ``there`` runs in a copy of the caller's context, which holds
-    numpy's error state (a contextvar since numpy 2)."""
+def _post(job):
+    """Start ``job`` on the conv worker, in a copy of the caller's context
+    (which holds numpy's error state, a contextvar since numpy 2), and
+    return ``done``: it blocks until the job has finished and returns the
+    job's failure, or None, and returns the same at once when called
+    again."""
     global _worker
     if _worker is None:
         _worker = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(_worker,), name="yieldgraph-conv",
                          daemon=True).start()
-    reply = queue.SimpleQueue()
-    _worker.put((functools.partial(contextvars.copy_context().run, there), reply))
+    reply, outcome = queue.SimpleQueue(), []
+    _worker.put((functools.partial(contextvars.copy_context().run, job), reply))
+
+    def done():
+        if not outcome:
+            outcome.append(reply.get())
+        return outcome[0]
+
+    return done
+
+
+def _in_parallel(here, there):
+    """Run ``there`` on the conv worker while ``here`` runs on the calling
+    thread, and return once both have finished. A failure propagates only
+    then, so the worker is idle again: the caller's first, else the
+    worker's."""
+    done = _post(there)
     try:
         here()
     finally:
-        err = reply.get()
+        err = done()
     if err is not None:
         raise err
 
@@ -156,9 +182,14 @@ def conv1d(x, weight, bias, pool=None):
     input, weight and bias gradients only for the operands that are
     tracked; the first block's input is raw data.
 
-    A block of at least SPLIT_ROWS output rows (batch * out_len), with two
-    or more batch items and two or more CPUs, runs on two threads, in
-    ``_conv1d_split``, with the same bits.
+    A block of at least SPLIT_WORK multiply-adds in its GEMM, whose halves
+    have at least MIN_HALF_ROWS output rows each, runs its forward pass on
+    two threads when there are two or more CPUs, in ``_conv1d_split``, with
+    the same bits. Once a split block has started the conv worker, every
+    block's vjp hands dw and db to it and returns them as
+    ``autodiff.Pending``: the worker forms them behind the caller, which
+    forms dx and walks on down the tape. A process that splits no block
+    starts no thread and forms all three on the caller.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d needs [B,L,C] and [O,C,K], got {x.shape}, {weight.shape}")
@@ -171,29 +202,29 @@ def conv1d(x, weight, bias, pool=None):
     out_len = length - k + 1
     if pool is not None and out_len < pool:
         raise ShapeError(f"conv1d output length {out_len} shorter than pool window {pool}")
-    split = _split_point(batch, out_len)
+    keep = out_len // pool * pool if pool is not None else out_len
+    split = _split_point(batch, out_len, ch_in, k, ch_out)
     if split is not None:
-        return _conv1d_split(x, weight, bias, pool, split)
-
-    # im2col: the [B, L', C, K] window view flattens to [B*L', C*K] rows
-    # whose columns follow the weight's (C, K) layout.
-    cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
-    cols = cols.reshape(batch * out_len, ch_in * k)
-    wmat = weight.data.reshape(ch_out, ch_in * k)
-    z = cols @ wmat.T
-    z += bias.data
-    autodiff._check_finite(z, "conv pre-activations")
-    mask = z > 0  # gradient at exactly 0 is 0
-    np.maximum(z, 0.0, out=z)
-    z += 0.0  # -0.0 becomes +0.0, as np.where(mask, z, 0.0) gives
-    out = z.reshape(batch, out_len, ch_out)
-    if pool is not None:
-        keep = out_len // pool * pool
-        pooled = out[:, 0:keep:pool].copy()
-        for j in range(1, pool):
-            pooled += out[:, j:keep:pool]
-        pooled /= pool
-        out = pooled
+        cols, mask, out = _conv1d_split(x, weight, bias, pool, split)
+    else:
+        # im2col: the [B, L', C, K] window view flattens to [B*L', C*K] rows
+        # whose columns follow the weight's (C, K) layout.
+        cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
+        cols = cols.reshape(batch * out_len, ch_in * k)
+        wmat = weight.data.reshape(ch_out, ch_in * k)
+        z = cols @ wmat.T
+        z += bias.data
+        autodiff._check_finite(z, "conv pre-activations")
+        mask = z > 0  # gradient at exactly 0 is 0
+        np.maximum(z, 0.0, out=z)
+        z += 0.0  # -0.0 becomes +0.0, as np.where(mask, z, 0.0) gives
+        out = z.reshape(batch, out_len, ch_out)
+        if pool is not None:
+            pooled = out[:, 0:keep:pool].copy()
+            for j in range(1, pool):
+                pooled += out[:, j:keep:pool]
+            pooled /= pool
+            out = pooled
 
     def vjp(g):
         if pool is None:
@@ -204,40 +235,70 @@ def conv1d(x, weight, bias, pool=None):
             for j in range(pool):
                 spread[:, j:keep:pool] = g_pool
             gmat *= mask
-        dx = dw = db = None
-        if x.requires_grad:
-            dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
-            dx = np.zeros((batch, length, ch_in))
-            for j in range(k):
-                dx[:, j : j + out_len] += dcols[:, :, :, j]
-        if weight.requires_grad:
-            dw = (gmat.T @ cols).reshape(ch_out, ch_in, k)
-        if bias.requires_grad:
-            db = gmat.sum(axis=0)
-        return dx, dw, db
+        return _conv_grads(x, weight, bias, gmat, cols, defer=_worker is not None)
 
     return apply_op(out, (x, weight, bias), vjp)
 
 
+def _conv_grads(x, weight, bias, gmat, cols, defer):
+    """dx, dw and db of a conv block from its masked output gradient
+    ``gmat`` [B*L', ch_out] and its im2col ``cols``, None for an untracked
+    operand. With ``defer``, the conv worker forms dw and db behind the
+    caller, which forms dx, and they are returned as ``autodiff.Pending``;
+    a failure in dx propagates only once the worker has finished them.
+    A row split of the dx GEMM changed bits, and one of dw would sum in
+    another order, so neither is split."""
+    batch, length, ch_in = x.data.shape
+    ch_out, _, k = weight.data.shape
+    out_len = length - k + 1
+    param_grads = [None, None]
+
+    def weight_and_bias():
+        if weight.requires_grad:
+            param_grads[0] = (gmat.T @ cols).reshape(ch_out, ch_in, k)
+        if bias.requires_grad:
+            param_grads[1] = gmat.sum(axis=0)
+
+    def input_grad():
+        if not x.requires_grad:
+            return None
+        wmat = weight.data.reshape(ch_out, ch_in * k)
+        dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
+        dx = np.zeros((batch, length, ch_in))
+        for j in range(k):
+            dx[:, j : j + out_len] += dcols[:, :, :, j]
+        return dx
+
+    if not defer:
+        weight_and_bias()
+        return input_grad(), *param_grads
+    done = _post(weight_and_bias)
+    try:
+        dx = input_grad()
+    except BaseException:
+        done()
+        raise
+    dw, db = (autodiff.Pending(done, param_grads, i) if t.requires_grad else None
+              for i, t in enumerate((weight, bias)))
+    return dx, dw, db
+
+
 def _conv1d_split(x, weight, bias, pool, split):
-    """``conv1d`` of a large block on two threads: the caller and the conv
-    worker. Each takes half the batch, at ``split``, for im2col, the GEMM
-    into its rows of ``z`` and the bias; then, once the caller has checked
-    all of ``z``, for the relu, its mask and the pool; in the vjp, for the
-    gradient's spread and mask (``gmat``). Then the caller forms dx (the
-    ``gmat @ wmat`` GEMM and the col2im scatter) while the worker forms dw
-    and db. Every value comes from ``conv1d``'s elementwise passes and a
-    row-split of its forward GEMM, and dx, dw and db from its very calls,
-    so the split changes no bit.
+    """``conv1d``'s forward pass on two threads, the caller and the conv
+    worker: each takes half the batch, at ``split``, for im2col into its
+    rows of ``cols``, the GEMM into its rows of ``z``, the bias, the NaN/Inf
+    check of those rows, then the relu, its mask and the pool. Returns
+    ``cols``, the mask and the output, as ``conv1d`` forms them: every value
+    comes from its elementwise passes and a row-split of its forward GEMM,
+    so the split changes no bit; a failure in either half propagates once
+    both have finished.
 
     A row-split GEMM keeps the bits only while each half takes the kernel
     path of the whole: on OpenBLAS's AVX-512 kernels a product of under
     about 1200 output elements takes a small-matrix kernel, and scans of
     the forward GEMM at every default-width shape found no changed bit in
-    parts of 128 rows or more (a half here has at least a third of
-    SPLIT_ROWS). A row split of the dx GEMM did change bits, and one of dw
-    would sum in another order, so neither is split.
-    ``tests/test_conv_split.py`` checks every default-width block.
+    parts of 128 rows or more (MIN_HALF_ROWS). ``tests/test_conv_split.py``
+    checks every default-width block.
     """
     batch, length, ch_in = x.data.shape
     ch_out, _, k = weight.data.shape
@@ -252,15 +313,13 @@ def _conv1d_split(x, weight, bias, pool, split):
         keep = out_len // pool * pool
         pooled = np.empty((batch, keep // pool, ch_out))
 
-    def affine(b0, b1):
-        r0, r1 = b0 * out_len, b1 * out_len
-        cols[r0:r1].reshape(b1 - b0, out_len, ch_in, k)[...] = windows[b0:b1]
-        np.matmul(cols[r0:r1], wmat.T, out=z[r0:r1])
-        z[r0:r1] += bias.data
-
-    def activate(b0, b1):
+    def half(b0, b1):
         r0, r1 = b0 * out_len, b1 * out_len
         zb = z[r0:r1]
+        cols[r0:r1].reshape(b1 - b0, out_len, ch_in, k)[...] = windows[b0:b1]
+        np.matmul(cols[r0:r1], wmat.T, out=zb)
+        zb += bias.data
+        autodiff._check_finite(zb, "conv pre-activations")
         np.greater(zb, 0, out=mask[r0:r1])
         np.maximum(zb, 0.0, out=zb)
         zb += 0.0
@@ -271,48 +330,8 @@ def _conv1d_split(x, weight, bias, pool, split):
                 pb += out[b0:b1, j:keep:pool]
             pb /= pool
 
-    _halves(affine, batch, split)
-    autodiff._check_finite(z, "conv pre-activations")
-    _halves(activate, batch, split)
-
-    def vjp(g):
-        gmat = np.empty((rows, ch_out))
-        dx = dw = db = None
-
-        def spread(b0, b1):
-            r0, r1 = b0 * out_len, b1 * out_len
-            gb = gmat[r0:r1]
-            if pool is None:
-                np.multiply(g[b0:b1].reshape(r1 - r0, ch_out), mask[r0:r1], out=gb)
-            else:
-                gb[...] = 0.0
-                spread_b, g_pool = gb.reshape(b1 - b0, out_len, ch_out), g[b0:b1] / pool
-                for j in range(pool):
-                    spread_b[:, j:keep:pool] = g_pool
-                gb *= mask[r0:r1]
-
-        def input_grad():
-            nonlocal dx
-            dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
-            dx = np.zeros((batch, length, ch_in))
-            for j in range(k):
-                dx[:, j : j + out_len] += dcols[:, :, :, j]
-
-        def param_grads():
-            nonlocal dw, db
-            if weight.requires_grad:
-                dw = (gmat.T @ cols).reshape(ch_out, ch_in, k)
-            if bias.requires_grad:
-                db = gmat.sum(axis=0)
-
-        _halves(spread, batch, split)
-        if x.requires_grad:
-            _in_parallel(input_grad, param_grads)
-        else:
-            param_grads()
-        return dx, dw, db
-
-    return apply_op(out if pool is None else pooled, (x, weight, bias), vjp)
+    _halves(half, batch, split)
+    return cols, mask, out if pool is None else pooled
 
 
 class Dense:

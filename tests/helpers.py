@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences and gradient comparison, the
+"""Shared test oracles: finite differences and gradient comparison, a
+reverse sweep that adds each leaf gradient as soon as it is formed, the
 tanh and sigmoid ops, the channels-first conv, pooling and encoder
 forward, the composed recurrent cell step, single-node neighbour
 aggregation, the per-destination segment max, the per-edge block
@@ -155,6 +156,28 @@ def check_tensor_gradients(build_loss, arrays, rtol=1e-4, h_schedule=(1e-5, 1e-6
     raise AssertionError(
         f"gradient mismatch: best rel err {min(errs):.3e} over h={list(h_schedule)}"
     )
+
+
+def reference_backward(loss):
+    """``autodiff.backward`` as a sweep that waits for a pending gradient
+    as soon as a vjp returns it and adds each leaf gradient to its leaf at
+    once, in sweep order."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for t in reversed(autodiff._topo_order(loss)):
+        g = grads.pop(id(t), None)
+        if g is None:
+            continue
+        for parent, pg in zip(t.node.inputs, t.node.vjp(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if isinstance(pg, autodiff.Pending):
+                pg = pg.result()
+            autodiff._check_finite(pg, "gradient during backward")
+            if parent.node is None:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+            else:
+                key = id(parent)
+                grads[key] = pg if key not in grads else grads[key] + pg
 
 
 def reference_conv1d(x, weight, bias):

@@ -1,11 +1,14 @@
 """A large conv block split over two threads gives the bits of one thread.
 
-``layers.conv1d`` runs a block of at least ``SPLIT_ROWS`` output rows on
-the calling thread and one conv worker. These tests claim two CPUs,
-force the split where a block is smaller (threshold 1) and compare it
-with the one-thread path (the threshold out of reach), byte for byte. The split relies on this BLAS
-giving a row-split GEMM the bits of the whole one; if that ever stops
-holding, these tests must fail, not be loosened.
+``layers.conv1d`` runs a block of at least ``SPLIT_WORK`` GEMM
+multiply-adds, with at least ``MIN_HALF_ROWS`` output rows in each half,
+on the calling thread and one conv worker, which forms the block's weight
+and bias gradients while the backward sweep walks on. These tests claim
+two CPUs, force the split where a block is smaller (both thresholds 1)
+and compare it with the one-thread path (one CPU and no worker, so no
+block splits or hands its dw and db to the worker), byte for byte. The
+split relies on this BLAS giving a row-split GEMM the bits of the whole
+one; if that ever stops holding, these tests must fail, not be loosened.
 """
 
 import hashlib
@@ -21,27 +24,39 @@ import numpy as np
 import pytest
 
 from yieldgraph import data, layers, models, optim
-from yieldgraph.autodiff import NonFiniteError, Tensor
+from yieldgraph.autodiff import NonFiniteError, Pending, Tensor, apply_op
 from yieldgraph.data import N_LAND, N_SOIL, N_WEATHER, WEEKS, DEPTHS
 from yieldgraph.models import ArchWidths
+from tests.helpers import reference_backward
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-NEVER = 1 << 62
 
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Two CPUs whatever the host has; counts the blocks' two-thread phases."""
+    """Two CPUs whatever the host has; counts the jobs posted to the conv
+    worker."""
     calls = []
-    in_parallel = layers._in_parallel
+    post = layers._post
 
-    def counted(here, there):
+    def counted(job):
         calls.append(1)
-        in_parallel(here, there)
+        return post(job)
 
     monkeypatch.setattr(layers, "_cpus", lambda: 2)
-    monkeypatch.setattr(layers, "_in_parallel", counted)
+    monkeypatch.setattr(layers, "_post", counted)
     return calls
+
+
+def _force_split(monkeypatch):
+    monkeypatch.setattr(layers, "SPLIT_WORK", 1)
+    monkeypatch.setattr(layers, "MIN_HALF_ROWS", 1)
+
+
+def _one_thread(monkeypatch):
+    """No split and no worker until the test ends: every pass on the caller."""
+    monkeypatch.setattr(layers, "_cpus", lambda: 1)
+    monkeypatch.setattr(layers, "_worker", None)
 
 
 def _conv_shapes():
@@ -73,21 +88,59 @@ def _block(shape, seed=0):
 
 
 def _run(x, w, b, g, pool):
-    """out, dx, dw and db of one block, as bytes."""
+    """out, dx, dw and db of one block, as bytes; pending gradients are
+    waited for."""
     tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
     out = layers.conv1d(tx, tw, tb, pool)
-    return [a.tobytes() for a in (out.data, *out.node.vjp(g))]
+    grads = [a.result() if isinstance(a, Pending) else a for a in out.node.vjp(g)]
+    return [a.tobytes() for a in (out.data, *grads)]
 
 
 @pytest.mark.parametrize("shape", _conv_shapes(), ids=lambda s: "x".join(map(str, s[:5])))
 def test_split_block_matches_one_thread_bit_for_bit(monkeypatch, splits, shape):
-    monkeypatch.setattr(layers, "SPLIT_ROWS", 1)
+    _force_split(monkeypatch)
     block = _block(shape)
     split = _run(*block)
-    assert len(splits) == 4  # affine, activate, spread, then dx beside dw and db
-    monkeypatch.setattr(layers, "SPLIT_ROWS", NEVER)
+    assert len(splits) == 2  # the forward's halves, then dw and db behind dx
+    _one_thread(monkeypatch)
     assert _run(*block) == split
-    assert len(splits) == 4
+    assert len(splits) == 2
+
+
+@pytest.mark.parametrize("shape", [s for s in _conv_shapes() if s[5] is None],
+                         ids=lambda s: "x".join(map(str, s[:5])))
+def test_an_unsplit_block_hands_dw_and_db_to_a_running_worker(monkeypatch, splits, shape):
+    block = _block(shape)
+    layers._halves(lambda b0, b1: None, 2, 1)  # start the worker, as a split block would
+    del splits[:]
+    deferred = _run(*block)
+    assert len(splits) == 1  # no split: only dw and db go to the worker
+    _one_thread(monkeypatch)
+    assert _run(*block) == deferred
+    assert len(splits) == 1
+
+
+def test_the_split_rule_follows_gemm_work(monkeypatch):
+    # At graph-5y sizes (246 input nodes in training, 128-row inference
+    # chunks) every weekly block splits and no soil block does; a half
+    # never falls under MIN_HALF_ROWS.
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    split = {}
+    for batch, ch_in, length, ch_out, k, pool in _conv_shapes():
+        out_len = length - k + 1
+        at = layers._split_point(batch, out_len, ch_in, k, ch_out)
+        split[(batch, ch_in, ch_out, pool is None)] = at
+        assert at is None or at * out_len >= layers.MIN_HALF_ROWS
+    weekly = ArchWidths().weekly_channels
+    pairs = list(zip((N_WEATHER + N_LAND,) + weekly, weekly))
+    assert [split[(246, i, o, False)] for i, o in pairs] == [123] * 4
+    assert [split[(128, i, o, False)] for i, o in pairs] == [64] * 4
+    assert [at for (batch, *_, soil), at in split.items() if soil] == [None] * 3
+    # The last weekly block at 37 nodes has 74 output rows: too few to halve.
+    assert split[(37, weekly[2], weekly[3], False)] is None
+    assert layers._split_point(246, 2, weekly[2], 3, weekly[3]) == 123
+    monkeypatch.setattr(layers, "_cpus", lambda: 1)
+    assert layers._split_point(246, 46, 23, 7, 32) is None
 
 
 def _train_and_predict(steps=2, seed=5):
@@ -119,17 +172,20 @@ def _train_and_predict(steps=2, seed=5):
 
 
 def test_split_training_and_prediction_match_one_thread(monkeypatch, splits):
-    split = _train_and_predict()  # at the default SPLIT_ROWS
+    # At the default thresholds some blocks split; once one has, the others
+    # hand their dw and db to the worker too.
+    split = _train_and_predict()
     assert splits
-    monkeypatch.setattr(layers, "SPLIT_ROWS", NEVER)
+    _one_thread(monkeypatch)
     calls = len(splits)
     assert _train_and_predict() == split
     assert len(splits) == calls
 
 
 def test_worker_runs_in_the_callers_numpy_error_state(monkeypatch, splits):
-    monkeypatch.setattr(layers, "SPLIT_ROWS", 1)
-    # Only the second half's rows overflow in the GEMM, on the conv worker.
+    _force_split(monkeypatch)
+    # Only the second half's rows overflow in the GEMM, on the conv worker,
+    # which also checks them.
     x = np.ones((4, 3, 2))
     x[2:] = 1e308
     w = Tensor(np.full((1, 2, 1), 10.0))
@@ -162,7 +218,7 @@ def test_a_failure_waits_for_the_other_half():
     assert done == ["there", "here"]
 
 
-_SHAPE = (64, 8, 20, 6, 3, 2)  # 1152 output rows: split at the default SPLIT_ROWS
+_SHAPE = (64, 48, 20, 32, 3, 2)  # 1152 output rows, 5.3M multiply-adds: split by default
 
 _FRESH = f"""
 import hashlib, sys
@@ -170,6 +226,14 @@ sys.path[:0] = [{os.path.join(ROOT, "src")!r}, {ROOT!r}]
 from tests import test_conv_split as t
 print(hashlib.sha256(b"".join(t._run(*t._block(t._SHAPE)))).hexdigest())
 """
+
+
+def _matches_a_fresh_process():
+    """Whether _SHAPE's block gives here the bytes it gives in a new process."""
+    here = hashlib.sha256(b"".join(_run(*_block(_SHAPE)))).hexdigest()
+    fresh = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True,
+                           check=True, cwd=ROOT)
+    return here == fresh.stdout.strip()
 
 
 def test_the_call_after_a_failed_split_gives_fresh_process_bytes(splits):
@@ -181,10 +245,162 @@ def test_the_call_after_a_failed_split_gives_fresh_process_bytes(splits):
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         layers.conv1d(Tensor(big), Tensor(w * 1e3), Tensor(b), pool)
     assert splits
-    after = hashlib.sha256(b"".join(_run(x, w, b, g, pool))).hexdigest()
-    fresh = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True,
-                           check=True, cwd=ROOT)
-    assert after == fresh.stdout.strip()
+    assert _matches_a_fresh_process()
+
+
+def _shared_stack_loss(batches, seed=3):
+    """One default-width weekly encoder applied to one input per batch size
+    (every other input tracked), its outputs summed; and every leaf."""
+    rng = np.random.default_rng(seed)
+    widths = ArchWidths()
+    encoder = layers.WeeklyEncoder(rng, N_WEATHER + N_LAND, WEEKS, widths.weekly_channels,
+                                   widths.weekly_out)
+    xs = [Tensor(rng.normal(size=(b, N_WEATHER + N_LAND, WEEKS)), requires_grad=i % 2 == 1)
+          for i, b in enumerate(batches)]
+    loss = encoder(xs[0]).sum()
+    for x in xs[1:]:
+        loss = loss + encoder(x).sum()
+    return loss, list(encoder.parameters("weekly").values()) + xs[1::2]
+
+
+def test_shared_parameters_get_the_eager_sweeps_bytes(splits):
+    # Each conv weight gets five contributions, four of them pending while
+    # the sweep walks on; added after the sweep, in sweep order, they sum
+    # as a sweep that adds each one at once does.
+    batches = (128, 136, 150, 170, 246)
+    loss, leaves = _shared_stack_loss(batches)
+    loss.backward()
+    assert len(splits) == len(batches) * 4 * 2  # every block splits and posts its dw
+    got = [leaf.grad.tobytes() for leaf in leaves]
+    loss, leaves = _shared_stack_loss(batches)
+    reference_backward(loss)
+    assert [leaf.grad.tobytes() for leaf in leaves] == got
+
+
+def test_a_non_finite_pending_weight_gradient_fails_backward(splits):
+    # z = 144 * (1e306 * 1e-306) is finite, but dw sums 1152 rows of
+    # 0.5 * 1e306 and overflows, on the conv worker, after the sweep.
+    batch, ch_in, length, ch_out, k, pool = _SHAPE
+    x = Tensor(np.full((batch, length, ch_in), 1e306))
+    w = Tensor(np.full((ch_out, ch_in, k), 1e-306), requires_grad=True)
+    b = Tensor(np.zeros(ch_out), requires_grad=True)
+    with np.errstate(over="ignore"):
+        loss = layers.conv1d(x, w, b, pool).sum()
+        with pytest.raises(NonFiniteError, match="gradient during backward"):
+            loss.backward()
+    assert splits
+    assert w.grad is None and b.grad is None
+
+
+def _slowed_posts(monkeypatch):
+    """Every job posted from here on sleeps 0.2 s first; the list of the
+    jobs that have finished."""
+    finished, post = [], layers._post
+
+    def slow_post(job):
+        def slow():
+            time.sleep(0.2)
+            job()
+            finished.append(job)
+
+        return post(slow)
+
+    monkeypatch.setattr(layers, "_post", slow_post)
+    return finished
+
+
+def test_a_failed_sweep_waits_for_the_posted_weight_gradient(monkeypatch, splits):
+    # The op under the conv hands its input a NaN gradient, which fails the
+    # sweep while the block's dw and db are still being formed.
+    x, w, b, _, pool = _block(_SHAPE)
+    leaf = Tensor(x, requires_grad=True)
+    mid = leaf * 1.0
+    poisoned = apply_op(mid.data.copy(), (mid,), lambda g: (np.full_like(g, np.nan),))
+    tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    loss = layers.conv1d(poisoned, tw, tb, pool).sum()
+    with monkeypatch.context() as patch:
+        finished = _slowed_posts(patch)
+        with pytest.raises(NonFiniteError, match="gradient during backward"):
+            loss.backward()
+    assert len(finished) == 1  # dw and db
+    assert tw.grad is None and tb.grad is None and leaf.grad is None
+    assert _matches_a_fresh_process()
+
+
+def test_a_failed_input_gradient_waits_for_the_posted_weight_gradient(monkeypatch, splits):
+    # z = 144 * (1e-306 * 1.5e307) is finite, but dx sums 32 channels of
+    # 0.5 * 1.5e307 and overflows, on the caller, while dw and db are formed.
+    batch, ch_in, length, ch_out, k, pool = _SHAPE
+    x = Tensor(np.full((batch, length, ch_in), 1e-306), requires_grad=True)
+    w = Tensor(np.full((ch_out, ch_in, k), 1.5e307), requires_grad=True)
+    loss = layers.conv1d(x, w, Tensor(np.zeros(ch_out)), pool).sum()
+    with monkeypatch.context() as patch:
+        finished = _slowed_posts(patch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            loss.backward()
+    assert len(finished) == 1
+    assert w.grad is None and x.grad is None
+    assert _matches_a_fresh_process()
+
+
+_NO_WORKER = f"""
+import sys
+sys.path[:0] = [{os.path.join(ROOT, "src")!r}, {ROOT!r}]
+import numpy as np
+from yieldgraph import data, layers, models, optim
+from perfbench.workloads import FULL
+layers._cpus = lambda: 2
+
+def prepared(side, years):
+    ds = data.generate_synthetic(side * side, years, side, seed=3)
+    split = data.YearSplit(test_year=ds.years[-1])
+    nds, stats = data.normalize(ds, split)
+    return ds, split, nds, stats
+
+def targets(nds, spec, samples):
+    return np.array([nds.norm_stats.standardize_target(spec.crop, nds.yields.get(c, y, spec.crop))
+                     for c, y in samples])
+
+_, split, nds, _ = prepared(FULL.grid_side, FULL.n_years)
+spec = models.default_spec("lstm-1y", batch_size=64, seed=3)
+samples, _ = data.enumerate_windows(nds, split.train_years(nds.years), spec.crop, 0)
+model = models.build_model(spec, np.random.default_rng(3))
+params = model.parameters()
+batch = samples[:64]
+loss = optim.logcosh_loss(model.forward_samples(nds, batch, training=True,
+                                                rng=np.random.default_rng(4)),
+                          targets(nds, spec, batch))
+loss.backward()
+optim.adam_step(params, optim.AdamState(lr=spec.lr, weight_decay=spec.weight_decay))
+counties = nds.labeled_counties(split.test_year, spec.crop)
+model.forward_samples(nds, [(c, split.test_year) for c in counties])
+
+ds, split, nds, stats = prepared(FULL.ingest_side, FULL.ingest_years)
+samples, _ = data.enumerate_windows(nds, split.train_years(nds.years), spec.crop, 0)
+X = models.flatten_blocks(*models.gather_year_blocks(nds, samples, spec.crop))
+for kind in ("ridge-1y", "lasso-1y"):
+    lspec = models.default_spec(kind, crop=spec.crop, seed=3)
+    if kind == "ridge-1y":
+        linear = models.fit_ridge(X, targets(nds, lspec, samples), lspec.ridge_lambda)
+    else:
+        linear = models.fit_lasso(X, targets(nds, lspec, samples), lspec.lasso_lambda,
+                                  max_iter=FULL.lasso_sweeps)
+    params = {{"linear.coef": linear.coef, "linear.intercept": np.array([linear.intercept])}}
+    ckpt = models.ModelCheckpoint(spec=lspec, params=params, norm_stats=stats, history=[],
+                                  best_epoch=0, test_year=split.test_year,
+                                  lasso_converged=linear.converged)
+    ckpt.predict_year(ds, nds.labeled_counties(split.test_year, spec.crop), split.test_year)
+print(layers._worker is None)
+"""
+
+
+def test_the_one_year_lstm_and_the_linear_fits_start_no_worker():
+    # weekly-rnn-1y and ingest-linear run no block big enough to split, so
+    # a process that runs only them never starts the conv worker, on two
+    # CPUs or more.
+    run = subprocess.run([sys.executable, "-c", _NO_WORKER], capture_output=True, text=True,
+                         check=True, cwd=ROOT)
+    assert run.stdout.split() == ["True"]
 
 
 def test_concurrent_callers_share_the_one_worker(splits):
