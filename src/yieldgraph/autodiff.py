@@ -219,13 +219,23 @@ def _coerce(value):
     raise TypeError(f"cannot operate on Tensor and {type(value).__name__}")
 
 
-def _stable_sigmoid(x):
+def _stable_sigmoid(x, out=None):
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so exp
     never overflows. e = exp(-|x|) is the exponential of both branches and
     is at most 1, so max(e, x >= 0) is the numerator of both: 1 where
-    x >= 0, e elsewhere. No boolean gather or select is needed."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    x >= 0, e elsewhere. No boolean gather or select is needed.
+
+    Works in place: e takes |x|, its negation, its exp and the + 1 in one
+    buffer, and the numerator is divided by it in ``out`` (a new array when
+    None; it may be ``x`` itself). Each element sees the same operations as
+    in ``np.maximum(e, x >= 0) / (1.0 + e)``, so no value changes."""
+    e = np.abs(x, out=np.empty_like(x))  # an array even for 0-d x, so it can be written in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _check_axis(data, axis):

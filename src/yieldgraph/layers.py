@@ -33,6 +33,10 @@ The recurrent cell carries its state as one tensor: [B, 2 * hidden] laid
 out h|c for the LSTM, [B, hidden] h for the GRU. One time step is one
 autodiff op from state to state, so a sequence of T steps records T tape
 nodes, plus one ``narrow`` that takes the LSTM's h out of its last state.
+A step runs on the calling thread, its pointwise math mostly as in-place
+passes over buffers of its own. Each element of its forward pass sees the
+composed cell's operations in the same order, and the in-place passes
+change no value (see ``RecurrentCell``).
 
 All parameters initialize uniform(-a, a), a = sqrt(1/fan_in), from the
 caller's seeded generator.
@@ -458,12 +462,19 @@ class RecurrentCell:
     One time step is one autodiff op with a hand-written vjp (``_lstm_step``
     / ``_gru_step``) from state to state, so a step records one tape node
     instead of one per matmul, slice, gate and product; the LSTM's h is
-    narrowed out of h|c once, after the last step. The forward keeps the op
-    order of the composed cell (``zx = x @ w_x.T + b_x``, ``zh = h @ w_h.T
-    + b_h``, then the gates), so its values are bit-identical to it. sigmoid
-    and tanh saturate an overflowed pre-activation into a finite gate, so
-    the op checks the pre-activations (``z`` for the LSTM, ``zx`` and ``zh``
-    for the GRU) for NaN/Inf itself.
+    narrowed out of h|c once, after the last step. In the forward pass
+    each element sees the composed cell's operations in the same order
+    (``zx = x @ w_x.T + b_x``, ``zh = h @ w_h.T + b_h``, then the gates), so
+    its values are bit-identical to it. Most pointwise passes, forward and
+    backward, run in place in buffers of the step's own (the gate
+    pre-activations, the gates, the gradient of the pre-activations) rather
+    than in a temporary per product. They change no value: at most they
+    swap the operands of a + or a *, which IEEE arithmetic rounds the same
+    either way, and never regroup a product or a sum. sigmoid and tanh
+    saturate an overflowed pre-activation into a finite gate, so the op
+    checks the pre-activations (``z`` for the LSTM, ``zx`` and ``zh`` for
+    the GRU) for NaN/Inf itself. A state that is not [x's batch, state
+    width] is a ShapeError.
 
     Both biases b_x and b_h draw from U(-a, a), a = sqrt(1/hidden_size).
     For the LSTM, only the forget slice of b_x is then set to 1.0; the
@@ -483,17 +494,21 @@ class RecurrentCell:
         self.w_h = uniform_param(rng, (gates, h), h)
         self.b_x = uniform_param(rng, (gates,), h)
         self.b_h = uniform_param(rng, (gates,), h)
+        self._state_width = 2 * h if kind == "lstm" else h
         if kind == "lstm":
             self.b_x.data[h : 2 * h] = 1.0  # forget gate opens at init
 
     def zero_state(self, batch):
-        width = 2 * self.hidden_size if self.kind == "lstm" else self.hidden_size
-        return Tensor(np.zeros((batch, width)))
+        return Tensor(np.zeros((batch, self._state_width)))
 
     def step(self, x, state):
-        """One time step: x [B, input_size] and the state -> the next state."""
+        """One time step: x [B, input_size] and the state [B, state width]
+        -> the next state."""
         if x.data.ndim != 2 or x.data.shape[1] != self.input_size:
             raise ShapeError(f"cell expects [B,{self.input_size}] input, got {x.shape}")
+        if state.data.shape != (x.data.shape[0], self._state_width):
+            raise ShapeError(f"cell expects a [{x.data.shape[0]},{self._state_width}] state "
+                             f"for a batch of {x.data.shape[0]}, got {state.shape}")
         fused = _lstm_step if self.kind == "lstm" else _gru_step
         return fused(x, state, self.w_x, self.w_h, self.b_x, self.b_h)
 
@@ -532,13 +547,20 @@ def _affine_grads(x, h, w_x, w_h, b_x, b_h, dzx, dzh):
 def _lstm_step(x, hc, w_x, w_h, b_x, b_h):
     """One LSTM step as one op: the [B, 2n] state h|c -> h'|c'; gates
     i|f|g|o. h and c are views of the state, and h'|c' is written into
-    one buffer."""
+    one buffer. z, act and, in the vjp, dz are filled in place, block by
+    block, each element in the composed cell's order of operations; dz's
+    g block first takes the sigmoid's derivative with the other blocks and
+    is then overwritten with the tanh's."""
     n = hc.data.shape[1] // 2
     h, c = hc.data[:, :n], hc.data[:, n:]
-    z = (x.data @ w_x.data.T + b_x.data[None, :]) + (h @ w_h.data.T + b_h.data[None, :])
+    z = x.data @ w_x.data.T
+    z += b_x.data
+    zh = h @ w_h.data.T
+    zh += b_h.data
+    z += zh
     autodiff._check_finite(z, "LSTM gate pre-activations")
     act = autodiff._stable_sigmoid(z)
-    act[:, 2 * n : 3 * n] = np.tanh(z[:, 2 * n : 3 * n])
+    np.tanh(z[:, 2 * n : 3 * n], out=act[:, 2 * n : 3 * n])
     i, f, g, o = (act[:, k * n : (k + 1) * n] for k in range(4))
     out = np.empty_like(hc.data)
     c_new = np.multiply(f, c, out=out[:, n:])
@@ -548,10 +570,22 @@ def _lstm_step(x, hc, w_x, w_h, b_x, b_h):
 
     def vjp(grad):
         gh, gc = grad[:, :n], grad[:, n:]
-        dc = gc + gh * o * (1.0 - tc * tc)
-        d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tc], axis=1)
-        dz = d_act * act * (1.0 - act)
-        dz[:, 2 * n : 3 * n] = dc * i * (1.0 - g * g)  # the g block is a tanh
+        dc = gh * o
+        tmp = tc * tc
+        np.subtract(1.0, tmp, out=tmp)
+        dc *= tmp
+        dc += gc
+        dz = np.empty_like(act)
+        np.multiply(dc, g, out=dz[:, :n])
+        np.multiply(dc, c, out=dz[:, n : 2 * n])
+        dz_g = np.multiply(dc, i, out=dz[:, 2 * n : 3 * n])
+        np.multiply(gh, tc, out=dz[:, 3 * n :])
+        dz *= act
+        dz *= 1.0 - act
+        np.multiply(dc, i, out=dz_g)  # the g block is a tanh
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dz_g *= tmp
         dhc = None
         if hc.requires_grad:
             dhc = np.empty_like(hc.data)
@@ -564,28 +598,54 @@ def _lstm_step(x, hc, w_x, w_h, b_x, b_h):
 
 
 def _gru_step(x, h, w_x, w_h, b_x, b_h):
-    """One GRU step as one op -> h' [B, n]; gates r|u|n."""
+    """One GRU step as one op -> h' [B, n]; gates r|u|n. The pointwise
+    passes run in place in zx, zh, ru, cand and, in the vjp, d_ru, dzx,
+    dzh and dh, each element in the composed cell's order of operations.
+    The gradient of r|u is formed whole, then copied into dzx and dzh: on
+    its own [B, 2n] array the sigmoid's derivative runs faster than on a
+    slice of dzx."""
     n = h.data.shape[1]
-    zx = x.data @ w_x.data.T + b_x.data[None, :]
-    zh = h.data @ w_h.data.T + b_h.data[None, :]
+    zx = x.data @ w_x.data.T
+    zx += b_x.data
+    zh = h.data @ w_h.data.T
+    zh += b_h.data
     autodiff._check_finite(zx, "GRU input pre-activations")
     autodiff._check_finite(zh, "GRU hidden pre-activations")
-    ru = autodiff._stable_sigmoid(zx[:, : 2 * n] + zh[:, : 2 * n])
+    ru = zx[:, : 2 * n] + zh[:, : 2 * n]
+    autodiff._stable_sigmoid(ru, out=ru)
     r, u = ru[:, :n], ru[:, n:]
     zh_n = zh[:, 2 * n :]
-    cand = np.tanh(zx[:, 2 * n :] + r * zh_n)
+    cand = r * zh_n
+    cand += zx[:, 2 * n :]
+    np.tanh(cand, out=cand)
+    keep = 1.0 - u
+    out = keep * cand
+    out += u * h.data
 
     def vjp(grad):
-        d_pre = grad * (1.0 - u) * (1.0 - cand * cand)
-        d_gates = np.concatenate([d_pre * zh_n, grad * h.data - grad * cand], axis=1)
-        d_ru = d_gates * ru * (1.0 - ru)
-        dzx = np.concatenate([d_ru, d_pre], axis=1)
-        dzh = np.concatenate([d_ru, d_pre * r], axis=1)
+        d_pre = grad * keep
+        tmp = cand * cand
+        np.subtract(1.0, tmp, out=tmp)
+        d_pre *= tmp
+        d_ru = np.empty_like(ru)
+        np.multiply(d_pre, zh_n, out=d_ru[:, :n])
+        np.multiply(grad, h.data, out=d_ru[:, n:])
+        d_ru[:, n:] -= np.multiply(grad, cand, out=tmp)
+        d_ru *= ru
+        d_ru *= 1.0 - ru
+        dzx = np.empty((len(grad), 3 * n))
+        dzx[:, : 2 * n] = d_ru
+        dzx[:, 2 * n :] = d_pre
+        dzh = np.empty_like(dzx)
+        dzh[:, : 2 * n] = d_ru
+        np.multiply(d_pre, r, out=dzh[:, 2 * n :])
         dx, dw_x, dw_h, db_x, db_h = _affine_grads(x, h.data, w_x, w_h, b_x, b_h, dzx, dzh)
-        dh = dzh @ w_h.data + grad * u if h.requires_grad else None
+        dh = None
+        if h.requires_grad:
+            dh = dzh @ w_h.data
+            dh += np.multiply(grad, u, out=tmp)
         return dx, dh, dw_x, dw_h, db_x, db_h
 
-    out = (1.0 - u) * cand + u * h.data
     return apply_op(out, (x, h, w_x, w_h, b_x, b_h), vjp)
 
 

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences and gradient comparison, a
 reverse sweep that adds each leaf gradient as soon as it is formed, the
 tanh and sigmoid ops, the channels-first conv, pooling and encoder
-forward, the composed recurrent cell step, single-node neighbour
+forward, the composed recurrent cell step, frozen copies of the fused
+LSTM and GRU steps with a temporary per product, single-node neighbour
 aggregation, the per-destination segment max, the per-edge block
 builder, batched graph inference, single-record early masking, the
 whole-dataset evaluate flow with its per-county masking plan and full
@@ -269,6 +270,88 @@ def reference_cell_step(cell, x, state):
     n = tanh(narrow(zx, 1, 2 * h, h) + r * narrow(zh, 1, 2 * h, h))
     ones = Tensor(np.ones((x.data.shape[0], h)))
     return (ones - u) * n + u * state
+
+
+# Frozen copies of the fused recurrent steps (and the sigmoid and affine
+# gradients they use) as they stood with a temporary array per product and
+# three concatenates per vjp: the bit oracle for the steps of
+# ``yieldgraph.layers``, whose pointwise passes write into buffers of their
+# own. Same signatures and results as ``layers._lstm_step`` /
+# ``layers._gru_step``.
+
+
+def _frozen_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def _frozen_affine_grads(x, h, w_x, w_h, b_x, b_h, dzx, dzh):
+    db_x = dzx.sum(axis=0)
+    db_h = db_x.copy() if dzh is dzx else dzh.sum(axis=0)
+    return (
+        dzx @ w_x.data if x.requires_grad else None,
+        (x.data.T @ dzx).T if w_x.requires_grad else None,
+        (h.T @ dzh).T if w_h.requires_grad else None,
+        db_x if b_x.requires_grad else None,
+        db_h if b_h.requires_grad else None,
+    )
+
+
+def frozen_lstm_step(x, hc, w_x, w_h, b_x, b_h):
+    n = hc.data.shape[1] // 2
+    h, c = hc.data[:, :n], hc.data[:, n:]
+    z = (x.data @ w_x.data.T + b_x.data[None, :]) + (h @ w_h.data.T + b_h.data[None, :])
+    autodiff._check_finite(z, "LSTM gate pre-activations")
+    act = _frozen_sigmoid(z)
+    act[:, 2 * n : 3 * n] = np.tanh(z[:, 2 * n : 3 * n])
+    i, f, g, o = (act[:, k * n : (k + 1) * n] for k in range(4))
+    out = np.empty_like(hc.data)
+    c_new = np.multiply(f, c, out=out[:, n:])
+    c_new += i * g
+    tc = np.tanh(c_new)
+    np.multiply(o, tc, out=out[:, :n])
+
+    def vjp(grad):
+        gh, gc = grad[:, :n], grad[:, n:]
+        dc = gc + gh * o * (1.0 - tc * tc)
+        d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tc], axis=1)
+        dz = d_act * act * (1.0 - act)
+        dz[:, 2 * n : 3 * n] = dc * i * (1.0 - g * g)
+        dhc = None
+        if hc.requires_grad:
+            dhc = np.empty_like(hc.data)
+            dhc[:, :n] = dz @ w_h.data
+            np.multiply(dc, f, out=dhc[:, n:])
+        dx, dw_x, dw_h, db_x, db_h = _frozen_affine_grads(x, h, w_x, w_h, b_x, b_h, dz, dz)
+        return dx, dhc, dw_x, dw_h, db_x, db_h
+
+    return apply_op(out, (x, hc, w_x, w_h, b_x, b_h), vjp)
+
+
+def frozen_gru_step(x, h, w_x, w_h, b_x, b_h):
+    n = h.data.shape[1]
+    zx = x.data @ w_x.data.T + b_x.data[None, :]
+    zh = h.data @ w_h.data.T + b_h.data[None, :]
+    autodiff._check_finite(zx, "GRU input pre-activations")
+    autodiff._check_finite(zh, "GRU hidden pre-activations")
+    ru = _frozen_sigmoid(zx[:, : 2 * n] + zh[:, : 2 * n])
+    r, u = ru[:, :n], ru[:, n:]
+    zh_n = zh[:, 2 * n :]
+    cand = np.tanh(zx[:, 2 * n :] + r * zh_n)
+
+    def vjp(grad):
+        d_pre = grad * (1.0 - u) * (1.0 - cand * cand)
+        d_gates = np.concatenate([d_pre * zh_n, grad * h.data - grad * cand], axis=1)
+        d_ru = d_gates * ru * (1.0 - ru)
+        dzx = np.concatenate([d_ru, d_pre], axis=1)
+        dzh = np.concatenate([d_ru, d_pre * r], axis=1)
+        dx, dw_x, dw_h, db_x, db_h = _frozen_affine_grads(x, h.data, w_x, w_h, b_x, b_h,
+                                                          dzx, dzh)
+        dh = dzh @ w_h.data + grad * u if h.requires_grad else None
+        return dx, dh, dw_x, dw_h, db_x, db_h
+
+    out = (1.0 - u) * cand + u * h.data
+    return apply_op(out, (x, h, w_x, w_h, b_x, b_h), vjp)
 
 
 def aggregate_neighbors(graph, embeddings, county, aggregator, active_neighbors=None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from yieldgraph import data, layers, models, optim
 from yieldgraph.autodiff import NonFiniteError, ShapeError, Tensor
 from yieldgraph.layers import (
     Dense,
@@ -17,6 +18,8 @@ from yieldgraph.models import ArchWidths
 from tests.helpers import (
     check_param_gradients,
     check_tensor_gradients,
+    frozen_gru_step,
+    frozen_lstm_step,
     reference_avg_pool1d,
     reference_cell_step,
     reference_conv1d,
@@ -449,6 +452,87 @@ def test_rnn_forward_rejects_overflowed_hidden_pre_activations(kind):
     cell.w_h.data[...] = 1.5e308
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         rnn_forward(cell, [Tensor(np.ones((1, 1)))] * 2)
+
+
+def _step_and_grads(cell, step, x, state, upstream):
+    """Output of one step, then the gradients of (out * upstream).sum() for
+    x (None when untracked), the state and the four cell parameters."""
+    params = list(cell.parameters("c").values())
+    for t in params + [x, state]:
+        t.zero_grad()
+    out = step(x, state, cell.w_x, cell.w_h, cell.b_x, cell.b_h)
+    (out * Tensor(upstream)).sum().backward()
+    return [out.data] + [t.grad for t in [x, state] + params]
+
+
+@pytest.mark.parametrize("x_tracked", [True, False])
+@pytest.mark.parametrize("batch, inputs, hidden",
+                         [(1, 4, 6), (3, 4, 6), (64, 23, 64), (32, 64, 64), (400, 23, 64)])
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_cell_step_matches_the_frozen_step_bit_for_bit(kind, batch, inputs, hidden, x_tracked):
+    rng = _rng(27)
+    cell = RecurrentCell(kind, inputs, hidden, rng)
+    width = cell.zero_state(batch).shape[1]
+    x = Tensor(rng.uniform(-3, 3, size=(batch, inputs)), requires_grad=x_tracked)
+    state = Tensor(rng.uniform(-2, 2, size=(batch, width)), requires_grad=True)
+    upstream = rng.normal(size=(batch, width))
+    frozen = frozen_lstm_step if kind == "lstm" else frozen_gru_step
+    got = _step_and_grads(cell, lambda x, s, *_: cell.step(x, s), x, state, upstream)
+    want = _step_and_grads(cell, frozen, x, state, upstream)
+    assert (got[1] is None) == (want[1] is None) == (not x_tracked)
+    for g, ref in zip(got, want):
+        if ref is not None:
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
+def _three_adam_steps(kind):
+    """Every gradient of a default-width ``kind`` over 3 Adam steps of 16
+    samples on a 6x6 synthetic grid, then its parameters, as bytes. Adam
+    divides each update by its running gradient scale, so a last-bit change
+    in a gradient often leaves the parameters' bits as they were; the
+    gradients show it."""
+    ds = data.generate_synthetic(36, 9, 6, seed=8)
+    split = data.YearSplit(test_year=ds.years[-1])
+    nds, _ = data.normalize(ds, split)
+    spec = models.default_spec(kind, batch_size=16, seed=8)
+    samples, _ = data.enumerate_windows(nds, split.train_years(nds.years), spec.crop,
+                                        spec.history_years)
+    model = models.build_model(spec, _rng(8))
+    params = model.parameters()
+    adam = optim.AdamState(lr=spec.lr, weight_decay=spec.weight_decay)
+    dropout, seen = _rng(9), []
+    for k in range(3):
+        batch = samples[16 * k : 16 * (k + 1)]
+        assert len(batch) == 16
+        preds = model.forward_samples(nds, batch, training=True, rng=dropout)
+        targets = [nds.norm_stats.standardize_target(spec.crop, nds.yields.get(c, y, spec.crop))
+                   for c, y in batch]
+        loss = optim.logcosh_loss(preds, np.array(targets))
+        for p in params.values():
+            p.zero_grad()
+        loss.backward()
+        seen.append({name: p.grad.tobytes() for name, p in params.items()})
+        optim.adam_step(params, adam)
+    return seen + [{name: p.data.tobytes() for name, p in params.items()}]
+
+
+@pytest.mark.parametrize("kind", ["lstm-1y", "gru-1y", "lstm-5y"])
+def test_training_with_the_cell_steps_matches_the_frozen_steps(kind, monkeypatch):
+    trained = _three_adam_steps(kind)
+    monkeypatch.setattr(layers, "_lstm_step", frozen_lstm_step)
+    monkeypatch.setattr(layers, "_gru_step", frozen_gru_step)
+    assert _three_adam_steps(kind) == trained
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_cell_step_rejects_a_state_of_another_batch_or_width(kind):
+    cell = RecurrentCell(kind, 3, 4, _rng(26))
+    x = Tensor(np.ones((3, 3)))
+    width = cell.zero_state(3).shape[1]
+    for shape in [(1, width), (2, width), (3, width + 1), (3, width - 1), (3 * width,)]:
+        with pytest.raises(ShapeError, match="state"):
+            cell.step(x, Tensor(np.zeros(shape)))
+    assert cell.step(x, Tensor(np.zeros((3, width)))).shape == (3, width)
 
 
 def test_dense_parameter_init_range():
