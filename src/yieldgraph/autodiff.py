@@ -432,6 +432,7 @@ def backward(loss):
     order = _topo_order(loss)
     grads = {id(loss): np.ones_like(loss.data)}
     held = {}  # id(leaf) -> (leaf, its gradients from its first Pending one on)
+    owned = set()  # ids of the leaves whose grad is a sum this sweep made
     pgs = ()
     try:
         for t in reversed(order):
@@ -447,11 +448,11 @@ def backward(loss):
                     continue
                 if isinstance(pg, Pending):
                     pg = pg.result()
-                _accumulate(parent, pg, grads)
+                _accumulate(parent, pg, grads, owned)
             pgs = ()  # a gradient summed into another is freed before the next vjp
         for leaf, later in held.values():
             for pg in later:
-                _accumulate(leaf, pg.result() if isinstance(pg, Pending) else pg, grads)
+                _accumulate(leaf, pg.result() if isinstance(pg, Pending) else pg, grads, owned)
     except BaseException:
         for pg in (*pgs, *(pg for _, later in held.values() for pg in later)):
             if isinstance(pg, Pending):
@@ -459,12 +460,23 @@ def backward(loss):
         raise
 
 
-def _accumulate(parent, pg, grads):
+def _accumulate(parent, pg, grads, owned):
     """Add a checked gradient to a leaf's ``grad``, or to a non-leaf's entry
-    in the sweep's ``grads``."""
+    in the sweep's ``grads``. A leaf's first sum in a sweep is a new array,
+    listed in ``owned``, and its later gradients are added into it in place:
+    the same additions, in the same order. No other array is written, so a
+    ``grad`` the caller holds from before the sweep, or a vjp's own array,
+    never changes."""
     _check_finite(pg, "gradient during backward")
     if parent.node is None:
-        parent.grad = pg if parent.grad is None else parent.grad + pg
+        if parent.grad is None:
+            parent.grad = pg
+        elif id(parent) in owned:
+            np.add(parent.grad, pg, out=parent.grad)
+        else:
+            parent.grad = parent.grad + pg
+            if isinstance(parent.grad, np.ndarray):  # a 0-d sum is a numpy scalar
+                owned.add(id(parent))
     else:
         key = id(parent)
         grads[key] = pg if key not in grads else grads[key] + pg

@@ -407,11 +407,58 @@ def save_dataset(dataset, out_dir):
 # -- normalization ------------------------------------------------------------
 
 
-def _block_stats(stack):
-    """stack: [n_records, ...feature dims]; NaN-aware per-feature stats."""
-    with np.errstate(invalid="ignore"):
-        mean = np.nanmean(stack, axis=0)
-        std = np.nanstd(stack, axis=0)
+# records per chunk in compute_norm_stats's passes over a block
+_STATS_ROWS = 256
+
+
+def _sum_records(flat, rows, prepare):
+    """Sum over axis 0 of ``prepare``'d copies of ``flat[rows]``, in record
+    order, without gathering them all: each chunk of _STATS_ROWS records is
+    gathered behind a row for the running sum, so numpy's axis-0 reduction
+    adds the records one by one onto it, as it does over the whole gathered
+    stack (numpy sums a reduced outer axis row by row when each record has
+    more than one feature, as every block's records have; a one-feature
+    record would be summed pairwise). Zeros when ``rows`` is empty."""
+    buf = np.empty((min(len(rows), _STATS_ROWS) + 1,) + flat.shape[1:])
+    total = None
+    for r0 in range(0, len(rows), _STATS_ROWS):
+        part = rows[r0 : r0 + _STATS_ROWS]
+        x = np.take(flat, part, axis=0, out=buf[1 : len(part) + 1])
+        prepare(x)
+        if total is None:
+            total = x.sum(axis=0)
+        else:
+            buf[0] = total
+            total = buf[: len(part) + 1].sum(axis=0)
+    return np.zeros(flat.shape[1:]) if total is None else total
+
+
+def _block_stats(block, keep):
+    """Per-feature mean and std of ``block`` [county, year, ...features] over
+    the records ``keep`` [county, year] marks, NaN skipped: the bits of
+    ``np.nanmean`` and ``np.nanstd`` over ``block[keep]``, in two chunked
+    passes (``_sum_records``) that never hold that copy. The first sums the
+    values, NaN set to 0, and counts the others; the second sums the
+    squared deviations from the mean, NaN's set to 0. A feature with no
+    value gets mean 0 and std 1, as does one whose std is under 1e-12."""
+    flat = block.reshape((-1,) + block.shape[2:])  # records in [county, year] order
+    rows = np.flatnonzero(keep)
+    count = np.zeros(flat.shape[1:], dtype=np.intp)
+
+    def values(x):
+        missing = np.isnan(x)
+        count[...] += len(x) - missing.sum(axis=0)
+        x[missing] = 0.0
+
+    def squared_deviations(x):
+        missing = np.isnan(x)
+        x -= mean
+        x[missing] = 0.0
+        x *= x
+
+    with np.errstate(invalid="ignore"):  # 0 / 0 for a feature with no value
+        mean = _sum_records(flat, rows, values) / count
+        std = np.sqrt(_sum_records(flat, rows, squared_deviations) / count)
     mean = np.where(np.isnan(mean), 0.0, mean)
     std = np.where(np.isnan(std), 0.0, std)
     return mean, np.where(std < 1e-12, 1.0, std)
@@ -423,11 +470,10 @@ def compute_norm_stats(dataset, split):
     in_train = np.zeros(len(dataset.years), dtype=bool)
     for y in train_years:
         in_train[dataset.year_index[y]] = True
-    # [county, year]: the present training records, gathered in one copy
-    keep = dataset.present & in_train
+    keep = dataset.present & in_train  # [county, year]: the present training records
     stats = NormStats(train_years=tuple(train_years), mean={}, std={})
     for b in BLOCKS:
-        stats.mean[b], stats.std[b] = _block_stats(getattr(dataset, b)[keep])
+        stats.mean[b], stats.std[b] = _block_stats(getattr(dataset, b), keep)
     train = set(train_years)
     for crop in CROPS:
         vals = [
@@ -441,11 +487,17 @@ def compute_norm_stats(dataset, split):
     return stats
 
 
+def _standardized(a, mean, std):
+    out = a - mean
+    out /= std  # the values of (a - mean) / std, without a second temporary
+    return out
+
+
 def apply_norm_stats(dataset, stats):
     return Dataset(
         dataset.counties,
         dataset.years,
-        *((getattr(dataset, b) - stats.mean[b]) / stats.std[b] for b in BLOCKS),
+        *(_standardized(getattr(dataset, b), stats.mean[b], stats.std[b]) for b in BLOCKS),
         dataset.present,
         dataset.yields,
         dataset.graph,

@@ -10,11 +10,12 @@ schema lives in ``yieldgraph.data``, the widths in ``models.ArchWidths``).
 
 Both encoders are one conv-stack body that differs only in its pooling.
 It takes [B, C, L] input, transposes it once and carries [B, L, C]
-(channels-last) through its blocks, so im2col is a window view reshaped
-to [B*L', C*K]. Each block (conv, bias, relu and, in the weekly encoder,
-avg-pool) is one autodiff op, ``conv1d``, with a hand-written vjp. The
-output is transposed back once before the projection, which therefore
-sees the [C, L] flatten order its weights were laid out for.
+(channels-last) through its blocks, so a block's im2col is [B*L', C*K]
+rows, one per output position, gathered from the input by one
+``np.take`` (``_im2col``). Each block (conv, bias, relu and, in the weekly
+encoder, avg-pool) is one autodiff op, ``conv1d``, with a hand-written
+vjp. The output is transposed back once before the projection, which
+therefore sees the [C, L] flatten order its weights were laid out for.
 
 A large block runs on two threads: the caller and one conv worker,
 started by the first block of at least SPLIT_WORK multiply-adds in its
@@ -28,6 +29,15 @@ behind the caller, which forms the input gradient and walks on down the
 tape, and ``autodiff.backward`` waits for them once the sweep is done.
 The tape and ``no_grad()`` stay on the calling thread. ``_conv1d_split``
 says why the split changes no bit.
+
+A block's tape node holds its input, its relu mask and its output. Its
+im2col, the largest array of the block, is needed after the forward pass
+only for the weight gradient. A process with no worker keeps it on the
+node for that. Once the worker runs, im2col is a transient of the forward
+pass, and the worker's weight-gradient job gathers it again from the
+input, which the tape holds anyway (the recompute half of gradient
+checkpointing, Chen et al., arXiv:1604.06174). The gather is
+deterministic, so the weight gradient keeps its bits.
 
 The recurrent cell carries its state as one tensor: [B, 2 * hidden] laid
 out h|c for the LSTM, [B, hidden] h for the GRU. One time step is one
@@ -172,6 +182,38 @@ def _halves(job, batch, split):
     _in_parallel(lambda: job(0, split), lambda: job(split, batch))
 
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(s_len, s_ch, out_len, ch_in, k):
+    """[out_len, ch_in * k] offsets into one sample's flat memory, whose
+    length and channel axes step by ``s_len`` and ``s_ch`` elements: row t,
+    column c * k + j holds the offset of the sample's entry (t + j, c)."""
+    pos = np.arange(out_len)[:, None, None] + np.arange(k)
+    idx = (pos * s_len + np.arange(ch_in)[:, None] * s_ch).reshape(out_len, ch_in * k)
+    idx.flags.writeable = False
+    return idx
+
+
+def _im2col(x, k):
+    """im2col of x [B, L, C]: a new C-contiguous [B * L', C * K] array of
+    rows, one per output position, whose columns follow the weight's (C, K)
+    layout; the values of ``sliding_window_view(x, k, axis=1)`` reshaped.
+    One ``np.take`` gathers them from each sample's flat memory, which is
+    contiguous for a C-contiguous x and for the transposed first-block
+    input (a copy is made otherwise). ``mode="wrap"`` because numpy writes
+    the default mode's result through a buffer; every offset is in range."""
+    batch, length, ch_in = x.shape
+    if x.flags.c_contiguous:
+        s_len, s_ch = ch_in, 1
+    else:
+        x = np.ascontiguousarray(x.transpose(0, 2, 1))
+        s_len, s_ch = 1, length
+    out_len = length - k + 1
+    cols = np.empty((batch * out_len, ch_in * k))
+    np.take(x.reshape(batch, length * ch_in), _im2col_index(s_len, s_ch, out_len, ch_in, k),
+            axis=1, mode="wrap", out=cols.reshape(batch, out_len, ch_in * k))
+    return cols
+
+
 def conv1d(x, weight, bias, pool=None):
     """One conv block as one op: valid (no padding) cross-correlation, bias
     and relu, then, when ``pool`` is set, non-overlapping average pooling
@@ -194,6 +236,11 @@ def conv1d(x, weight, bias, pool=None):
     ``autodiff.Pending``: the worker forms them behind the caller, which
     forms dx and walks on down the tape. A process that splits no block
     starts no thread and forms all three on the caller.
+
+    The op's tape node holds x, the relu mask and the output. While no
+    worker runs, it also holds the block's im2col for dw; once the worker
+    runs, im2col lives only inside the forward pass (each half's, in a
+    split block) and ``_conv_grads`` has the worker gather it again.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d needs [B,L,C] and [O,C,K], got {x.shape}, {weight.shape}")
@@ -208,13 +255,11 @@ def conv1d(x, weight, bias, pool=None):
         raise ShapeError(f"conv1d output length {out_len} shorter than pool window {pool}")
     keep = out_len // pool * pool if pool is not None else out_len
     split = _split_point(batch, out_len, ch_in, k, ch_out)
+    cols = None  # kept for dw only while no worker runs
     if split is not None:
-        cols, mask, out = _conv1d_split(x, weight, bias, pool, split)
+        mask, out = _conv1d_split(x, weight, bias, pool, split)
     else:
-        # im2col: the [B, L', C, K] window view flattens to [B*L', C*K] rows
-        # whose columns follow the weight's (C, K) layout.
-        cols = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
-        cols = cols.reshape(batch * out_len, ch_in * k)
+        cols = _im2col(x.data, k)
         wmat = weight.data.reshape(ch_out, ch_in * k)
         z = cols @ wmat.T
         z += bias.data
@@ -229,6 +274,8 @@ def conv1d(x, weight, bias, pool=None):
                 pooled += out[:, j:keep:pool]
             pooled /= pool
             out = pooled
+        if _worker is not None:
+            cols = None  # the worker gathers it again for dw
 
     def vjp(g):
         if pool is None:
@@ -246,12 +293,15 @@ def conv1d(x, weight, bias, pool=None):
 
 def _conv_grads(x, weight, bias, gmat, cols, defer):
     """dx, dw and db of a conv block from its masked output gradient
-    ``gmat`` [B*L', ch_out] and its im2col ``cols``, None for an untracked
-    operand. With ``defer``, the conv worker forms dw and db behind the
-    caller, which forms dx, and they are returned as ``autodiff.Pending``;
-    a failure in dx propagates only once the worker has finished them.
-    A row split of the dx GEMM changed bits, and one of dw would sum in
-    another order, so neither is split."""
+    ``gmat`` [B*L', ch_out], None for an untracked operand. ``cols`` is the
+    block's im2col when the forward pass kept it; when None, the job that
+    forms dw gathers it again from ``x.data``, just before its GEMM, and
+    drops it after. With ``defer``, the conv worker runs that job, dw and
+    db, behind the caller, which forms dx, and they are returned as
+    ``autodiff.Pending``; a failure in either job (the gather included)
+    propagates only once the worker has finished. A row split of the dx
+    GEMM changed bits, and one of dw would sum in another order, so
+    neither is split."""
     batch, length, ch_in = x.data.shape
     ch_out, _, k = weight.data.shape
     out_len = length - k + 1
@@ -259,7 +309,8 @@ def _conv_grads(x, weight, bias, gmat, cols, defer):
 
     def weight_and_bias():
         if weight.requires_grad:
-            param_grads[0] = (gmat.T @ cols).reshape(ch_out, ch_in, k)
+            c = cols if cols is not None else _im2col(x.data, k)
+            param_grads[0] = (gmat.T @ c).reshape(ch_out, ch_in, k)
         if bias.requires_grad:
             param_grads[1] = gmat.sum(axis=0)
 
@@ -289,13 +340,15 @@ def _conv_grads(x, weight, bias, gmat, cols, defer):
 
 def _conv1d_split(x, weight, bias, pool, split):
     """``conv1d``'s forward pass on two threads, the caller and the conv
-    worker: each takes half the batch, at ``split``, for im2col into its
-    rows of ``cols``, the GEMM into its rows of ``z``, the bias, the NaN/Inf
-    check of those rows, then the relu, its mask and the pool. Returns
-    ``cols``, the mask and the output, as ``conv1d`` forms them: every value
-    comes from its elementwise passes and a row-split of its forward GEMM,
-    so the split changes no bit; a failure in either half propagates once
-    both have finished.
+    worker: each takes half the batch, at ``split``, for the half's im2col
+    (a transient of its own: rows of the whole block's, the same bytes),
+    the GEMM into its rows of ``z``, the bias, the NaN/Inf check of those
+    rows, then the relu, its mask and the pool. Returns the mask and the
+    output, as ``conv1d`` forms them: every value comes from its
+    elementwise passes and a row-split of its forward GEMM, so the split
+    changes no bit; a failure in either half propagates once both have
+    finished. The block keeps no im2col: this path starts the worker,
+    which gathers it again for dw.
 
     A row-split GEMM keeps the bits only while each half takes the kernel
     path of the whole: on OpenBLAS's AVX-512 kernels a product of under
@@ -308,10 +361,8 @@ def _conv1d_split(x, weight, bias, pool, split):
     ch_out, _, k = weight.data.shape
     out_len = length - k + 1
     rows = batch * out_len
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)
     wmat = weight.data.reshape(ch_out, ch_in * k)
-    cols, z = np.empty((rows, ch_in * k)), np.empty((rows, ch_out))
-    mask = np.empty((rows, ch_out), dtype=bool)
+    z, mask = np.empty((rows, ch_out)), np.empty((rows, ch_out), dtype=bool)
     out = z.reshape(batch, out_len, ch_out)
     if pool is not None:
         keep = out_len // pool * pool
@@ -320,8 +371,7 @@ def _conv1d_split(x, weight, bias, pool, split):
     def half(b0, b1):
         r0, r1 = b0 * out_len, b1 * out_len
         zb = z[r0:r1]
-        cols[r0:r1].reshape(b1 - b0, out_len, ch_in, k)[...] = windows[b0:b1]
-        np.matmul(cols[r0:r1], wmat.T, out=zb)
+        np.matmul(_im2col(x.data[b0:b1], k), wmat.T, out=zb)
         zb += bias.data
         autodiff._check_finite(zb, "conv pre-activations")
         np.greater(zb, 0, out=mask[r0:r1])
@@ -335,7 +385,7 @@ def _conv1d_split(x, weight, bias, pool, split):
             pb /= pool
 
     _halves(half, batch, split)
-    return cols, mask, out if pool is None else pooled
+    return mask, out if pool is None else pooled
 
 
 class Dense:

@@ -18,7 +18,14 @@ from yieldgraph.autodiff import (
     no_grad,
     take_rows,
 )
-from tests.helpers import check_tensor_gradients, fd_gradient, rel_err, sigmoid, tanh
+from tests.helpers import (
+    check_tensor_gradients,
+    fd_gradient,
+    reference_backward,
+    rel_err,
+    sigmoid,
+    tanh,
+)
 
 
 def test_matmul_identity():
@@ -255,3 +262,37 @@ def test_check_finite_rejects_non_contiguous_and_0d(bad):
 def test_check_finite_accepts_empty():
     autodiff._check_finite(np.empty((0, 3)), "empty")
     autodiff._check_finite(np.empty((0, 3)).T, "empty view")
+
+
+
+def test_a_leafs_later_gradients_add_in_place_into_a_sum_of_the_sweeps_own():
+    # w gets five gradients in one sweep, on top of a grad the caller holds.
+    # The sum has the eager sweep's bits, and the held array is not written.
+    rng = np.random.default_rng(7)
+    xs, w0, held = rng.normal(size=(5, 4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+
+    def grad_of(sweep):
+        w = Tensor(w0, requires_grad=True)
+        w.grad = caller = held.copy()
+        loss = matmul(Tensor(xs[0]), w).sum()
+        for x in xs[1:]:
+            loss = loss + (matmul(Tensor(x), w) * 1.5).sum()
+        sweep(loss)
+        assert caller.tobytes() == held.tobytes()
+        return w.grad.tobytes()
+
+    assert grad_of(autodiff.backward) == grad_of(reference_backward)
+
+
+
+def test_in_place_sums_never_write_a_vjps_array():
+    # One vjp hands w the same array twice, then two more gradients follow:
+    # the first is kept as w.grad, and the sums go to a new array.
+    rng = np.random.default_rng(9)
+    w = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    shared = rng.normal(size=(3,))
+    before = shared.copy()
+    twice = autodiff.apply_op(w.data * 2.0, (w, w), lambda g: (shared, shared))
+    (twice.sum() + w.sum() + w.sum()).backward()
+    assert shared.tobytes() == before.tobytes()
+    assert w.grad.tobytes() == (before + before + 1.0 + 1.0).tobytes()

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from yieldgraph import data
 from yieldgraph.data import (
     BLOCK_SHAPES,
     CROPS,
@@ -396,3 +398,41 @@ def test_save_dataset_golden_bytes(tmp_path):
         assert np.array_equal(a, b, equal_nan=True)
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert loaded.yields.entries == ds.yields.entries
+
+
+@pytest.mark.parametrize("chunk", [3, 256])
+def test_norm_stats_are_nanmean_and_nanstd_byte_for_byte(monkeypatch, chunk):
+    # The chunked passes keep the bits of np.nanmean / np.nanstd over the
+    # gathered training records, across chunk boundaries (3 records) and in
+    # one chunk, with 1 % NaN cells, an all-NaN feature, a zero-variance
+    # feature and an absent training record.
+    monkeypatch.setattr(data, "_STATS_ROWS", chunk)
+    counties = [f"{i:05d}" for i in range(9)]
+    ds = make_dataset(counties=counties, years=tuple(range(2000, 2008)), seed=11)
+    rng = np.random.default_rng(12)
+    for b in BLOCK_SHAPES:
+        block = getattr(ds, b)
+        block *= rng.lognormal(0.0, 4.0, size=block.shape)
+        block[rng.random(block.shape) < 0.01] = np.nan
+    ds.weather[:, :, 2, 5] = np.nan
+    ds.land[:, :, 3, 7] = -1.25
+    ds.present[4, 1] = False
+    split = YearSplit(test_year=2007)
+    stats = compute_norm_stats(ds, split)
+    keep = ds.present & np.isin(ds.years, split.train_years(ds.years))
+    for b in BLOCK_SHAPES:
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)  # the all-NaN feature
+            mean = np.nanmean(getattr(ds, b)[keep], axis=0)
+            std = np.nanstd(getattr(ds, b)[keep], axis=0)
+        mean = np.where(np.isnan(mean), 0.0, mean)
+        std = np.where(np.isnan(std), 0.0, std)
+        std = np.where(std < 1e-12, 1.0, std)
+        assert stats.mean[b].tobytes() == mean.tobytes(), b
+        assert stats.std[b].tobytes() == std.tobytes(), b
+    assert stats.mean["weather"][2, 5] == 0.0 and stats.std["weather"][2, 5] == 1.0
+    assert stats.mean["land"][3, 7] == -1.25 and stats.std["land"][3, 7] == 1.0
+    normed = data.apply_norm_stats(ds, stats)
+    for b in BLOCK_SHAPES:
+        want = (getattr(ds, b) - stats.mean[b]) / stats.std[b]
+        assert getattr(normed, b).tobytes() == want.tobytes(), b
