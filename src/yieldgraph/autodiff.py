@@ -275,10 +275,13 @@ def _binary(a, b, fwd, da, db):
 
 # False inside no_grad(); read by apply_op. Process-wide, and safe as one
 # flag: the package's only other thread, the conv worker of layers.conv1d,
-# runs numpy calls and finiteness checks on arrays alone, never apply_op
-# (in the backward pass it forms a block's weight and bias gradients
-# behind the caller, which walks on down the tape), so every op is
-# recorded (or not) on the thread that set the mode.
+# runs apply_op only inside layers.in_lanes, which runs on two threads only
+# under the caller's no_grad() and returns once both have finished, so the
+# worker's ops record nothing, as the caller's do. Otherwise the worker
+# runs numpy calls and finiteness checks on arrays alone (in the backward
+# pass it forms a block's weight and bias gradients behind the caller,
+# which walks on down the tape), so every taped op is recorded on the
+# thread that set the mode.
 _recording = True
 
 

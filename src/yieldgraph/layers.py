@@ -21,14 +21,23 @@ A large block runs on two threads: the caller and one conv worker,
 started by the first block of at least SPLIT_WORK multiply-adds in its
 GEMM (batch * out_len * ch_in * k * ch_out) in a process allowed two or
 more CPUs. numpy releases the GIL inside its GEMMs and large array
-passes, so both threads make progress. The worker runs numpy calls and
-finiteness checks only, on arrays the caller hands it. In a split block's
-forward pass the caller waits for it inside the op. In the backward pass
-the worker, once started, forms every block's weight and bias gradients
+passes, so both threads make progress. In a split block's forward pass
+the caller waits for the worker inside the op. In the backward pass the
+worker, once started, forms every block's weight and bias gradients
 behind the caller, which forms the input gradient and walks on down the
 tape, and ``autodiff.backward`` waits for them once the sweep is done.
-The tape and ``no_grad()`` stay on the calling thread. ``_conv1d_split``
-says why the split changes no bit.
+There the worker runs numpy calls and finiteness checks only, on arrays
+the caller hands it; the tape stays on the calling thread.
+``_conv1d_split`` says why the split changes no bit.
+
+At inference, under ``no_grad()``, whole jobs run on the two threads
+instead: ``in_lanes`` hands a model's independent embedder calls (and a
+graph model's per-year SAGE stacks) to the caller and the worker, which
+each take the next job as they come free. A conv block inside a job runs
+whole, on the thread that runs the job, and never posts to the worker;
+a whole block has the bits of a split one, so predictions keep theirs.
+While a tape is recorded, ``in_lanes`` runs its jobs in order on the
+caller, so training keeps its split blocks and its tape on one thread.
 
 A block's tape node holds its input, its relu mask and its output. Its
 im2col, the largest array of the block, is needed after the forward pass
@@ -90,7 +99,8 @@ SOIL_KERNEL = 2
 SPLIT_WORK = 5_000_000
 MIN_HALF_ROWS = 128
 
-_worker = None  # the conv worker's job queue, made when the first split block starts it
+_worker = None  # the conv worker's job queue, made when the first split block or lanes start it
+_lanes = contextvars.ContextVar("yieldgraph_lanes", default=False)  # True inside in_lanes' jobs
 
 
 def uniform_param(rng, shape, fan_in):
@@ -108,12 +118,13 @@ def _cpus():
 
 def _split_point(batch, out_len, ch_in, k, ch_out):
     """Where a block's batch splits over two threads, or None when the block
-    runs on the calling thread alone: its GEMM has fewer than SPLIT_WORK
+    runs whole on one thread: its GEMM has fewer than SPLIT_WORK
     multiply-adds, a half would have fewer than MIN_HALF_ROWS output rows,
-    or there is one CPU to run on."""
+    there is one CPU to run on, or the block runs in a job of ``in_lanes``,
+    whose other lane already keeps the second core busy."""
     half = batch // 2
     if (half * out_len < MIN_HALF_ROWS or batch * out_len * ch_in * k * ch_out < SPLIT_WORK
-            or _cpus() < 2):
+            or _lanes.get() or _cpus() < 2):
         return None
     return half
 
@@ -165,6 +176,50 @@ def _in_parallel(here, there):
         err = done()
     if err is not None:
         raise err
+
+
+def in_lanes(jobs):
+    """``[job() for job in jobs]``, in job order, with the jobs run on two
+    lanes, the caller and the conv worker, each taking the next job as it
+    comes free. The jobs must not depend on one another. Every conv block
+    inside a job runs whole (see ``_split_point``), so a job's results have
+    the bits they have on the caller alone.
+
+    The jobs run in order on the caller instead while a tape is recorded
+    (outside ``no_grad()``; the tape is built on the calling thread), with
+    fewer than two CPUs or jobs, and inside another call's jobs. Then no
+    worker is started.
+
+    After a job fails, neither lane takes another; once both have stopped,
+    the failure of the lowest failed job index is raised, which is the one
+    a run in order would raise. The worker is then idle, so the next call
+    starts afresh."""
+    if autodiff._recording or len(jobs) < 2 or _lanes.get() or _cpus() < 2:
+        return [job() for job in jobs]
+    todo = queue.SimpleQueue()
+    for i in range(len(jobs)):
+        todo.put(i)
+    results, failures = [None] * len(jobs), {}
+
+    def lane():
+        while not failures:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[i] = jobs[i]()
+            except BaseException as err:
+                failures[i] = err
+
+    token = _lanes.set(True)  # before _post, whose copy of the context the worker runs in
+    try:
+        _in_parallel(lane, lane)
+    finally:
+        _lanes.reset(token)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _forget_worker():
@@ -231,11 +286,12 @@ def conv1d(x, weight, bias, pool=None):
     A block of at least SPLIT_WORK multiply-adds in its GEMM, whose halves
     have at least MIN_HALF_ROWS output rows each, runs its forward pass on
     two threads when there are two or more CPUs, in ``_conv1d_split``, with
-    the same bits. Once a split block has started the conv worker, every
-    block's vjp hands dw and db to it and returns them as
-    ``autodiff.Pending``: the worker forms them behind the caller, which
-    forms dx and walks on down the tape. A process that splits no block
-    starts no thread and forms all three on the caller.
+    the same bits, unless it runs in a job of ``in_lanes``. Once a split
+    block or ``in_lanes`` has started the conv worker, every block's vjp
+    hands dw and db to it and returns them as ``autodiff.Pending``: the
+    worker forms them behind the caller, which forms dx and walks on down
+    the tape. A process that splits no block and runs no lanes starts no
+    thread and forms all three on the caller.
 
     The op's tape node holds x, the relu mask and the output. While no
     worker runs, it also holds the block's im2col for dw; once the worker

@@ -15,6 +15,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -51,6 +52,7 @@ from yieldgraph.layers import (
     SoilEncoder,
     WeeklyEncoder,
     YearEmbedder,
+    in_lanes,
     rnn_forward,
 )
 from yieldgraph.optim import AdamState, LrSchedule, adam_step, logcosh_loss, lr_at
@@ -123,17 +125,18 @@ def gather_year_blocks(ds, samples, crop, year_offset=0):
 
     Returns (weekly [B,23,52], soil [B,20,6], extras [B,7]); ``weekly``
     stacks the 7 weather channels over the 16 land-surface channels, the
-    input order of the weekly encoder and the recurrent cells.
+    input order of the weekly encoder and the recurrent cells. The year
+    index and the previous-year mean (extras[6]) are looked up once per
+    distinct window year.
     """
-    ci = np.array([ds.county_index[c] for c, _ in samples], dtype=np.intp)
-    yi = np.array([ds.year_index[y + year_offset] for _, y in samples], dtype=np.intp)
-    extras = np.concatenate(
-        [
-            ds.extras[ci, yi],
-            np.array([[ds.prev_mean_feature(crop, y + year_offset)] for _, y in samples]),
-        ],
-        axis=1,
-    )
+    counties, targets = zip(*samples)
+    n = len(samples)
+    by_year = {y: (ds.year_index[y + year_offset], ds.prev_mean_feature(crop, y + year_offset))
+               for y in set(targets)}
+    ci = np.fromiter(map(ds.county_index.__getitem__, counties), np.intp, n)
+    yi = np.fromiter((by_year[y][0] for y in targets), np.intp, n)
+    prev = np.fromiter((by_year[y][1] for y in targets), np.float64, n)
+    extras = np.concatenate([ds.extras[ci, yi], prev[:, None]], axis=1)
     # filled block by block, so one gathered temporary is alive at a time
     weekly = np.empty((len(samples), WEEKLY_CHANNELS, WEEKS))
     weekly[:, :N_WEATHER] = ds.weather[ci, yi]
@@ -218,6 +221,11 @@ def _year_head(spec, in_dim, rng):
     return cell, RegressionHead(in_dim, spec.widths.head_hidden, rng)
 
 
+def _embed(embedder, blocks):
+    """The embedder over one (weekly, soil, extras) tuple of arrays."""
+    return embedder.embed(*(Tensor(b) for b in blocks))
+
+
 def _over_years(cell, steps):
     return steps[0] if cell is None else rnn_forward(cell, steps)
 
@@ -243,7 +251,7 @@ class CnnModel(_Model):
         return _collect(embed=self.embedder, cell=self.cell, head=self.head)
 
     def forward_blocks(self, years):
-        steps = [self.embedder.embed(*(Tensor(b) for b in blocks)) for blocks in years]
+        steps = in_lanes([functools.partial(_embed, self.embedder, blocks) for blocks in years])
         return self.head(_over_years(self.cell, steps))
 
 
@@ -294,7 +302,10 @@ def _reorder(block, ds, counties, z):
 
 # Rows per embedder call at inference. A call's im2col buffers grow with
 # its rows, so this bounds them at any county count; per row, a 128-row
-# call runs as fast as a larger one.
+# call runs as fast as a larger one. Its conv blocks run whole inside
+# ``layers.in_lanes`` and split in two outside it, with the same bits (see
+# layers._conv1d_split). The chunks of all window years are independent
+# jobs of ``in_lanes``, so its two lanes hold two chunks' transients.
 EMBED_CHUNK_ROWS = 128
 
 
@@ -304,9 +315,15 @@ class GnnModel(_Model):
 
     One forward serves all of a target year's seeds: it builds one block
     (sampled in training, the full neighbourhood at inference), embeds
-    each (input county, window year) once, then runs the SAGE stack, the
-    cell and the head over the whole block. Inference embeds the input
-    rows EMBED_CHUNK_ROWS at a time; training embeds them in one call.
+    each (input county, window year) once, then runs the SAGE stack of
+    each window year over the whole block, then the cell and the head.
+    Inference embeds the input rows EMBED_CHUNK_ROWS at a time; training
+    embeds them in one call per year. The embedder calls of all years,
+    then the years' SAGE stacks, go to ``layers.in_lanes``: at inference
+    they run on two threads, and in training in order on the caller. The
+    backward sweep's order follows the tape's graph, not the order its
+    nodes were made in, so training keeps the bits of embedding and
+    refining one year after the other.
     """
 
     def __init__(self, spec, rng):
@@ -331,8 +348,13 @@ class GnnModel(_Model):
         years = list(range(year - self.spec.history_years, year + 1))
         block = self._block(ds, counties, years, training, rng)
         input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
-        zs = [gnn_forward(self.stack, block, self._embed_nodes(ds, input_ids, y, training))
-              for y in years]
+        rows = len(input_ids) if training else EMBED_CHUNK_ROWS
+        chunks = [input_ids[start : start + rows] for start in range(0, len(input_ids), rows)]
+        parts = in_lanes([functools.partial(self._embed_chunk, ds, chunk, y)
+                          for y in years for chunk in chunks])
+        n = len(chunks)
+        zs = in_lanes([functools.partial(self._refine, block, parts[i : i + n])
+                       for i in range(0, len(parts), n)])
         return self.head(_reorder(block, ds, counties, _over_years(self.cell, zs)))
 
     def _block(self, ds, counties, years, training, rng):
@@ -350,14 +372,14 @@ class GnnModel(_Model):
             )
         return full_block(ds.graph, counties, layers=len(self.stack), allowed_nodes=allowed)
 
-    def _embed_nodes(self, ds, node_ids, year, training):
-        rows = len(node_ids) if training else EMBED_CHUNK_ROWS
-        parts = []
-        for start in range(0, len(node_ids), rows):
-            samples = [(c, year) for c in node_ids[start : start + rows]]
-            blocks = gather_year_blocks(ds, samples, self.spec.crop)
-            parts.append(self.embedder.embed(*(Tensor(b) for b in blocks)))
-        return parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    def _embed_chunk(self, ds, counties, year):
+        samples = [(c, year) for c in counties]
+        return _embed(self.embedder, gather_year_blocks(ds, samples, self.spec.crop))
+
+    def _refine(self, block, parts):
+        """The SAGE stack over one window year's embedded input rows."""
+        base = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+        return gnn_forward(self.stack, block, base)
 
 
 # -- linear baselines -----------------------------------------------------------

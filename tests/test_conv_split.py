@@ -347,7 +347,7 @@ _NO_WORKER = f"""
 import sys
 sys.path[:0] = [{os.path.join(ROOT, "src")!r}, {ROOT!r}]
 import numpy as np
-from yieldgraph import data, layers, models, optim
+from yieldgraph import data, evaluation, layers, models, optim
 from perfbench.workloads import FULL
 layers._cpus = lambda: 2
 
@@ -361,7 +361,7 @@ def targets(nds, spec, samples):
     return np.array([nds.norm_stats.standardize_target(spec.crop, nds.yields.get(c, y, spec.crop))
                      for c, y in samples])
 
-_, split, nds, _ = prepared(FULL.grid_side, FULL.n_years)
+ds, split, nds, stats = prepared(FULL.grid_side, FULL.n_years)
 spec = models.default_spec("lstm-1y", batch_size=64, seed=3)
 samples, _ = data.enumerate_windows(nds, split.train_years(nds.years), spec.crop, 0)
 model = models.build_model(spec, np.random.default_rng(3))
@@ -374,6 +374,10 @@ loss.backward()
 optim.adam_step(params, optim.AdamState(lr=spec.lr, weight_decay=spec.weight_decay))
 counties = nds.labeled_counties(split.test_year, spec.crop)
 model.forward_samples(nds, [(c, split.test_year) for c in counties])
+params = {{name: p.data.copy() for name, p in params.items()}}
+ckpt = models.ModelCheckpoint(spec=spec, params=params, norm_stats=stats, history=[],
+                              best_epoch=0, test_year=split.test_year)
+evaluation.evaluate(ckpt, ds, split, early=True)
 
 ds, split, nds, stats = prepared(FULL.ingest_side, FULL.ingest_years)
 samples, _ = data.enumerate_windows(nds, split.train_years(nds.years), spec.crop, 0)
@@ -390,14 +394,17 @@ for kind in ("ridge-1y", "lasso-1y"):
                                   best_epoch=0, test_year=split.test_year,
                                   lasso_converged=linear.converged)
     ckpt.predict_year(ds, nds.labeled_counties(split.test_year, spec.crop), split.test_year)
+    if kind == "ridge-1y":
+        evaluation.evaluate(ckpt, ds, split, early=True)
 print(layers._worker is None)
 """
 
 
 def test_the_one_year_lstm_and_the_linear_fits_start_no_worker():
-    # weekly-rnn-1y and ingest-linear run no block big enough to split, so
-    # a process that runs only them never starts the conv worker, on two
-    # CPUs or more.
+    # weekly-rnn-1y and ingest-linear run no block big enough to split and
+    # never call layers.in_lanes, so a process that runs only them, their
+    # early-season evaluations included, never starts the conv worker, on
+    # two CPUs or more.
     run = subprocess.run([sys.executable, "-c", _NO_WORKER], capture_output=True, text=True,
                          check=True, cwd=ROOT)
     assert run.stdout.split() == ["True"]
