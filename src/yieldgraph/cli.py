@@ -347,13 +347,12 @@ def cmd_benchmark(args):
         args, required=("features", "yields", "adjacency", "methods", "test_year", "out"),
     )
     methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    if not methods:
+        raise CliError(f"methods {cfg['methods']!r} names no method")
     seeds = [int(s) for s in cfg.get("seeds", "0").split(",")]
     crop = cfg.get("crop", ModelSpec.crop)
     test_year = int(cfg["test_year"])
     early = config_switch(cfg, "early")
-    dataset = _load_dataset_cfg(cfg)
-    split = YearSplit(test_year=test_year)
-    prepare_out_dir(cfg["out"], args.force)
 
     overrides = {}
     if "epochs" in cfg:
@@ -362,17 +361,21 @@ def cmd_benchmark(args):
     unknown = [m for m in methods if m not in KIND_TABLE]
     if unknown:
         raise CliError(f"unknown method {unknown[0]!r}")
+    # A bad spec is bad input to the whole run, not a failed cell.
+    specs = {(method, seed): default_spec(method, crop, test_year, seed=seed, **overrides)
+             for method in methods for seed in seeds}
 
+    dataset = _load_dataset_cfg(cfg)
+    split = YearSplit(test_year=test_year)
+    prepare_out_dir(cfg["out"], args.force)
     results = {}
-    for method in methods:
-        for seed in seeds:
-            try:
-                spec = default_spec(method, crop, test_year, seed=seed, **overrides)
-                results[(method, seed)] = _benchmark_cell(spec, dataset, split, early)
-            except _INPUT_ERRORS + (TrainingAbort, NonFiniteError) as e:
-                results[(method, seed)] = e  # a cell failure must not sink the table
-                print(f"benchmark cell {method} seed {seed} failed: "
-                      f"{type(e).__name__}: {e}", file=sys.stderr)
+    for (method, seed), spec in specs.items():
+        try:
+            results[(method, seed)] = _benchmark_cell(spec, dataset, split, early)
+        except _INPUT_ERRORS + (TrainingAbort, NonFiniteError) as e:
+            results[(method, seed)] = e  # a cell failure must not sink the table
+            print(f"benchmark cell {method} seed {seed} failed: "
+                  f"{type(e).__name__}: {e}", file=sys.stderr)
 
     rows = []
     for method in methods:

@@ -17,18 +17,19 @@ encoder, avg-pool) is one autodiff op, ``conv1d``, with a hand-written
 vjp. The output is transposed back once before the projection, which
 therefore sees the [C, L] flatten order its weights were laid out for.
 
-A large block runs on two threads: the caller and one conv worker,
-started by the first block of at least SPLIT_WORK multiply-adds in its
-GEMM (batch * out_len * ch_in * k * ch_out) in a process allowed two or
-more CPUs. numpy releases the GIL inside its GEMMs and large array
-passes, so both threads make progress. In a split block's forward pass
-the caller waits for the worker inside the op. In the backward pass the
-worker, once started, forms every block's weight and bias gradients
-behind the caller, which forms the input gradient and walks on down the
-tape, and ``autodiff.backward`` waits for them once the sweep is done.
-There the worker runs numpy calls and finiteness checks only, on arrays
-the caller hands it; the tape stays on the calling thread.
-``_conv1d_split`` says why the split changes no bit.
+A block's forward pass is one row-range body over its batch items (see
+``conv1d``). A large block runs it on two threads, one half of the batch
+each: the caller and one conv worker, started by the first block of at
+least SPLIT_WORK multiply-adds in its GEMM (batch * out_len * ch_in * k *
+ch_out) in a process allowed two or more CPUs. numpy releases the GIL
+inside its GEMMs and large array passes, so both threads make progress.
+In a split block's forward pass the caller waits for the worker inside
+the op. In the backward pass the worker, once started, forms every
+block's weight and bias gradients behind the caller, which forms the
+input gradient and walks on down the tape, and ``autodiff.backward``
+waits for them once the sweep is done. There the worker runs numpy calls
+and finiteness checks only, on arrays the caller hands it; the tape stays
+on the calling thread. ``conv1d`` says why the split changes no bit.
 
 At inference, under ``no_grad()``, whole jobs run on the two threads
 instead: ``in_lanes`` hands a model's independent embedder calls (and a
@@ -39,14 +40,13 @@ a whole block has the bits of a split one, so predictions keep theirs.
 While a tape is recorded, ``in_lanes`` runs its jobs in order on the
 caller, so training keeps its split blocks and its tape on one thread.
 
-A block's tape node holds its input, its relu mask and its output. Its
-im2col, the largest array of the block, is needed after the forward pass
-only for the weight gradient. A process with no worker keeps it on the
-node for that. Once the worker runs, im2col is a transient of the forward
-pass, and the worker's weight-gradient job gathers it again from the
-input, which the tape holds anyway (the recompute half of gradient
-checkpointing, Chen et al., arXiv:1604.06174). The gather is
-deterministic, so the weight gradient keeps its bits.
+A block's tape node holds its input, its relu mask and its output, in
+every process. Its im2col, the largest array of the block, is a transient
+of the forward pass: the job that forms the weight gradient, on the
+worker or on the caller, gathers it again from the input, which the tape
+holds anyway (the recompute half of gradient checkpointing, Chen et al.,
+arXiv:1604.06174). The gather is deterministic, so the weight gradient
+keeps its bits.
 
 The recurrent cell carries its state as one tensor: [B, 2 * hidden] laid
 out h|c for the LSTM, [B, hidden] h for the GRU. One time step is one
@@ -95,7 +95,7 @@ SOIL_KERNEL = 2
 # handing half to the worker costs more than the second core gives back.
 # Each half must also have at least MIN_HALF_ROWS output rows: the scans
 # that found a row-split GEMM bit-equal to the whole one covered parts of
-# that many rows and more (see _conv1d_split).
+# that many rows and more (see conv1d).
 SPLIT_WORK = 5_000_000
 MIN_HALF_ROWS = 128
 
@@ -231,12 +231,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _halves(job, batch, split):
-    """job(b0, b1) over batch items [0, split) here and [split, batch) on
-    the conv worker."""
-    _in_parallel(lambda: job(0, split), lambda: job(split, batch))
-
-
 @functools.lru_cache(maxsize=64)
 def _im2col_index(s_len, s_ch, out_len, ch_in, k):
     """[out_len, ch_in * k] offsets into one sample's flat memory, whose
@@ -283,20 +277,32 @@ def conv1d(x, weight, bias, pool=None):
     input, weight and bias gradients only for the operands that are
     tracked; the first block's input is raw data.
 
-    A block of at least SPLIT_WORK multiply-adds in its GEMM, whose halves
-    have at least MIN_HALF_ROWS output rows each, runs its forward pass on
-    two threads when there are two or more CPUs, in ``_conv1d_split``, with
-    the same bits, unless it runs in a job of ``in_lanes``. Once a split
-    block or ``in_lanes`` has started the conv worker, every block's vjp
-    hands dw and db to it and returns them as ``autodiff.Pending``: the
-    worker forms them behind the caller, which forms dx and walks on down
-    the tape. A process that splits no block and runs no lanes starts no
-    thread and forms all three on the caller.
+    One body, ``rows(b0, b1)``, runs the forward pass for batch items
+    [b0, b1): their im2col (a transient, rows of the whole block's, the
+    same bytes), the GEMM into their rows of ``z``, the bias, the NaN/Inf
+    check of those rows, then the relu, its mask and the pool. A block runs
+    it once over the whole batch, or, when ``_split_point`` splits it, once
+    per half, on the caller and the conv worker; a failure in either half
+    propagates once both have finished. Every value comes from elementwise
+    passes and a row split of one GEMM, so a split changes no bit while
+    each half takes the kernel path of the whole: on OpenBLAS's AVX-512
+    kernels a product of under about 1200 output elements takes a
+    small-matrix kernel, and scans of the forward GEMM at every
+    default-width shape found no changed bit in parts of MIN_HALF_ROWS
+    (128) rows or more. ``tests/test_conv_split.py`` checks every
+    default-width block.
 
-    The op's tape node holds x, the relu mask and the output. While no
-    worker runs, it also holds the block's im2col for dw; once the worker
-    runs, im2col lives only inside the forward pass (each half's, in a
-    split block) and ``_conv_grads`` has the worker gather it again.
+    The op's tape node holds x, the relu mask and the output, never the
+    block's im2col: the job that forms dw gathers it again from ``x.data``
+    just before its GEMM and drops it after. Once a split block or
+    ``in_lanes`` has started the conv worker, every block's vjp hands that
+    job, dw and db, to the worker and returns them as ``autodiff.Pending``:
+    the worker forms them behind the caller, which forms dx and walks on
+    down the tape, and a failure in either job (the gather included)
+    propagates only once the worker has finished. A process that splits no
+    block and runs no lanes starts no thread and forms all three on the
+    caller. A row split of the dx GEMM changed bits, and one of dw would
+    sum in another order, so neither is split.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d needs [B,L,C] and [O,C,K], got {x.shape}, {weight.shape}")
@@ -310,28 +316,32 @@ def conv1d(x, weight, bias, pool=None):
     if pool is not None and out_len < pool:
         raise ShapeError(f"conv1d output length {out_len} shorter than pool window {pool}")
     keep = out_len // pool * pool if pool is not None else out_len
-    split = _split_point(batch, out_len, ch_in, k, ch_out)
-    cols = None  # kept for dw only while no worker runs
-    if split is not None:
-        mask, out = _conv1d_split(x, weight, bias, pool, split)
-    else:
-        cols = _im2col(x.data, k)
-        wmat = weight.data.reshape(ch_out, ch_in * k)
-        z = cols @ wmat.T
-        z += bias.data
-        autodiff._check_finite(z, "conv pre-activations")
-        mask = z > 0  # gradient at exactly 0 is 0
-        np.maximum(z, 0.0, out=z)
-        z += 0.0  # -0.0 becomes +0.0, as np.where(mask, z, 0.0) gives
-        out = z.reshape(batch, out_len, ch_out)
+    wmat = weight.data.reshape(ch_out, ch_in * k)
+    z = np.empty((batch * out_len, ch_out))
+    mask = np.empty(z.shape, dtype=bool)
+    act = z.reshape(batch, out_len, ch_out)
+    out = act if pool is None else np.empty((batch, keep // pool, ch_out))
+
+    def rows(b0, b1):
+        zb = z[b0 * out_len : b1 * out_len]
+        np.matmul(_im2col(x.data[b0:b1], k), wmat.T, out=zb)
+        zb += bias.data
+        autodiff._check_finite(zb, "conv pre-activations")
+        np.greater(zb, 0, out=mask[b0 * out_len : b1 * out_len])  # gradient at exactly 0 is 0
+        np.maximum(zb, 0.0, out=zb)
+        zb += 0.0  # -0.0 becomes +0.0, as np.where(mask, z, 0.0) gives
         if pool is not None:
-            pooled = out[:, 0:keep:pool].copy()
+            pb = out[b0:b1]
+            pb[...] = act[b0:b1, 0:keep:pool]
             for j in range(1, pool):
-                pooled += out[:, j:keep:pool]
-            pooled /= pool
-            out = pooled
-        if _worker is not None:
-            cols = None  # the worker gathers it again for dw
+                pb += act[b0:b1, j:keep:pool]
+            pb /= pool
+
+    split = _split_point(batch, out_len, ch_in, k, ch_out)
+    if split is None:
+        rows(0, batch)
+    else:
+        _in_parallel(lambda: rows(0, split), lambda: rows(split, batch))
 
     def vjp(g):
         if pool is None:
@@ -342,106 +352,37 @@ def conv1d(x, weight, bias, pool=None):
             for j in range(pool):
                 spread[:, j:keep:pool] = g_pool
             gmat *= mask
-        return _conv_grads(x, weight, bias, gmat, cols, defer=_worker is not None)
+        param_grads = [None, None]
+
+        def weight_and_bias():
+            if weight.requires_grad:
+                param_grads[0] = (gmat.T @ _im2col(x.data, k)).reshape(ch_out, ch_in, k)
+            if bias.requires_grad:
+                param_grads[1] = gmat.sum(axis=0)
+
+        def input_grad():
+            if not x.requires_grad:
+                return None
+            dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
+            dx = np.zeros((batch, length, ch_in))
+            for j in range(k):
+                dx[:, j : j + out_len] += dcols[:, :, :, j]
+            return dx
+
+        if _worker is None:
+            weight_and_bias()
+            return input_grad(), *param_grads
+        done = _post(weight_and_bias)
+        try:
+            dx = input_grad()
+        except BaseException:
+            done()
+            raise
+        dw, db = (autodiff.Pending(done, param_grads, i) if t.requires_grad else None
+                  for i, t in enumerate((weight, bias)))
+        return dx, dw, db
 
     return apply_op(out, (x, weight, bias), vjp)
-
-
-def _conv_grads(x, weight, bias, gmat, cols, defer):
-    """dx, dw and db of a conv block from its masked output gradient
-    ``gmat`` [B*L', ch_out], None for an untracked operand. ``cols`` is the
-    block's im2col when the forward pass kept it; when None, the job that
-    forms dw gathers it again from ``x.data``, just before its GEMM, and
-    drops it after. With ``defer``, the conv worker runs that job, dw and
-    db, behind the caller, which forms dx, and they are returned as
-    ``autodiff.Pending``; a failure in either job (the gather included)
-    propagates only once the worker has finished. A row split of the dx
-    GEMM changed bits, and one of dw would sum in another order, so
-    neither is split."""
-    batch, length, ch_in = x.data.shape
-    ch_out, _, k = weight.data.shape
-    out_len = length - k + 1
-    param_grads = [None, None]
-
-    def weight_and_bias():
-        if weight.requires_grad:
-            c = cols if cols is not None else _im2col(x.data, k)
-            param_grads[0] = (gmat.T @ c).reshape(ch_out, ch_in, k)
-        if bias.requires_grad:
-            param_grads[1] = gmat.sum(axis=0)
-
-    def input_grad():
-        if not x.requires_grad:
-            return None
-        wmat = weight.data.reshape(ch_out, ch_in * k)
-        dcols = (gmat @ wmat).reshape(batch, out_len, ch_in, k)
-        dx = np.zeros((batch, length, ch_in))
-        for j in range(k):
-            dx[:, j : j + out_len] += dcols[:, :, :, j]
-        return dx
-
-    if not defer:
-        weight_and_bias()
-        return input_grad(), *param_grads
-    done = _post(weight_and_bias)
-    try:
-        dx = input_grad()
-    except BaseException:
-        done()
-        raise
-    dw, db = (autodiff.Pending(done, param_grads, i) if t.requires_grad else None
-              for i, t in enumerate((weight, bias)))
-    return dx, dw, db
-
-
-def _conv1d_split(x, weight, bias, pool, split):
-    """``conv1d``'s forward pass on two threads, the caller and the conv
-    worker: each takes half the batch, at ``split``, for the half's im2col
-    (a transient of its own: rows of the whole block's, the same bytes),
-    the GEMM into its rows of ``z``, the bias, the NaN/Inf check of those
-    rows, then the relu, its mask and the pool. Returns the mask and the
-    output, as ``conv1d`` forms them: every value comes from its
-    elementwise passes and a row-split of its forward GEMM, so the split
-    changes no bit; a failure in either half propagates once both have
-    finished. The block keeps no im2col: this path starts the worker,
-    which gathers it again for dw.
-
-    A row-split GEMM keeps the bits only while each half takes the kernel
-    path of the whole: on OpenBLAS's AVX-512 kernels a product of under
-    about 1200 output elements takes a small-matrix kernel, and scans of
-    the forward GEMM at every default-width shape found no changed bit in
-    parts of 128 rows or more (MIN_HALF_ROWS). ``tests/test_conv_split.py``
-    checks every default-width block.
-    """
-    batch, length, ch_in = x.data.shape
-    ch_out, _, k = weight.data.shape
-    out_len = length - k + 1
-    rows = batch * out_len
-    wmat = weight.data.reshape(ch_out, ch_in * k)
-    z, mask = np.empty((rows, ch_out)), np.empty((rows, ch_out), dtype=bool)
-    out = z.reshape(batch, out_len, ch_out)
-    if pool is not None:
-        keep = out_len // pool * pool
-        pooled = np.empty((batch, keep // pool, ch_out))
-
-    def half(b0, b1):
-        r0, r1 = b0 * out_len, b1 * out_len
-        zb = z[r0:r1]
-        np.matmul(_im2col(x.data[b0:b1], k), wmat.T, out=zb)
-        zb += bias.data
-        autodiff._check_finite(zb, "conv pre-activations")
-        np.greater(zb, 0, out=mask[r0:r1])
-        np.maximum(zb, 0.0, out=zb)
-        zb += 0.0
-        if pool is not None:
-            pb = pooled[b0:b1]
-            pb[...] = out[b0:b1, 0:keep:pool]
-            for j in range(1, pool):
-                pb += out[b0:b1, j:keep:pool]
-            pb /= pool
-
-    _halves(half, batch, split)
-    return mask, out if pool is None else pooled
 
 
 class Dense:

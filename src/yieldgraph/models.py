@@ -304,7 +304,7 @@ def _reorder(block, ds, counties, z):
 # its rows, so this bounds them at any county count; per row, a 128-row
 # call runs as fast as a larger one. Its conv blocks run whole inside
 # ``layers.in_lanes`` and split in two outside it, with the same bits (see
-# layers._conv1d_split). The chunks of all window years are independent
+# layers.conv1d). The chunks of all window years are independent
 # jobs of ``in_lanes``, so its two lanes hold two chunks' transients.
 EMBED_CHUNK_ROWS = 128
 
@@ -528,7 +528,7 @@ class ModelSpec:
     keys, its config echo and the checkpoint header are made from these
     fields (and those of LrSchedule and ArchWidths); a field's ``choices``
     metadata is checked here and offered on the command line, as are lr > 0
-    (the peak of ``schedule``), batch_size >= 1 and epochs >= 1."""
+    (the peak of ``schedule``), batch_size >= 1, epochs >= 1 and seed >= 0."""
 
     kind: str = field(metadata={"choices": ALL_KINDS})
     crop: str = field(default="corn", metadata={"choices": CROPS})
@@ -553,9 +553,10 @@ class ModelSpec:
                 raise ConfigurationError(
                     f"unknown {f.name} {value!r}; choose from {', '.join(choices)}"
                 )
-        if not (self.lr > 0 and self.batch_size >= 1 and self.epochs >= 1):
-            raise ConfigurationError(f"need lr > 0, batch_size >= 1 and epochs >= 1, got "
-                                     f"{self.lr!r}, {self.batch_size}, {self.epochs}")
+        if not (self.lr > 0 and self.batch_size >= 1 and self.epochs >= 1 and self.seed >= 0):
+            raise ConfigurationError(
+                f"need lr > 0, batch_size >= 1, epochs >= 1 and seed >= 0, got "
+                f"{self.lr!r}, {self.batch_size}, {self.epochs}, {self.seed}")
 
     @property
     def history_years(self):

@@ -222,6 +222,28 @@ def test_benchmark_failed_cell_still_emits_table(tmp_path, capsys):
     assert "cnn-rnn-5y seed 0" in failed[0] and "ConfigurationError: " in failed[0]
 
 
+@pytest.mark.parametrize("config, flags", [
+    ("crop = wheat\n", ["--methods", "ridge-1y"]),
+    ("", ["--methods", "ridge-1y", "--epochs", "0"]),
+    ("", ["--methods", ","]),
+    ("", ["--methods", "cnn-1y", "--seeds", "-1"]),
+], ids=["unknown-crop", "zero-epochs", "no-method", "negative-seed"])
+def test_benchmark_rejects_bad_spec_input_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                          config, flags):
+    cells = []
+    monkeypatch.setattr(cli, "_benchmark_cell", lambda *a: cells.append(a))
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "bench"
+    capsys.readouterr()
+    assert run(["benchmark", "--config", str(cfg)] + dataset_flags(data)
+               + ["--test-year", "2009", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cells == [] and not out.exists()
+
+
 def test_benchmark_group_is_5y_exactly_for_kinds_with_history(tmp_path, monkeypatch):
     def no_cell(spec, dataset, split, early):
         raise ConfigurationError("cell not run")

@@ -1,13 +1,13 @@
-"""Once the conv worker runs, the tape holds no im2col.
+"""The tape holds no im2col.
 
 ``layers.conv1d`` forms a block's im2col ``cols`` by one gather
-(``layers._im2col``). A process with no worker keeps ``cols`` for the
-block's weight gradient; once the worker runs, ``cols`` is a transient of
-the forward pass and the worker's weight-gradient job rebuilds it from the
-block's input. These tests check that the gather builds the window view's
-bytes, that a forward pass with the worker running leaves no ``cols``
-alive, and that a failed rebuild fails ``backward`` as a failed dw does.
-The bits of the split and deferred paths are ``tests/test_conv_split.py``'s.
+(``layers._im2col``). ``cols`` is a transient of the forward pass, in
+every process: the job that forms the block's weight gradient, on the
+conv worker or on the caller, rebuilds it from the block's input. These
+tests check that the gather builds the window view's bytes, that a
+forward pass leaves no ``cols`` alive, with the worker running or not,
+and that a failed rebuild fails ``backward`` as a failed dw does. The
+bits of the split and deferred paths are ``tests/test_conv_split.py``'s.
 """
 
 import threading
@@ -86,14 +86,14 @@ def test_a_running_worker_leaves_no_im2col_on_the_tape(monkeypatch, splits, bloc
     # At 246 nodes every weekly block splits; with the split rule out of
     # reach, none does, and each hands its dw to a worker already running.
     if blocks == "unsplit":
-        layers._halves(lambda b0, b1: None, 2, 1)
+        layers._in_parallel(lambda: None, lambda: None)  # start the worker
         monkeypatch.setattr(layers, "SPLIT_WORK", 10**12)
     live, first_cols = _weekly_forward_live_bytes()
     assert splits
     assert live < first_cols
     _one_thread(monkeypatch)
     held, _ = _weekly_forward_live_bytes()
-    assert held > first_cols  # no worker: every block keeps its cols
+    assert held < first_cols  # no worker: no block keeps its cols either
 
 
 def _count_gathers(monkeypatch):
@@ -107,7 +107,7 @@ def _count_gathers(monkeypatch):
     return calls
 
 
-def test_only_a_running_worker_rebuilds_cols(monkeypatch, splits):
+def test_the_weight_gradient_job_gathers_cols_again(monkeypatch, splits):
     x, w, b, g, pool = _block(_SHAPE)
     tw, tb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
     calls = _count_gathers(monkeypatch)
@@ -116,7 +116,7 @@ def test_only_a_running_worker_rebuilds_cols(monkeypatch, splits):
     del calls[:]
     _one_thread(monkeypatch)
     layers.conv1d(Tensor(x), tw, tb, pool).sum().backward()
-    assert calls == ["MainThread"]  # formed once, kept for dw
+    assert calls == ["MainThread", "MainThread"]  # the forward pass, then dw
 
 
 def test_a_failed_rebuild_fails_backward_as_a_failed_dw_does(monkeypatch, splits):

@@ -2,13 +2,15 @@
 
 ``layers.conv1d`` runs a block of at least ``SPLIT_WORK`` GEMM
 multiply-adds, with at least ``MIN_HALF_ROWS`` output rows in each half,
-on the calling thread and one conv worker, which forms the block's weight
-and bias gradients while the backward sweep walks on. These tests claim
-two CPUs, force the split where a block is smaller (both thresholds 1)
-and compare it with the one-thread path (one CPU and no worker, so no
-block splits or hands its dw and db to the worker), byte for byte. The
-split relies on this BLAS giving a row-split GEMM the bits of the whole
-one; if that ever stops holding, these tests must fail, not be loosened.
+on the calling thread and one conv worker: the row-range body that a
+whole block runs over its batch runs over each half. The worker then
+forms the block's weight and bias gradients while the backward sweep
+walks on. These tests claim two CPUs, force the split where a block is
+smaller (both thresholds 1) and compare it with the one-thread path (one
+CPU and no worker, so no block splits or hands its dw and db to the
+worker), byte for byte. The split relies on this BLAS giving a row-split
+GEMM the bits of the whole one; if that ever stops holding, these tests
+must fail, not be loosened.
 """
 
 import hashlib
@@ -111,7 +113,7 @@ def test_split_block_matches_one_thread_bit_for_bit(monkeypatch, splits, shape):
                          ids=lambda s: "x".join(map(str, s[:5])))
 def test_an_unsplit_block_hands_dw_and_db_to_a_running_worker(monkeypatch, splits, shape):
     block = _block(shape)
-    layers._halves(lambda b0, b1: None, 2, 1)  # start the worker, as a split block would
+    layers._in_parallel(lambda: None, lambda: None)  # start the worker, as a split block would
     del splits[:]
     deferred = _run(*block)
     assert len(splits) == 1  # no split: only dw and db go to the worker

@@ -280,8 +280,9 @@ def test_bare_lr_override_resets_schedule():
 
 @pytest.mark.parametrize("bad", [
     dict(lr=0.0, schedule=LrSchedule("step")), dict(lr=-1e-4), dict(lr=float("nan")),
-    dict(batch_size=0), dict(batch_size=-3), dict(epochs=0),
-], ids=["zero-lr-step", "negative-lr", "nan-lr", "zero-batch", "negative-batch", "zero-epochs"])
+    dict(batch_size=0), dict(batch_size=-3), dict(epochs=0), dict(seed=-1),
+], ids=["zero-lr-step", "negative-lr", "nan-lr", "zero-batch", "negative-batch", "zero-epochs",
+        "negative-seed"])
 def test_spec_rejects_bad_lr_batch_size_and_epochs(bad):
     with pytest.raises(ConfigurationError):
         ModelSpec(kind="cnn-rnn-5y", **bad)
