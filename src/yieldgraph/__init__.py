@@ -1,7 +1,3 @@
 """County-level crop yield prediction with graph and temporal neural models."""
 
-from yieldgraph.autodiff import Tensor
-
 __version__ = "0.1.0"
-
-__all__ = ["Tensor", "__version__"]

@@ -326,9 +326,6 @@ def concat(tensors, axis=0):
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat of zero tensors")
-    if len(tensors) == 1:
-        t = tensors[0]
-        return apply_op(t.data.copy(), (t,), lambda g: (g,))
     first = tensors[0].data.shape
     for t in tensors[1:]:
         s = t.data.shape

@@ -25,28 +25,33 @@ import math
 import os
 import sys
 
-import numpy as np
+# BLAS is pinned before numpy is first imported: a run's bits must not depend on the CPU count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from yieldgraph.autodiff import NonFiniteError
-from yieldgraph.data import (
+import numpy as np  # noqa: E402
+
+from yieldgraph.autodiff import NonFiniteError  # noqa: E402
+from yieldgraph.data import (  # noqa: E402
     DataFormatError,
     WindowUnavailableError,
     YearSplit,
     csv_rows,
     generate_synthetic,
     load_dataset,
+    normalize,
     save_dataset,
 )
-from yieldgraph.evaluation import MetricError, emit_report, evaluate
-from yieldgraph.geo import (
+from yieldgraph.evaluation import MetricError, emit_report, evaluate  # noqa: E402
+from yieldgraph.geo import (  # noqa: E402
     GeoFormatError,
     aggregate_to_county,
     build_weight_map,
     daily_to_weekly,
     read_ascii_grid,
 )
-from yieldgraph.graph import GraphFormatError
-from yieldgraph.models import (
+from yieldgraph.graph import GraphFormatError  # noqa: E402
+from yieldgraph.models import (  # noqa: E402
     KIND_TABLE,
     ArchWidths,
     ConfigurationError,
@@ -57,8 +62,8 @@ from yieldgraph.models import (
     format_field,
     parse_field,
 )
-from yieldgraph.models import train as train_model
-from yieldgraph.optim import LrSchedule
+from yieldgraph.models import train as train_model  # noqa: E402
+from yieldgraph.optim import LrSchedule  # noqa: E402
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -287,8 +292,9 @@ def cmd_train(args):
     )
     spec, test_year = _spec_from_config(cfg)
     prepare_out_dir(cfg["out"], args.force)
-    dataset = _load_dataset_cfg(cfg)
-    checkpoint = train_model(spec, dataset, YearSplit(test_year=test_year))
+    split = YearSplit(test_year=test_year)
+    dataset, _ = normalize(_load_dataset_cfg(cfg), split)  # no raw copy outlives this line
+    checkpoint = train_model(spec, dataset, split)
     ckpt_path = os.path.join(cfg["out"], "checkpoint.ckpt")
     checkpoint.save(ckpt_path)
     log_path = os.path.join(cfg["out"], "training_log.csv")
@@ -335,8 +341,9 @@ def cmd_evaluate(args):
 # -- benchmark --------------------------------------------------------------------
 
 
-def _benchmark_cell(spec, dataset, split, early):
-    checkpoint = train_model(spec, dataset, split)
+def _benchmark_cell(spec, prepared, dataset, split, early):
+    """Train on the run's normalized copy, evaluate on the raw dataset."""
+    checkpoint = train_model(spec, prepared, split)
     report = evaluate(checkpoint, dataset, split)
     masked = evaluate(checkpoint, dataset, split, early=True) if early else None
     return report, masked
@@ -367,11 +374,12 @@ def cmd_benchmark(args):
 
     dataset = _load_dataset_cfg(cfg)
     split = YearSplit(test_year=test_year)
+    prepared, _ = normalize(dataset, split)
     prepare_out_dir(cfg["out"], args.force)
     results = {}
     for (method, seed), spec in specs.items():
         try:
-            results[(method, seed)] = _benchmark_cell(spec, dataset, split, early)
+            results[(method, seed)] = _benchmark_cell(spec, prepared, dataset, split, early)
         except _INPUT_ERRORS + (TrainingAbort, NonFiniteError) as e:
             results[(method, seed)] = e  # a cell failure must not sink the table
             print(f"benchmark cell {method} seed {seed} failed: "

@@ -507,7 +507,7 @@ def apply_norm_stats(dataset, stats):
 
 def normalize(dataset, split):
     """Z-score every feature channel with training-year statistics, applied
-    identically to validation and test years."""
+    identically to all years: a run's one normalization, which ``train`` takes."""
     stats = compute_norm_stats(dataset, split)
     return apply_norm_stats(dataset, stats), stats
 

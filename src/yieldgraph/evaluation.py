@@ -6,12 +6,12 @@ test year's weather and land-surface weeks at or beyond the cutoff with
 that county's training-period weekly means (features from earlier window
 years are untouched), then evaluates the unmodified checkpoint.
 
-``evaluate`` touches only the years it scores. It slices the raw dataset
-to the window years [test - history_years, test] and normalizes that
-slice. An early evaluate builds its masking plan from the raw training
-years, normalizing only the weeks it replaces, and masks a copy of the
-normalized window. The reports are bit for bit those of normalizing and
-masking the whole dataset.
+``evaluate`` takes the raw dataset and the predictor's norm stats, and
+touches only the years it scores. It slices the window years
+[test - history_years, test] and normalizes that slice. An early evaluate
+builds its masking plan from the raw training years, normalizing only the
+weeks it replaces, and masks a copy of the normalized window. The reports
+are bit for bit those of normalizing and masking the whole dataset.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class MaskingPlan:
     ``rows`` are those counties' dataset rows, ascending. ``weather``
     [rows, 7, 52 - cutoff] and ``land`` [rows, 16, 52 - cutoff] hold each
     county's mean over its present training years of every (channel, week)
-    cell, NaN cells skipped, in the normalized representation when the plan
-    was built with norm stats.
+    cell, NaN cells skipped, in the normalized representation of the norm
+    stats the plan was built with.
     """
 
     cutoff_week: int
@@ -104,20 +104,18 @@ class MaskingPlan:
 def _training_means(block, norm, present, rows, train_idx, cut):
     """[rows, channels, weeks >= cut] NaN-skipping means over the present
     training years of ``block`` [county, year, channels, 52], each year
-    normalized by ``norm`` = (mean, std) when given, as ``apply_norm_stats``
-    does. The years are summed in order from zero, the order of
-    ``np.nanmean`` over axis 0, so the means are its bits."""
+    normalized by ``norm`` = (mean, std) as ``apply_norm_stats`` does. The
+    years are summed in order from zero, the order of ``np.nanmean`` over
+    axis 0, so the means are its bits."""
     total = np.zeros((rows.size, block.shape[2], block.shape[3] - cut))
     nans = np.zeros(total.shape, dtype=np.intp)
     years = np.zeros(rows.size, dtype=np.intp)
-    if norm is not None:
-        mean, std = (np.ascontiguousarray(a[:, cut:]) for a in norm)
+    mean, std = (np.ascontiguousarray(a[:, cut:]) for a in norm)
     for t in train_idx:
         hit = np.flatnonzero(present[rows, t])
         x = block[rows[hit], t, :, cut:]  # a copy: normalized in place
-        if norm is not None:
-            x -= mean
-            x /= std
+        x -= mean
+        x /= std
         missing = np.isnan(x)
         if missing.any():
             x[missing] = 0.0
@@ -131,18 +129,17 @@ def _training_means(block, norm, present, rows, train_idx, cut):
         return total / (years[:, None, None] - nans)
 
 
-def build_masking_plan(dataset, split, stats=None, cutoff_week=CUTOFF_WEEK):
+def build_masking_plan(dataset, split, stats, cutoff_week=CUTOFF_WEEK):
     """The plan for the raw ``dataset``: per-county means over the training
-    years, normalized by ``stats`` (None keeps the stored values). One pass
-    over the training-year slices; a county with no present training
-    record gets no row and stays unmasked."""
+    years, each year normalized by ``stats``. One pass over the
+    training-year slices; a county with no present training record gets no
+    row and stays unmasked."""
     train_idx = [dataset.year_index[y] for y in split.train_years(dataset.years)]
     rows = np.flatnonzero(dataset.present[:, train_idx].any(axis=1))
 
     def means(b):
-        norm = None if stats is None else (stats.mean[b], stats.std[b])
-        return _training_means(getattr(dataset, b), norm, dataset.present, rows, train_idx,
-                               cutoff_week)
+        return _training_means(getattr(dataset, b), (stats.mean[b], stats.std[b]),
+                               dataset.present, rows, train_idx, cutoff_week)
 
     return MaskingPlan(cutoff_week, rows, means("weather"), means("land"))
 
@@ -166,12 +163,12 @@ def mask_dataset_year(dataset, plan, year):
 
 
 def evaluate(predictor, dataset, split, early=False):
-    """Score a predictor on the split's test year.
+    """Score a predictor on the raw ``dataset``'s test year of the split.
 
     ``predictor`` needs three members: ``spec`` (a ``ModelSpec``; its crop,
-    history_years, seed and kind are read), ``norm_stats`` (None to skip
-    normalization) and predict_year(dataset, counties, year) -> raw-unit
-    predictions.
+    history_years, seed and kind are read), ``norm_stats`` (the stats its
+    inputs are normalized with) and predict_year(dataset, counties, year) ->
+    raw-unit predictions.
     Predictions cover the test-year samples of ``enumerate_windows``:
     every labeled county with a complete window; the rest are counted as
     skipped. Unlabeled counties stay available as graph message sources.
@@ -186,9 +183,7 @@ def evaluate(predictor, dataset, split, early=False):
         raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
                           f"not a dataset year")
     stats = predictor.norm_stats
-    ds = dataset.year_range(test_year - spec.history_years, test_year)
-    if stats is not None:
-        ds = apply_norm_stats(ds, stats)
+    ds = apply_norm_stats(dataset.year_range(test_year - spec.history_years, test_year), stats)
     if early:
         plan = build_masking_plan(dataset, split, stats)
         ds = mask_dataset_year(ds, plan, test_year)

@@ -36,7 +36,6 @@ from yieldgraph.data import (
     NormStats,
     WindowUnavailableError,
     enumerate_windows,
-    normalize,
 )
 from yieldgraph.evaluation import rmse
 from yieldgraph.graph import (
@@ -655,12 +654,15 @@ def _predict_std(model, ds, samples, batch_size):
     return out
 
 
-def train(spec, dataset, split):
-    """Fit per the spec and return the checkpoint of the best validation
-    epoch (lowest validation RMSE; earliest wins ties)."""
-    ds, stats = normalize(dataset, split)
+def train(spec, ds, split):
+    """Fit per the spec on ``ds``, the dataset ``data.normalize(dataset,
+    split)`` returned, and return the checkpoint of the best validation
+    epoch (lowest validation RMSE; earliest wins ties). Any other dataset
+    raises ``ConfigurationError`` before a model is built."""
+    train_years = split.train_years(ds.years)
+    if ds.norm_stats is None or ds.norm_stats.train_years != tuple(train_years):
+        raise ConfigurationError(f"train needs the dataset normalized for years {train_years}")
     crop = spec.crop
-    train_years = [y for y in split.train_years(ds.years)]
     if split.val_year not in ds.year_index:
         raise ConfigurationError(f"validation year {split.val_year} absent from dataset")
     samples, skipped = enumerate_windows(ds, train_years, crop, spec.history_years)
@@ -671,7 +673,7 @@ def train(spec, dataset, split):
         raise ConfigurationError(f"no {crop} validation samples in {split.val_year}")
 
     if KIND_TABLE[spec.kind].model is LinearWrapper:
-        return _train_linear(spec, ds, split, stats, samples, val_samples, skipped)
+        return _train_linear(spec, ds, split, samples, val_samples, skipped)
 
     ss = np.random.SeedSequence(spec.seed)
     init_rng, order_rng, graph_rng = (np.random.default_rng(s) for s in ss.spawn(3))
@@ -711,12 +713,12 @@ def train(spec, dataset, split):
 
     best_epoch, _, best_params = best
     return ModelCheckpoint(
-        spec=spec, params=best_params, norm_stats=stats, history=history,
+        spec=spec, params=best_params, norm_stats=ds.norm_stats, history=history,
         best_epoch=best_epoch, test_year=split.test_year, skipped_windows=skipped,
     )
 
 
-def _train_linear(spec, ds, split, stats, samples, val_samples, skipped):
+def _train_linear(spec, ds, split, samples, val_samples, skipped):
     X = flatten_blocks(*gather_year_blocks(ds, samples, spec.crop))
     y = _standardized_targets(ds, samples, spec.crop)
     if spec.kind == "ridge-1y":
@@ -731,7 +733,7 @@ def _train_linear(spec, ds, split, stats, samples, val_samples, skipped):
     history = [{"epoch": 0, "train_loss": float("nan"), "val_rmse": val_rmse, "lr": 0.0}]
     params = {k: v.data.copy() for k, v in model.parameters().items()}
     return ModelCheckpoint(
-        spec=spec, params=params, norm_stats=stats, history=history, best_epoch=0,
+        spec=spec, params=params, norm_stats=ds.norm_stats, history=history, best_epoch=0,
         test_year=split.test_year, skipped_windows=skipped,
         lasso_converged=linear.converged,
     )

@@ -9,8 +9,9 @@ whole-dataset evaluate flow with its per-county masking plan and full
 mask copy, the adjacency queries over a ``CountyGraph``, and the
 per-cell county aggregation (with a packer for its weight map) and the
 per-day weekly fold of ``geo``, the linear fits: ridge through an
-explicit ``lam * I`` and lasso by residual updates, and the NRCS
-soil-texture classes.
+explicit ``lam * I`` and lasso by residual updates, the NRCS
+soil-texture classes, and the normalized dataset ``train`` takes and
+identity norm stats.
 
 The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
@@ -33,7 +34,14 @@ from yieldgraph.autodiff import (
     narrow,
     take_rows,
 )
-from yieldgraph.data import WEEKS, apply_norm_stats, enumerate_windows
+from yieldgraph.data import (
+    BLOCK_SHAPES,
+    WEEKS,
+    NormStats,
+    apply_norm_stats,
+    enumerate_windows,
+    normalize,
+)
 from yieldgraph.evaluation import CUTOFF_WEEK, MetricError, rmse
 from yieldgraph.geo import GeoFormatError
 from yieldgraph.graph import LayerBlock, SampledBlock
@@ -571,6 +579,22 @@ def reference_mask_dataset_year(dataset, plan, year):
     )
 
 
+def normalized(dataset, split):
+    """``dataset`` normalized for ``split``: the dataset ``models.train`` takes."""
+    return normalize(dataset, split)[0]
+
+
+def identity_stats(dataset, split):
+    """Feature norm stats of mean 0 and std 1 for ``split``'s training
+    years: normalizing by them keeps every value's bits (``x - 0.0`` and
+    ``x / 1.0`` are ``x``)."""
+    return NormStats(
+        tuple(split.train_years(dataset.years)),
+        {b: np.zeros(shape) for b, shape in BLOCK_SHAPES.items()},
+        {b: np.ones(shape) for b, shape in BLOCK_SHAPES.items()},
+    )
+
+
 def reference_evaluate(predictor, dataset, split, early=False):
     """(predictions, rmse, n, skipped) of the test year by the whole-dataset
     flow: normalize every year, the loop plan, the full mask copy, then
@@ -580,9 +604,7 @@ def reference_evaluate(predictor, dataset, split, early=False):
     if test_year not in dataset.year_index:
         raise MetricError(f"no evaluable counties for {crop} in {test_year}: "
                           f"not a dataset year")
-    ds = dataset
-    if predictor.norm_stats is not None:
-        ds = apply_norm_stats(dataset, predictor.norm_stats)
+    ds = apply_norm_stats(dataset, predictor.norm_stats)
     if early:
         ds = reference_mask_dataset_year(ds, reference_masking_plan(ds, split), test_year)
     samples, skipped = enumerate_windows(ds, [test_year], crop, predictor.spec.history_years)

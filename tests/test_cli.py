@@ -1,16 +1,26 @@
 import csv
 import dataclasses
 import hashlib
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from yieldgraph import cli
+from yieldgraph import cli, data as data_module
 from yieldgraph.autodiff import NonFiniteError
 from yieldgraph.cli import _INPUT_ERRORS, CliError, build_parser, main
-from yieldgraph.data import DataFormatError, WindowUnavailableError, load_dataset
-from yieldgraph.evaluation import MetricError, parse_metrics
+from yieldgraph.data import (
+    DataFormatError,
+    WindowUnavailableError,
+    YearSplit,
+    load_dataset,
+    normalize,
+)
+from yieldgraph.evaluation import MetricError, evaluate, parse_metrics
 from yieldgraph.geo import GeoFormatError, RasterGrid, write_ascii_grid
 from yieldgraph.graph import GraphFormatError
 from yieldgraph.models import (
@@ -19,6 +29,8 @@ from yieldgraph.models import (
     ModelCheckpoint,
     ModelSpec,
     TrainingAbort,
+    default_spec,
+    train,
 )
 
 
@@ -245,7 +257,7 @@ def test_benchmark_rejects_bad_spec_input_before_any_cell(tmp_path, monkeypatch,
 
 
 def test_benchmark_group_is_5y_exactly_for_kinds_with_history(tmp_path, monkeypatch):
-    def no_cell(spec, dataset, split, early):
+    def no_cell(spec, prepared, dataset, split, early):
         raise ConfigurationError("cell not run")
 
     monkeypatch.setattr(cli, "_benchmark_cell", no_cell)
@@ -259,6 +271,93 @@ def test_benchmark_group_is_5y_exactly_for_kinds_with_history(tmp_path, monkeypa
     with open(out / "benchmark.csv", encoding="utf-8", newline="") as f:
         groups = {row["method"]: row["group"] for row in csv.DictReader(f)}
     assert groups == {k: "5y" if ModelSpec(kind=k).history_years else "1y" for k in ALL_KINDS}
+
+
+def _count_normalize(monkeypatch):
+    """A list that gets one entry per ``normalize`` call, through ``data``
+    or the name ``cli`` imported."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    for module in (data_module, cli):
+        monkeypatch.setattr(module, "normalize", counted)
+    return calls
+
+
+def test_benchmark_cell_is_a_standalone_train_and_evaluate_bit_for_bit(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    calls = _count_normalize(monkeypatch)
+    out = tmp_path / "bench"
+    assert run(["benchmark"] + dataset_flags(data)
+               + ["--methods", "gnn-1y,ridge-1y", "--test-year", "2009", "--epochs", "1",
+                  "--early", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    with open(out / "benchmark.csv", encoding="utf-8", newline="") as f:
+        rows = {row["method"]: row for row in csv.DictReader(f)}
+
+    ds = load_dataset(data / "features.csv", data / "yields.csv", data / "adjacency.tsv")
+    split = YearSplit(test_year=2009)
+    for method in ("gnn-1y", "ridge-1y"):
+        spec = default_spec(method, ModelSpec.crop, 2009, seed=0, epochs=1)
+        ckpt = train(spec, normalize(ds, split)[0], split)
+        plain, early = evaluate(ckpt, ds, split), evaluate(ckpt, ds, split, early=True)
+        row = rows[method]
+        assert row["status"] == "ok"
+        assert float(row["rmse_mean"]) == plain.rmse_normalized
+        assert float(row["r2_mean"]) == plain.r2
+        assert float(row["r2_masked_mean"]) == early.r2
+
+
+def test_train_normalizes_once(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    calls = _count_normalize(monkeypatch)
+    assert run(train_args(data, tmp_path / "out", method="ridge-1y")) == 0
+    assert len(calls) == 1
+
+
+def test_benchmark_split_without_training_years_exits_2_before_any_cell(tmp_path, monkeypatch,
+                                                                        capsys):
+    cells = []
+    monkeypatch.setattr(cli, "_benchmark_cell", lambda *a: cells.append(a))
+    data = tmp_path / "data"
+    assert run(synth_args(data)) == 0
+    out = tmp_path / "bench"
+    capsys.readouterr()
+    assert run(["benchmark"] + dataset_flags(data)
+               + ["--methods", "ridge-1y", "--test-year", "2001", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: no training years")
+    assert cells == [] and not out.exists()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_pins_blas_before_numpy_is_first_imported():
+    probe = textwrap.dedent(f"""
+        import json, os, sys
+        seen = []
+
+        class Probe:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append({{v: os.environ.get(v) for v in {_BLAS_VARS!r}}})
+
+        assert "numpy" not in sys.modules
+        sys.meta_path.insert(0, Probe())
+        import yieldgraph.cli
+        print(json.dumps(seen))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == [{v: "1" for v in _BLAS_VARS}]
 
 
 def test_benchmark_programming_error_propagates(tmp_path, monkeypatch):

@@ -35,7 +35,12 @@ from yieldgraph.models import (
     lasso_objective,
     train,
 )
-from tests.helpers import batched_predict_std, reference_fit_lasso, reference_fit_ridge
+from tests.helpers import (
+    batched_predict_std,
+    normalized,
+    reference_fit_lasso,
+    reference_fit_ridge,
+)
 from tests.test_data import make_dataset
 
 DEEP_KINDS = tuple(k for k in ALL_KINDS if k not in ("ridge-1y", "lasso-1y"))
@@ -422,7 +427,7 @@ def test_predict_year_builds_one_block_and_rejects_mixed_years(monkeypatch):
 def test_train_split_resolution_and_history():
     ds = tiny_dataset(side=2, years=8)
     split = YearSplit(test_year=2007)
-    ckpt = train(tiny_spec("cnn-1y", epochs=3), ds, split)
+    ckpt = train(tiny_spec("cnn-1y", epochs=3), normalized(ds, split), split)
     assert ckpt.norm_stats.train_years == tuple(range(2000, 2006))
     assert len(ckpt.history) == 3
     val = [h["val_rmse"] for h in ckpt.history]
@@ -434,7 +439,7 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
     split = YearSplit(test_year=2007)
     paths = []
     for run in range(2):
-        ckpt = train(tiny_spec("gnn-1y", epochs=2), ds, split)
+        ckpt = train(tiny_spec("gnn-1y", epochs=2), normalized(ds, split), split)
         p = tmp_path / f"run{run}.ckpt"
         ckpt.save(p)
         paths.append(p)
@@ -445,7 +450,7 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
 def test_checkpoint_roundtrip_bit_identical_predictions(tmp_path, kind):
     ds = tiny_dataset(side=2, years=10)
     split = YearSplit(test_year=2009)
-    ckpt = train(tiny_spec(kind, epochs=2), ds, split)
+    ckpt = train(tiny_spec(kind, epochs=2), normalized(ds, split), split)
     ds_norm = apply_norm_stats(ds, ckpt.norm_stats)
     counties = [c for c, ok in zip(ds_norm.counties, ds_norm.window_mask(2009, 0)) if ok][:3]
     before = ckpt.predict_year(ds_norm, counties, 2009)
@@ -462,14 +467,32 @@ def test_checkpoint_roundtrip_bit_identical_predictions(tmp_path, kind):
 def test_train_records_skipped_windows():
     ds = tiny_dataset(side=2, years=8)
     ds.weather[0, 0, 0, 0] = np.nan  # breaks the earliest window for county 0
-    ckpt = train(tiny_spec("gru-5y", epochs=1), ds, YearSplit(test_year=2007))
+    split = YearSplit(test_year=2007)
+    ckpt = train(tiny_spec("gru-5y", epochs=1), normalized(ds, split), split)
     assert ckpt.skipped_windows >= 1
 
 
 def test_train_empty_training_set_errors():
     ds = make_dataset(years=(2000, 2001, 2002))  # no yields at all
+    split = YearSplit(test_year=2002)
+    prepared = normalized(ds, split)
     with pytest.raises(ConfigurationError):
-        train(tiny_spec("cnn-1y"), ds, YearSplit(test_year=2002))
+        train(tiny_spec("cnn-1y"), prepared, split)
+
+
+@pytest.mark.parametrize("kind", ["cnn-1y", "ridge-1y"])
+def test_train_rejects_a_raw_dataset_and_one_normalized_for_another_split(monkeypatch, kind):
+    ds = tiny_dataset(side=2, years=8)
+    split = YearSplit(test_year=2007)
+    built = []
+    real_build = models.build_model
+    monkeypatch.setattr(models, "build_model", lambda *a: built.append(a) or real_build(*a))
+    for wrong in (ds, normalized(ds, YearSplit(test_year=2006))):
+        with pytest.raises(ConfigurationError, match="normalized for years"):
+            train(tiny_spec(kind), wrong, split)
+    assert built == []
+    train(tiny_spec(kind, epochs=1), normalized(ds, split), split)
+    assert len(built) == 1
 
 
 # The oracle's widths and rates were calibrated on this fixed task at
@@ -497,7 +520,7 @@ def test_memorization_overfit_oracle(kind):
     split = YearSplit(test_year=2009)
     spec = tiny_spec(kind, widths=_MEMORIZE_WIDTHS, epochs=200, lr=_MEMORIZE_LR[kind],
                      batch_size=32, edge_dropout=0.0, weight_decay=0.0)
-    ckpt = train(spec, ds, split)
+    ckpt = train(spec, normalized(ds, split), split)
     losses = [h["train_loss"] for h in ckpt.history]
     best = int(np.argmin(losses))
     assert losses[best] < 0.01, (
@@ -512,7 +535,7 @@ def test_memorization_overfit_oracle(kind):
 def test_evaluate_trained_checkpoint_runs():
     ds = tiny_dataset(side=3, years=10)
     split = YearSplit(test_year=2009)
-    ckpt = train(tiny_spec("cnn-1y", epochs=2), ds, split)
+    ckpt = train(tiny_spec("cnn-1y", epochs=2), normalized(ds, split), split)
     report = evaluate(ckpt, ds, split)
     assert report.n_counties == 9
     assert report.method == "cnn-1y"
@@ -616,7 +639,8 @@ def test_checkpoint_roundtrip_keeps_norm_stats(tmp_path):
     ds = tiny_dataset(side=2, years=8)
     ds.soil[:, :, 0, 0] = 4.2  # a constant feature
     ds.weather[1, 2, 3, 4] = np.nan  # a missing cell in a training year
-    ckpt = train(tiny_spec("ridge-1y"), ds, YearSplit(test_year=2007))
+    split = YearSplit(test_year=2007)
+    ckpt = train(tiny_spec("ridge-1y"), normalized(ds, split), split)
     saved = ckpt.norm_stats
     assert np.isfinite(saved.mean["weather"]).all()
     loaded = ModelCheckpoint.load(ckpt.save(tmp_path / "model.ckpt")).norm_stats
