@@ -255,12 +255,9 @@ class Dataset:
         return self._prev_mean_cache[key]
 
     def prev_mean_feature(self, crop, year):
-        """extras[6] of a window year: the previous-year national mean,
-        standardized when the dataset is normalized."""
-        prev = self.prev_year_national_mean(crop, year)
-        if self.norm_stats is not None:
-            prev = self.norm_stats.standardize_target(crop, prev)
-        return prev
+        """extras[6] of a window year of a normalized dataset: the
+        standardized previous-year national mean."""
+        return self.norm_stats.standardize_target(crop, self.prev_year_national_mean(crop, year))
 
 
 # -- ingestion ----------------------------------------------------------------

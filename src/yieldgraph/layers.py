@@ -18,27 +18,32 @@ vjp. The output is transposed back once before the projection, which
 therefore sees the [C, L] flatten order its weights were laid out for.
 
 A block's forward pass is one row-range body over its batch items (see
-``conv1d``). A large block runs it on two threads, one half of the batch
-each: the caller and one conv worker, started by the first block of at
-least SPLIT_WORK multiply-adds in its GEMM (batch * out_len * ch_in * k *
-ch_out) in a process allowed two or more CPUs. numpy releases the GIL
-inside its GEMMs and large array passes, so both threads make progress.
-In a split block's forward pass the caller waits for the worker inside
-the op. In the backward pass the worker, once started, forms every
-block's weight and bias gradients behind the caller, which forms the
-input gradient and walks on down the tape, and ``autodiff.backward``
-waits for them once the sweep is done. There the worker runs numpy calls
-and finiteness checks only, on arrays the caller hands it; the tape stays
-on the calling thread. ``conv1d`` says why the split changes no bit.
+``conv1d``). A block of at least SPLIT_WORK multiply-adds in its GEMM
+(batch * out_len * ch_in * k * ch_out) runs it over two halves of its
+batch, a partition fixed by the block's shape alone. In a process allowed
+two or more CPUs the halves run on two threads: the caller and one conv
+worker, started by the first split block. numpy releases the GIL inside
+its GEMMs and large array passes, so both threads make progress. With one
+CPU they run one after the other on the caller. Either way they are the
+same two GEMM calls on the same rows, so a block's bits do not depend on
+the CPU count or on how the BLAS kernel blocks a product. (They do
+depend on BLAS's own thread count, which the CLI pins to one.) In a
+split block's forward pass the caller waits for the worker inside the op. In
+the backward pass the worker, once started, forms every block's weight
+and bias gradients behind the caller, which forms the input gradient and
+walks on down the tape, and ``autodiff.backward`` waits for them once
+the sweep is done. There the worker runs numpy calls and finiteness
+checks only, on arrays the caller hands it; the tape stays on the calling
+thread.
 
 At inference, under ``no_grad()``, whole jobs run on the two threads
 instead: ``in_lanes`` hands a model's independent embedder calls (and a
 graph model's per-year SAGE stacks) to the caller and the worker, which
-each take the next job as they come free. A conv block inside a job runs
-whole, on the thread that runs the job, and never posts to the worker;
-a whole block has the bits of a split one, so predictions keep theirs.
-While a tape is recorded, ``in_lanes`` runs its jobs in order on the
-caller, so training keeps its split blocks and its tape on one thread.
+each take the next job as they come free. A split block inside a job runs
+its halves one after the other on the thread that runs the job, and never
+posts to the worker, so predictions keep their bits. While a tape is
+recorded, ``in_lanes`` runs its jobs in order on the caller, so training
+keeps its split blocks and its tape on one thread.
 
 A block's tape node holds its input, its relu mask and its output, in
 every process. Its im2col, the largest array of the block, is a transient
@@ -91,13 +96,10 @@ POOL_WINDOW = 2
 SOIL_KERNEL = 2
 
 # A conv block whose GEMM has at least SPLIT_WORK multiply-adds (batch *
-# out_len * ch_in * k * ch_out) runs on two threads (see conv1d); below it,
-# handing half to the worker costs more than the second core gives back.
-# Each half must also have at least MIN_HALF_ROWS output rows: the scans
-# that found a row-split GEMM bit-equal to the whole one covered parts of
-# that many rows and more (see conv1d).
+# out_len * ch_in * k * ch_out) runs as two halves of its batch, on two
+# threads when there are two CPUs (see conv1d); below it, handing half to
+# the worker costs more than the second core gives back.
 SPLIT_WORK = 5_000_000
-MIN_HALF_ROWS = 128
 
 _worker = None  # the conv worker's job queue, made when the first split block or lanes start it
 _lanes = contextvars.ContextVar("yieldgraph_lanes", default=False)  # True inside in_lanes' jobs
@@ -117,16 +119,14 @@ def _cpus():
 
 
 def _split_point(batch, out_len, ch_in, k, ch_out):
-    """Where a block's batch splits over two threads, or None when the block
-    runs whole on one thread: its GEMM has fewer than SPLIT_WORK
-    multiply-adds, a half would have fewer than MIN_HALF_ROWS output rows,
-    there is one CPU to run on, or the block runs in a job of ``in_lanes``,
-    whose other lane already keeps the second core busy."""
-    half = batch // 2
-    if (half * out_len < MIN_HALF_ROWS or batch * out_len * ch_in * k * ch_out < SPLIT_WORK
-            or _lanes.get() or _cpus() < 2):
+    """Where a block's batch splits in two, from its shape alone: None (the
+    block runs whole) when it has one batch item or its GEMM has fewer than
+    SPLIT_WORK multiply-adds, else half the batch. Whether the halves then
+    run on two threads or one after the other is ``_in_parallel``'s call;
+    either way they are the same two GEMM calls on the same rows."""
+    if batch < 2 or batch * out_len * ch_in * k * ch_out < SPLIT_WORK:
         return None
-    return half
+    return batch // 2
 
 
 def _serve(jobs):
@@ -168,7 +168,17 @@ def _in_parallel(here, there):
     """Run ``there`` on the conv worker while ``here`` runs on the calling
     thread, and return once both have finished. A failure propagates only
     then, so the worker is idle again: the caller's first, else the
-    worker's."""
+    worker's.
+
+    With one CPU, or inside a job of ``in_lanes`` (whose other lane keeps
+    the second core busy, and where a post from the worker would wait on
+    itself), ``here`` and then ``there`` run on the calling thread instead,
+    and the first failure propagates at once. This is the one place that
+    decides whether work runs on two threads."""
+    if _lanes.get() or _cpus() < 2:
+        here()
+        there()
+        return
     done = _post(there)
     try:
         here()
@@ -181,27 +191,30 @@ def _in_parallel(here, there):
 def in_lanes(jobs):
     """``[job() for job in jobs]``, in job order, with the jobs run on two
     lanes, the caller and the conv worker, each taking the next job as it
-    comes free. The jobs must not depend on one another. Every conv block
-    inside a job runs whole (see ``_split_point``), so a job's results have
-    the bits they have on the caller alone.
+    comes free. The jobs must not depend on one another. Each lane marks
+    its own jobs (``_lanes``), so a conv block inside a job runs its halves
+    one after the other on that lane's thread (see ``_in_parallel``), with
+    the bits they have anywhere else.
 
     The jobs run in order on the caller instead while a tape is recorded
-    (outside ``no_grad()``; the tape is built on the calling thread), with
-    fewer than two CPUs or jobs, and inside another call's jobs. Then no
-    worker is started.
+    (outside ``no_grad()``; the tape is built on the calling thread) and
+    with fewer than two jobs. With one CPU, or inside another call's jobs,
+    ``_in_parallel`` runs both lanes on the calling thread, the first of
+    which takes every job in order. Then no worker is started.
 
     After a job fails, neither lane takes another; once both have stopped,
     the failure of the lowest failed job index is raised, which is the one
     a run in order would raise. The worker is then idle, so the next call
     starts afresh."""
-    if autodiff._recording or len(jobs) < 2 or _lanes.get() or _cpus() < 2:
+    if autodiff._recording or len(jobs) < 2:
         return [job() for job in jobs]
     todo = queue.SimpleQueue()
     for i in range(len(jobs)):
         todo.put(i)
     results, failures = [None] * len(jobs), {}
 
-    def lane():
+    def take_jobs():
+        _lanes.set(True)
         while not failures:
             try:
                 i = todo.get_nowait()
@@ -212,11 +225,10 @@ def in_lanes(jobs):
             except BaseException as err:
                 failures[i] = err
 
-    token = _lanes.set(True)  # before _post, whose copy of the context the worker runs in
-    try:
-        _in_parallel(lane, lane)
-    finally:
-        _lanes.reset(token)
+    def lane():  # in a context of its own, so the mark stays with the lane's jobs
+        contextvars.copy_context().run(take_jobs)
+
+    _in_parallel(lane, lane)
     if failures:
         raise failures[min(failures)]
     return results
@@ -281,16 +293,16 @@ def conv1d(x, weight, bias, pool=None):
     [b0, b1): their im2col (a transient, rows of the whole block's, the
     same bytes), the GEMM into their rows of ``z``, the bias, the NaN/Inf
     check of those rows, then the relu, its mask and the pool. A block runs
-    it once over the whole batch, or, when ``_split_point`` splits it, once
-    per half, on the caller and the conv worker; a failure in either half
-    propagates once both have finished. Every value comes from elementwise
-    passes and a row split of one GEMM, so a split changes no bit while
-    each half takes the kernel path of the whole: on OpenBLAS's AVX-512
-    kernels a product of under about 1200 output elements takes a
-    small-matrix kernel, and scans of the forward GEMM at every
-    default-width shape found no changed bit in parts of MIN_HALF_ROWS
-    (128) rows or more. ``tests/test_conv_split.py`` checks every
-    default-width block.
+    it once over the whole batch, or, when its shape makes ``_split_point``
+    split it, once per half, through ``_in_parallel``: on the caller and
+    the conv worker, or one after the other on the calling thread. A
+    failure in either half propagates once neither half is running. Every
+    value comes from elementwise passes and the GEMM of its own half, and
+    each half is the same GEMM call on the same rows on every path, so the
+    bits do not depend on the thread that runs it or on the CPU count.
+    Whether a half's GEMM equals the same rows of one whole GEMM depends on
+    the BLAS kernel, and nothing here relies on it.
+    ``tests/test_conv_split.py`` checks every default-width block.
 
     The op's tape node holds x, the relu mask and the output, never the
     block's im2col: the job that forms dw gathers it again from ``x.data``
@@ -299,10 +311,10 @@ def conv1d(x, weight, bias, pool=None):
     job, dw and db, to the worker and returns them as ``autodiff.Pending``:
     the worker forms them behind the caller, which forms dx and walks on
     down the tape, and a failure in either job (the gather included)
-    propagates only once the worker has finished. A process that splits no
-    block and runs no lanes starts no thread and forms all three on the
-    caller. A row split of the dx GEMM changed bits, and one of dw would
-    sum in another order, so neither is split.
+    propagates only once the worker has finished. A process that runs no
+    split block or lanes on two threads starts no thread and forms all
+    three on the caller. A row split of the dx GEMM changed bits, and one
+    of dw would sum in another order, so neither is split.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d needs [B,L,C] and [O,C,K], got {x.shape}, {weight.shape}")

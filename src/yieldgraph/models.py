@@ -126,8 +126,11 @@ def gather_year_blocks(ds, samples, crop, year_offset=0):
     stacks the 7 weather channels over the 16 land-surface channels, the
     input order of the weekly encoder and the recurrent cells. The year
     index and the previous-year mean (extras[6]) are looked up once per
-    distinct window year.
+    distinct window year. Models read normalized features only, so an
+    unnormalized dataset raises ConfigurationError.
     """
+    if ds.norm_stats is None:
+        raise ConfigurationError("model features need a dataset normalized by data.normalize")
     counties, targets = zip(*samples)
     n = len(samples)
     by_year = {y: (ds.year_index[y + year_offset], ds.prev_mean_feature(crop, y + year_offset))
@@ -301,8 +304,9 @@ def _reorder(block, ds, counties, z):
 
 # Rows per embedder call at inference. A call's im2col buffers grow with
 # its rows, so this bounds them at any county count; per row, a 128-row
-# call runs as fast as a larger one. Its conv blocks run whole inside
-# ``layers.in_lanes`` and split in two outside it, with the same bits (see
+# call runs as fast as a larger one. A block that splits by its shape
+# runs its two halves on the lane's own thread inside ``layers.in_lanes``
+# and on two threads outside it, the same GEMM calls either way (see
 # layers.conv1d). The chunks of all window years are independent
 # jobs of ``in_lanes``, so its two lanes hold two chunks' transients.
 EMBED_CHUNK_ROWS = 128

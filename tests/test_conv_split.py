@@ -1,16 +1,20 @@
-"""A large conv block split over two threads gives the bits of one thread.
+"""A split conv block gives the same bits on two threads as on one.
 
-``layers.conv1d`` runs a block of at least ``SPLIT_WORK`` GEMM
-multiply-adds, with at least ``MIN_HALF_ROWS`` output rows in each half,
-on the calling thread and one conv worker: the row-range body that a
-whole block runs over its batch runs over each half. The worker then
-forms the block's weight and bias gradients while the backward sweep
-walks on. These tests claim two CPUs, force the split where a block is
-smaller (both thresholds 1) and compare it with the one-thread path (one
-CPU and no worker, so no block splits or hands its dw and db to the
-worker), byte for byte. The split relies on this BLAS giving a row-split
-GEMM the bits of the whole one; if that ever stops holding, these tests
-must fail, not be loosened.
+``layers._split_point`` splits a block of at least ``SPLIT_WORK`` GEMM
+multiply-adds into two halves of its batch, from its shape alone. The
+row-range body that a whole block runs over its batch then runs over
+each half, through ``layers._in_parallel``: on the calling thread and one
+conv worker when there are two CPUs, one after the other on the caller
+when there is one. Once the worker runs, it also forms every block's
+weight and bias gradients while the backward sweep walks on. These tests
+claim two CPUs, force the split where a block is smaller (``SPLIT_WORK``
+1) and compare it with the one-thread path (one CPU and no worker, so
+the halves run on the caller and no block hands its dw and db to the
+worker), byte for byte. Both paths make the same GEMM calls on the same
+rows, so the bits cannot depend on how a BLAS kernel blocks a product;
+``test_the_split_holds_on_the_avx2_kernels`` runs the split cases again
+on OpenBLAS's AVX2 kernels, where a half's GEMM differs from the same
+rows of the whole one.
 """
 
 import hashlib
@@ -52,7 +56,6 @@ def splits(monkeypatch):
 
 def _force_split(monkeypatch):
     monkeypatch.setattr(layers, "SPLIT_WORK", 1)
-    monkeypatch.setattr(layers, "MIN_HALF_ROWS", 1)
 
 
 def _one_thread(monkeypatch):
@@ -124,25 +127,23 @@ def test_an_unsplit_block_hands_dw_and_db_to_a_running_worker(monkeypatch, split
 
 def test_the_split_rule_follows_gemm_work(monkeypatch):
     # At graph-5y sizes (246 input nodes in training, 128-row inference
-    # chunks) every weekly block splits and no soil block does; a half
-    # never falls under MIN_HALF_ROWS.
-    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    # chunks) every weekly block splits and no soil block does. The rule
+    # reads the block's shape alone, so one CPU splits as two do.
     split = {}
-    for batch, ch_in, length, ch_out, k, pool in _conv_shapes():
-        out_len = length - k + 1
-        at = layers._split_point(batch, out_len, ch_in, k, ch_out)
-        split[(batch, ch_in, ch_out, pool is None)] = at
-        assert at is None or at * out_len >= layers.MIN_HALF_ROWS
+    for cpus in (2, 1):
+        monkeypatch.setattr(layers, "_cpus", lambda: cpus)
+        split[cpus] = {(batch, ch_in, ch_out, pool is None):
+                       layers._split_point(batch, length - k + 1, ch_in, k, ch_out)
+                       for batch, ch_in, length, ch_out, k, pool in _conv_shapes()}
+    assert split[1] == split[2]
+    split = split[2]
     weekly = ArchWidths().weekly_channels
     pairs = list(zip((N_WEATHER + N_LAND,) + weekly, weekly))
     assert [split[(246, i, o, False)] for i, o in pairs] == [123] * 4
     assert [split[(128, i, o, False)] for i, o in pairs] == [64] * 4
     assert [at for (batch, *_, soil), at in split.items() if soil] == [None] * 3
-    # The last weekly block at 37 nodes has 74 output rows: too few to halve.
-    assert split[(37, weekly[2], weekly[3], False)] is None
     assert layers._split_point(246, 2, weekly[2], 3, weekly[3]) == 123
-    monkeypatch.setattr(layers, "_cpus", lambda: 1)
-    assert layers._split_point(246, 46, 23, 7, 32) is None
+    assert layers._split_point(1, 46, 23, 7, 10**6) is None  # one batch item: no halves
 
 
 def _train_and_predict(steps=2, seed=5):
@@ -182,6 +183,33 @@ def test_split_training_and_prediction_match_one_thread(monkeypatch, splits):
     calls = len(splits)
     assert _train_and_predict() == split
     assert len(splits) == calls
+
+
+def _avx2_openblas():
+    """Whether numpy's BLAS is OpenBLAS and this CPU runs its AVX2 kernels."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = set(f.read().split())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (OSError, TypeError, KeyError):
+        return False
+    return {"avx2", "fma"} <= flags and "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(not _avx2_openblas(), reason="needs numpy on OpenBLAS and an AVX2/FMA CPU")
+def test_the_split_holds_on_the_avx2_kernels():
+    # On OpenBLAS's AVX2 (Haswell) kernels a half's GEMM can differ from the
+    # same rows of the whole GEMM, so the split cases must also hold there,
+    # not only on the kernels this host picks. OpenBLAS reads its core type
+    # when it loads, hence a new process.
+    tests = [f"tests/test_conv_split.py::{name}" for name in (
+        "test_split_block_matches_one_thread_bit_for_bit",
+        "test_split_training_and_prediction_match_one_thread")]
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                         capture_output=True, text=True, cwd=ROOT,
+                         env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"))
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    assert f"{len(_conv_shapes()) + 1} passed" in run.stdout
 
 
 def test_worker_runs_in_the_callers_numpy_error_state(monkeypatch, splits):
@@ -395,7 +423,7 @@ for kind in ("ridge-1y", "lasso-1y"):
     ckpt = models.ModelCheckpoint(spec=lspec, params=params, norm_stats=stats, history=[],
                                   best_epoch=0, test_year=split.test_year,
                                   lasso_converged=linear.converged)
-    ckpt.predict_year(ds, nds.labeled_counties(split.test_year, spec.crop), split.test_year)
+    ckpt.predict_year(nds, nds.labeled_counties(split.test_year, spec.crop), split.test_year)
     if kind == "ridge-1y":
         evaluation.evaluate(ckpt, ds, split, early=True)
 print(layers._worker is None)

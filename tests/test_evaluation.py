@@ -12,6 +12,7 @@ from yieldgraph.data import (
     compute_norm_stats,
     enumerate_windows,
     generate_synthetic,
+    normalize,
 )
 from yieldgraph.evaluation import (
     CUTOFF_WEEK,
@@ -203,6 +204,7 @@ def test_window_rule_parity_across_training_evaluation_and_graph(monkeypatch, dt
     spec = models.default_spec(kind, widths=models.ArchWidths.toy(), batch_size=64)
     model = models.build_model(spec, np.random.default_rng(0))
     predictor = OraclePredictor(ds, kind=kind)
+    nds, _ = normalize(ds, YearSplit(test_year=ds.years[-1]))  # models read normalized features
     for year in ds.years[dt:]:
         expected = _complete_by_brute_force(ds, year, dt)
         samples, skipped = enumerate_windows(ds, [year], "corn", dt)
@@ -211,7 +213,7 @@ def test_window_rule_parity_across_training_evaluation_and_graph(monkeypatch, dt
         report = evaluate(predictor, ds, YearSplit(test_year=year))
         assert [r[0] for r in report.records] == expected
         assert report.skipped == skipped
-        model.forward_samples(ds, samples)
+        model.forward_samples(nds, samples)
         assert allowed.pop() == set(expected)
     gaps = set(ds.counties) - set(_complete_by_brute_force(ds, 2009, 4))
     assert gaps == {"00003", "00005", "00007", "00009", "00012"}

@@ -1,13 +1,15 @@
 """Two-lane inference: whole jobs on the caller and the conv worker.
 
 ``layers.in_lanes`` runs a list of independent jobs on two lanes, the
-caller and the conv worker, under ``no_grad()``; every conv block inside a
-job runs whole. A graph model hands it its (window year, chunk) embedder
-calls and then its per-year SAGE stacks; a CNN model its per-year embeds.
-These tests check the contract (job order, when no worker is started,
-how failures come back) and that predictions and training keep their
-bits: on two CPUs against one, and in training against embedding and
-refining one window year after the other. They claim two CPUs whatever the host has (the
+caller and the conv worker, under ``no_grad()``; a conv block that splits
+by its shape runs both halves on the thread of the lane whose job it is
+in, the same GEMM calls it makes on two threads. A graph model hands
+``in_lanes`` its (window year, chunk) embedder calls and then its
+per-year SAGE stacks; a CNN model its per-year embeds. These tests check
+the contract (job order, when no worker is started, how failures come
+back) and that predictions and training keep their bits: on two CPUs
+against one, and in training against embedding and refining one window
+year after the other. They claim two CPUs whatever the host has (the
 ``splits`` fixture, which also counts the jobs posted to the worker).
 """
 
@@ -103,10 +105,11 @@ def _conv_job():
     return layers.conv1d(Tensor(x), Tensor(w, requires_grad=True), Tensor(b), pool).data.tobytes()
 
 
-def test_blocks_in_lanes_run_whole_and_taped_blocks_still_split(monkeypatch, splits):
+def test_blocks_in_lanes_run_their_halves_on_the_lanes_thread(monkeypatch, splits):
     # _SHAPE's block splits by default: while taped, each of the two jobs
-    # posts its forward halves; in lanes, the one post is the worker's lane.
-    # A post from the worker would wait on itself, so it fails here instead.
+    # posts its second half; in lanes, each lane runs both halves of its
+    # jobs' blocks itself, and the one post is the worker's lane. A post
+    # from the worker would wait on itself, so it fails here instead.
     post = layers._post
 
     def from_the_caller(job):

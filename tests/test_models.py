@@ -37,6 +37,7 @@ from yieldgraph.models import (
 )
 from tests.helpers import (
     batched_predict_std,
+    identity_stats,
     normalized,
     reference_fit_lasso,
     reference_fit_ridge,
@@ -299,7 +300,10 @@ def test_spec_rejects_bad_lr_batch_size_and_epochs(bad):
 def test_gather_year_blocks_reads_each_window_year():
     yields = {("00000", 2016, "corn"): 100.0, ("00001", 2016, "corn"): 120.0,
               ("00000", 2017, "corn"): 130.0, ("00000", 2018, "corn"): 90.0}
-    ds = make_dataset(years=(2015, 2016, 2017, 2018), yields=yields)
+    raw = make_dataset(years=(2015, 2016, 2017, 2018), yields=yields)
+    stats = identity_stats(raw, YearSplit(test_year=2018))  # features keep their bits
+    stats.target_mean["corn"], stats.target_std["corn"] = 100.0, 5.0
+    ds = apply_norm_stats(raw, stats)
     samples = [("00001", 2018), ("00000", 2018)]
     rows = [1, 0]
     for offset in range(-3, 1):
@@ -309,9 +313,12 @@ def test_gather_year_blocks_reads_each_window_year():
         assert np.array_equal(weekly[:, N_WEATHER:], ds.land[rows, yi])
         assert np.array_equal(s, ds.soil[rows, yi])
         assert np.array_equal(e[:, :6], ds.extras[rows, yi])
-        assert e[:, 6].tolist() == [ds.prev_year_national_mean("corn", 2018 + offset)] * 2
+        prev = ds.prev_year_national_mean("corn", 2018 + offset)
+        assert e[:, 6].tolist() == [stats.standardize_target("corn", prev)] * 2
     _, _, e = models.gather_year_blocks(ds, samples, "corn", -1)
-    assert e[:, 6].tolist() == [110.0, 110.0]  # mean of the 2016 yields
+    assert e[:, 6].tolist() == [2.0, 2.0]  # the 2016 yields' mean, 110, standardized
+    with pytest.raises(ConfigurationError, match="normalized"):
+        models.gather_year_blocks(raw, samples, "corn")
 
 
 @pytest.mark.parametrize("kind", DEEP_KINDS)
@@ -327,6 +334,8 @@ def test_forward_shapes_and_determinism(kind):
     b = model.forward_samples(ds, samples).data
     assert a.shape == (5,)
     assert np.array_equal(a, b)
+    with pytest.raises(ConfigurationError, match="normalized"):
+        model.forward_samples(ds_raw, samples)
 
 
 def test_gnn_full_fanout_equals_dense_inference():
