@@ -12,6 +12,12 @@ text form (constant | step:P:G | cosine:T0:ETA), peaking at ``lr``, and
 ``toy_widths`` selects ``ArchWidths.toy()``. The echo pins every one of
 them, as resolved.
 
+``synth`` writes a dataset directory: the feature store ``features.npys``
+(numpy arrays that train, evaluate and benchmark map read-only),
+``yields.csv`` and ``adjacency.tsv``. Their ``--features`` takes the store
+or a feature CSV, the import form that ``aggregate`` writes fragments of;
+the two are told apart by the file's first byte.
+
 Exit codes: 0 success, 2 input/config error, 3 numerical abort.
 """
 
@@ -446,6 +452,9 @@ def cmd_benchmark(args):
 # -- entry ------------------------------------------------------------------------
 
 
+_FEATURES_HELP = "feature store (synth writes features.npys) or feature CSV"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="yieldgraph",
@@ -477,7 +486,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one model")
     add_common(p)
-    p.add_argument("--features")
+    p.add_argument("--features", help=_FEATURES_HELP)
     p.add_argument("--yields", dest="yields")
     p.add_argument("--adjacency")
     p.add_argument("--test-year", dest="test_year", type=int)
@@ -493,7 +502,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on its test year")
     add_common(p)
     p.add_argument("--checkpoint")
-    p.add_argument("--features")
+    p.add_argument("--features", help=_FEATURES_HELP)
     p.add_argument("--yields", dest="yields")
     p.add_argument("--adjacency")
     p.add_argument("--test-year", dest="test_year", type=int)
@@ -503,7 +512,7 @@ def build_parser():
 
     p = sub.add_parser("benchmark", help="train/evaluate a method x seed matrix")
     add_common(p)
-    p.add_argument("--features")
+    p.add_argument("--features", help=_FEATURES_HELP)
     p.add_argument("--yields", dest="yields")
     p.add_argument("--adjacency")
     p.add_argument("--methods", help="comma-separated method kinds")

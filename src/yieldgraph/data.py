@@ -1,4 +1,5 @@
-"""Dataset schema, CSV ingestion, normalization, windows, synthetic data.
+"""Dataset schema, the feature store and CSV ingestion, normalization,
+windows, synthetic data.
 
 One record is a county-year: weekly weather (7 x 52), weekly land-surface
 series (16 x 52), depth-indexed soil properties (20 x 6), and scalar
@@ -9,8 +10,8 @@ of the target crop, which ``models.gather_year_blocks`` appends from
 are always explicit, never silently zero).
 
 ``BLOCK_SHAPES`` fixes a record's blocks and their order: the order of
-the feature file's column groups, of the normalization statistics, and of
-the checkpoint's ``norm/`` blocks.
+the store's blocks and the CSV form's column groups, of the normalization
+statistics, and of the checkpoint's ``norm/`` blocks.
 
 Window rule. A county-year record is usable when it is present and every
 stored cell (weather, land, soil, the six stored extras) is finite. A
@@ -19,23 +20,30 @@ in every year of it. Training samples, evaluated counties and the nodes a
 graph block may draw from are exactly the counties with a complete
 window; ``Dataset.window_mask`` is the one place that decides it.
 
-Feature files are UTF-8 CSV with a mandatory header following the column
-manifest below; a blank cell is the only missing-value marker. Yields are
-sparse (county, year, crop) rows; adjacency is a tab-separated undirected
-edge list. The synthetic generator emits the same formats so real and
-synthetic paths share one ingestion code path.
+A feature file takes one of two forms, and ``load_dataset`` tells them
+apart by the file's first byte. ``save_dataset`` writes the feature store:
+one file of numpy .npy arrays (county ids, years, ``present``, then each
+block, NaN for a missing cell and all NaN in an absent record), which a load
+maps read-only, so the raw blocks stay file-backed. The import form is
+UTF-8 CSV with a mandatory header following ``feature_columns``, one row
+per present record; a blank cell is the only missing-value marker. Yields
+are sparse (county, year, crop) CSV rows; adjacency is a tab-separated
+undirected edge list. ``synth`` writes the store from the synthetic
+generator, so real and synthetic data meet in one ``Dataset``.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import io
 import math
+import mmap
 import os
+import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from yieldgraph.graph import CountyGraph, load_graph
 
@@ -266,36 +274,41 @@ class Dataset:
 def csv_rows(f, path, error):
     """The ``csv.reader`` rows of the open file ``f``. A row the reader
     rejects (a field past ``csv.field_size_limit()``, a NUL byte) raises
-    ``error`` naming ``path`` and the line, not ``csv.Error``."""
+    ``error`` naming ``path`` and the line, not ``csv.Error``; text that is
+    not UTF-8 raises it naming ``path``, not ``UnicodeDecodeError``."""
     reader = csv.reader(f)
     try:
         yield from reader
     except csv.Error as e:
         raise error(f"{path}:{reader.line_num}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e})") from e
 
 
-def load_dataset(features_file, yields_file, adjacency_file):
+def _read_features_csv(path):
+    """The CSV import form: (counties, years, blocks, present), counties
+    and years sorted, a cell NaN where it is blank or its record absent."""
     expected = feature_columns()
     rows = []
     nonfinite_line = None  # first line with inf or nan text; reported once all rows parse
-    with open(features_file, "r", encoding="utf-8", newline="") as f:
-        reader = csv_rows(f, features_file, DataFormatError)
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv_rows(f, path, DataFormatError)
         header = next(reader, None)
         if header != expected:
             raise DataFormatError(
-                f"{features_file}: header does not match the column manifest "
+                f"{path}: header does not match the column manifest "
                 f"({len(header or [])} columns, expected {len(expected)})"
             )
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise DataFormatError(
-                    f"{features_file}:{lineno}: {len(row)} fields, expected {len(expected)}"
+                    f"{path}:{lineno}: {len(row)} fields, expected {len(expected)}"
                 )
             county = row[0]
             try:
                 year = int(row[1])
             except ValueError as e:
-                raise DataFormatError(f"{features_file}:{lineno}: bad year {row[1]!r}") from e
+                raise DataFormatError(f"{path}:{lineno}: bad year {row[1]!r}") from e
             cells = row[2:]
             try:
                 values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
@@ -304,7 +317,7 @@ def load_dataset(features_file, yields_file, adjacency_file):
                 try:
                     values = np.array([float(cell) if cell else np.nan for cell in cells])
                 except ValueError as e:
-                    raise DataFormatError(f"{features_file}:{lineno}: bad number ({e})") from e
+                    raise DataFormatError(f"{path}:{lineno}: bad number ({e})") from e
                 blanks = cells.count("")
             # a blank cell is the only missing-value marker: no inf or nan text
             nonfinite = len(cells) - np.count_nonzero(np.isfinite(values))
@@ -313,7 +326,7 @@ def load_dataset(features_file, yields_file, adjacency_file):
             rows.append((county, year, values))
     if nonfinite_line is not None:
         raise DataFormatError(
-            f"{features_file}:{nonfinite_line}: non-finite number (leave a missing value blank)"
+            f"{path}:{nonfinite_line}: non-finite number (leave a missing value blank)"
         )
 
     counties = sorted({c for c, _, _ in rows})
@@ -321,20 +334,131 @@ def load_dataset(features_file, yields_file, adjacency_file):
     ci = {c: i for i, c in enumerate(counties)}
     yi = {y: i for i, y in enumerate(years)}
     shape = (len(counties), len(years))
-    blocks = {name: np.full(shape + dims, np.nan) for name, dims in BLOCK_SHAPES.items()}
+    blocks = [np.full(shape + dims, np.nan) for dims in BLOCK_SHAPES.values()]
     present = np.zeros(shape, dtype=bool)
     # a row holds each block's cells in turn: (block, its columns, its record shape)
     runs, start = [], 0
-    for name, dims in BLOCK_SHAPES.items():
-        runs.append((blocks[name], slice(start, start + math.prod(dims)), dims))
+    for block, dims in zip(blocks, BLOCK_SHAPES.values()):
+        runs.append((block, slice(start, start + math.prod(dims)), dims))
         start += math.prod(dims)
     for county, year, vals in rows:
         a, b = ci[county], yi[year]
         if present[a, b]:
-            raise DataFormatError(f"{features_file}: duplicate record for {county}/{year}")
+            raise DataFormatError(f"{path}: duplicate record for {county}/{year}")
         for block, run, dims in runs:
             block[a, b] = vals[run].reshape(dims)
         present[a, b] = True
+    return counties, years, blocks, present
+
+
+# The feature store's first line. Its first byte never starts UTF-8 text, so
+# it tells the store from the CSV import form.
+_STORE_MAGIC = b"\x93yieldgraph feature store 1\n"
+_STORE_ARRAYS = ("counties", "years", "present") + BLOCKS  # in file order
+_STORE_ALIGN = 64  # each array starts at a multiple of this, so its data maps aligned
+_NPY_HEADER_READERS = {
+    (1, 0): npy_format.read_array_header_1_0,
+    (2, 0): npy_format.read_array_header_2_0,
+}
+_CHECK_RECORDS = 4096  # records per chunk in the store's cell checks
+
+
+def _store_layout(path, f):
+    """(offset, shape, dtype) of each of the open store's arrays, its
+    headers read and its size checked; nothing is unpickled."""
+    size = os.fstat(f.fileno()).st_size
+    if f.read(len(_STORE_MAGIC)) != _STORE_MAGIC:
+        raise DataFormatError(f"{path}: bad magic (not a version 1 feature store)")
+    layout = []
+    for name in _STORE_ARRAYS:
+        f.seek(-f.tell() % _STORE_ALIGN, os.SEEK_CUR)
+        try:
+            version = npy_format.read_magic(f)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = _NPY_HEADER_READERS[version](f)
+        except (ValueError, tokenize.TokenError) as e:  # numpy tokenizes an old-style header
+            raise DataFormatError(f"{path}: {name}: bad array header ({e})") from e
+        if dtype.hasobject or not dtype.itemsize or fortran_order or min(shape, default=0) < 0:
+            raise DataFormatError(
+                f"{path}: {name}: {dtype} {shape} array (fortran order {fortran_order}) "
+                f"is not a store array"
+            )
+        offset = f.tell()
+        end = offset + math.prod(shape) * dtype.itemsize
+        if end > size:
+            raise DataFormatError(f"{path}: {name}: truncated ({size} bytes, the array ends "
+                                  f"at byte {end})")
+        f.seek(end)
+        layout.append((offset, shape, dtype))
+    if f.tell() != size:
+        raise DataFormatError(f"{path}: {size - f.tell()} bytes after the last array")
+    return layout
+
+
+def _check_store_array(path, name, a, dtype, shape):
+    if a.dtype != dtype or a.shape != shape:
+        raise DataFormatError(f"{path}: {name} is a {a.dtype} {a.shape} array, "
+                              f"expected {np.dtype(dtype)} {shape}")
+
+
+def _map_store(path):
+    """The store's (counties, years, blocks, present): ids and years as
+    Python values, ``present`` a copy, and the blocks read-only views of one
+    map of the file, checked as the CSV reader checks its rows."""
+    with open(path, "rb") as f:
+        layout = _store_layout(path, f)
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    ids, years, present, *blocks = [
+        np.frombuffer(mapped, dtype, math.prod(shape), offset).reshape(shape)
+        for offset, shape, dtype in layout
+    ]
+    if ids.dtype.kind != "U" or ids.ndim != 1:
+        raise DataFormatError(f"{path}: county ids are a {ids.dtype} {ids.shape} array, "
+                              f"expected 1-D unicode")
+    _check_store_array(path, "years", years, "<i8", years.shape[:1])
+    counties, years = ids.tolist(), years.tolist()
+    if len(set(counties)) != len(counties):
+        dup = next(c for c in counties if counties.count(c) > 1)
+        raise DataFormatError(f"{path}: duplicate county id {dup!r}")
+    if any(a >= b for a, b in zip(years, years[1:])):
+        raise DataFormatError(f"{path}: years are not strictly ascending")
+    shape = (len(counties), len(years))
+    _check_store_array(path, "present", present, bool, shape)
+    absent = ~present.reshape(-1)  # [record], records in [county, year] order
+    for name, block in zip(BLOCKS, blocks):
+        _check_store_array(path, name, block, "<f8", shape + BLOCK_SHAPES[name])
+        flat = block.reshape(absent.size, math.prod(BLOCK_SHAPES[name]))
+        for r0 in range(0, absent.size, _CHECK_RECORDS):
+            gone = r0 + np.flatnonzero(absent[r0 : r0 + _CHECK_RECORDS])
+            for rows, what in (
+                (r0 + np.flatnonzero(np.isinf(flat[r0 : r0 + _CHECK_RECORDS]).any(axis=1)),
+                 "an infinite cell"),
+                (gone[~np.isnan(flat[gone]).all(axis=1)], "a finite cell in an absent record"),
+            ):
+                if rows.size:
+                    county, year = divmod(int(rows[0]), shape[1])
+                    raise DataFormatError(
+                        f"{path}: {name} of {counties[county]}/{years[year]}: {what}")
+    # present in memory: a normalized dataset shares it, and would keep the
+    # raw blocks' map alive through training
+    return counties, years, blocks, present.copy()
+
+
+def load_dataset(features_file, yields_file, adjacency_file):
+    """The dataset of a feature file, a yields CSV and an adjacency TSV.
+
+    The feature file is either form, told apart by its first byte: the
+    store ``save_dataset`` writes, whose blocks are handed out as read-only
+    views of a map of the file (their pages stay file-backed, and the map
+    lives as long as a block of this dataset does), or the CSV import form. Either way the same checks hold: the record shapes of
+    ``BLOCK_SHAPES``, no infinite cell, an absent record all NaN, no
+    duplicate county or record. A violation raises ``DataFormatError``
+    naming the file."""
+    with open(features_file, "rb") as f:
+        is_store = f.read(1) == _STORE_MAGIC[:1]
+    read = _map_store if is_store else _read_features_csv
+    counties, years, blocks, present = read(features_file)
 
     yields = YieldTable()
     with open(yields_file, "r", encoding="utf-8", newline="") as f:
@@ -351,38 +475,33 @@ def load_dataset(features_file, yields_file, adjacency_file):
                 raise DataFormatError(f"{yields_file}:{lineno}: {e}") from e
 
     graph = load_graph(adjacency_file, node_ids=set(counties))
-    return Dataset(counties, years, *blocks.values(), present, yields, graph)
-
-
-def _csv_field(text):
-    """``text`` as csv.writer writes a field of a row with more than one."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text, ""])
-    return buf.getvalue()[: -len(",\r\n")]
+    return Dataset(counties, years, *blocks, present, yields, graph)
 
 
 def save_dataset(dataset, out_dir):
-    """Write features.csv / yields.csv / adjacency.tsv; floats use shortest
-    round-trip formatting so load(save(ds)) is exact."""
+    """Write the feature store ``features.npys``, ``yields.csv`` and
+    ``adjacency.tsv`` into ``out_dir``; returns their paths, in
+    ``load_dataset``'s argument order, and load(save(ds)) gives ds's values
+    bit for bit.
+
+    The store is the magic line, then the county ids, the years, ``present``
+    and each ``BLOCKS`` block, each in numpy's .npy format, C order, at a
+    multiple of 64 bytes. It is written under a temporary name and renamed
+    over the old store, so a map an earlier load still holds keeps the old
+    file. Yields use shortest round-trip float text."""
     os.makedirs(out_dir, exist_ok=True)
-    fpath = os.path.join(out_dir, "features.csv")
-    n_years = len(dataset.years)
-    with open(fpath, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f).writerow(feature_columns())
-        for county in dataset.counties:
-            a = dataset.county_index[county]
-            # one county's records as rows; never the whole dataset at once
-            records = np.concatenate(
-                [getattr(dataset, name)[a].reshape(n_years, -1) for name in BLOCKS], axis=1
-            )
-            prefix = _csv_field(county)
-            for year in dataset.years:
-                b = dataset.year_index[year]
-                if dataset.present[a, b]:
-                    # repr spells NaN "nan", the only token with those letters;
-                    # the file marks a missing value with a blank cell
-                    text = ",".join(map(repr, records[b].tolist())).replace("nan", "")
-                    f.write(f"{prefix},{year},{text}\r\n")
+    fpath = os.path.join(out_dir, "features.npys")
+    arrays = [
+        np.array(dataset.counties, dtype="<U"),
+        np.array(dataset.years, dtype="<i8"),
+        np.asarray(dataset.present, dtype=bool),
+    ] + [np.asarray(getattr(dataset, b), dtype="<f8") for b in BLOCKS]
+    with open(fpath + ".tmp", "wb") as f:
+        f.write(_STORE_MAGIC)
+        for a in arrays:
+            f.write(bytes(-f.tell() % _STORE_ALIGN))
+            np.save(f, np.ascontiguousarray(a), allow_pickle=False)
+    os.replace(fpath + ".tmp", fpath)
     ypath = os.path.join(out_dir, "yields.csv")
     with open(ypath, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)

@@ -6,7 +6,8 @@ LSTM and GRU steps with a temporary per product, single-node neighbour
 aggregation, the per-destination segment max, the per-edge block
 builder, batched graph inference, single-record early masking, the
 whole-dataset evaluate flow with its per-county masking plan and full
-mask copy, the adjacency queries over a ``CountyGraph``, and the
+mask copy, the adjacency queries over a ``CountyGraph``, the CSV
+import form of a dataset (the feature-file writer), and the
 per-cell county aggregation (with a packer for its weight map) and the
 per-day weekly fold of ``geo``, the linear fits: ridge through an
 explicit ``lam * I`` and lasso by residual updates, the NRCS
@@ -17,6 +18,9 @@ The finite-difference side only re-runs forward passes, keeping it
 independent of the reverse-mode implementation it checks.
 """
 
+import csv
+import io
+import os
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -36,11 +40,14 @@ from yieldgraph.autodiff import (
 )
 from yieldgraph.data import (
     BLOCK_SHAPES,
+    BLOCKS,
     WEEKS,
     NormStats,
     apply_norm_stats,
     enumerate_windows,
+    feature_columns,
     normalize,
+    save_dataset,
 )
 from yieldgraph.evaluation import CUTOFF_WEEK, MetricError, rmse
 from yieldgraph.geo import GeoFormatError
@@ -593,6 +600,40 @@ def identity_stats(dataset, split):
         {b: np.zeros(shape) for b, shape in BLOCK_SHAPES.items()},
         {b: np.ones(shape) for b, shape in BLOCK_SHAPES.items()},
     )
+
+
+def _csv_field(text):
+    """``text`` as csv.writer writes a field of a row with more than one."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def save_csv_dataset(dataset, out_dir):
+    """``out_dir`` as a dataset in the CSV import form: ``features.csv``
+    beside ``save_dataset``'s yields.csv and adjacency.tsv, with no store.
+    A present record is a row, each float in shortest round-trip form and
+    a NaN cell blank; an absent record has no row. Returns the three paths
+    in ``load_dataset``'s order."""
+    store, ypath, apath = save_dataset(dataset, out_dir)
+    os.remove(store)
+    fpath = os.path.join(out_dir, "features.csv")
+    n_years = len(dataset.years)
+    with open(fpath, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerow(feature_columns())
+        for county in dataset.counties:
+            a = dataset.county_index[county]
+            records = np.concatenate(
+                [getattr(dataset, name)[a].reshape(n_years, -1) for name in BLOCKS], axis=1
+            )
+            prefix = _csv_field(county)
+            for year in dataset.years:
+                b = dataset.year_index[year]
+                if dataset.present[a, b]:
+                    # repr spells NaN "nan", the only token with those letters
+                    text = ",".join(map(repr, records[b].tolist())).replace("nan", "")
+                    f.write(f"{prefix},{year},{text}\r\n")
+    return fpath, ypath, apath
 
 
 def reference_evaluate(predictor, dataset, split, early=False):

@@ -32,6 +32,7 @@ from yieldgraph.models import (
     default_spec,
     train,
 )
+from tests.helpers import save_csv_dataset
 
 
 def run(argv):
@@ -45,9 +46,16 @@ def synth_args(out, counties=16, years=10, seed=3):
     ]
 
 
+def features_file(d):
+    """A dataset directory's feature file: the store synth writes, or the
+    features.csv of a copy in the CSV import form."""
+    store = d / "features.npys"
+    return store if store.exists() else d / "features.csv"
+
+
 def dataset_flags(d):
     return [
-        "--features", str(d / "features.csv"),
+        "--features", str(features_file(d)),
         "--yields", str(d / "yields.csv"),
         "--adjacency", str(d / "adjacency.tsv"),
     ]
@@ -66,14 +74,14 @@ def test_synth_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(synth_args(a, 100, 20, seed=7)) == 0
     assert run(synth_args(b, 100, 20, seed=7)) == 0
-    for name in ("features.csv", "yields.csv", "adjacency.tsv"):
+    for name in ("features.npys", "yields.csv", "adjacency.tsv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_synth_output_loads_and_grid_edges(tmp_path):
     out = tmp_path / "ds"
     assert run(synth_args(out, 100, 8)) == 0
-    ds = load_dataset(out / "features.csv", out / "yields.csv", out / "adjacency.tsv")
+    ds = load_dataset(out / "features.npys", out / "yields.csv", out / "adjacency.tsv")
     assert ds.graph.n == 100
     assert sum(len(v) for v in ds.graph.neighbors) // 2 == 180
 
@@ -299,7 +307,7 @@ def test_benchmark_cell_is_a_standalone_train_and_evaluate_bit_for_bit(tmp_path,
     with open(out / "benchmark.csv", encoding="utf-8", newline="") as f:
         rows = {row["method"]: row for row in csv.DictReader(f)}
 
-    ds = load_dataset(data / "features.csv", data / "yields.csv", data / "adjacency.tsv")
+    ds = load_dataset(data / "features.npys", data / "yields.csv", data / "adjacency.tsv")
     split = YearSplit(test_year=2009)
     for method in ("gnn-1y", "ridge-1y"):
         spec = default_spec(method, ModelSpec.crop, 2009, seed=0, epochs=1)
@@ -504,7 +512,7 @@ def test_train_config_echo_golden(tmp_path):
         "edge_dropout = 0.1\n"
         "epochs = 2\n"
         "fanout = 5\n"
-        f"features = {data / 'features.csv'}\n"
+        f"features = {data / 'features.npys'}\n"
         "lasso_lambda = 0.01\n"
         "lr = 1e-3\n"
         "method = cnn-1y\n"
@@ -590,15 +598,10 @@ def test_train_rejects_unknown_aggregator_in_config(tmp_path):
 
 @pytest.mark.parametrize("method", ["cnn-1y", "gnn-1y", "ridge-1y"])
 def test_evaluate_skips_county_with_blank_test_year_cell(tmp_path, method):
-    data = tmp_path / "data"
-    assert run(synth_args(data)) == 0
-    features = data / "features.csv"
-    lines = features.read_text(encoding="utf-8").splitlines()
-    row = next(i for i, line in enumerate(lines) if line.split(",")[1] == "2009")
-    cells = lines[row].split(",")
-    cells[2] = ""  # one blank weather cell in a present test-year record
-    lines[row] = ",".join(cells)
-    features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(synth_args(tmp_path / "synth")) == 0
+    # one blank weather cell in a present test-year record
+    data = _copy_with(tmp_path / "synth", tmp_path, "features.csv",
+                      lambda s: _set_cell(s, "", year="2009"))
     run_dir = tmp_path / "run"
     assert run(train_args(data, run_dir, method=method)) == 0
     eval_dir = tmp_path / "eval"
@@ -627,6 +630,40 @@ def test_evaluate_rerun_from_echoed_config(tmp_path):
     assert metrics["plain"] != metrics["early"]
 
 
+def _outputs(out):
+    """A run's output files, but the config echo (it names the inputs)."""
+    return {f: (out / f).read_bytes() for f in sorted(os.listdir(out)) if f != "config.txt"}
+
+
+def test_both_feature_forms_train_and_evaluate_alike(tmp_path):
+    store = tmp_path / "store"
+    assert run(synth_args(store, 16, 8)) == 0
+    paths = [store / "features.npys", store / "yields.csv", store / "adjacency.tsv"]
+    loaded = load_dataset(*paths)
+    text = tmp_path / "csv"
+    save_csv_dataset(loaded, text)
+    for kind in ALL_KINDS:
+        outputs = []
+        for d in (store, text):
+            run_dir, eval_dir = tmp_path / kind / d.name, tmp_path / kind / f"{d.name}-eval"
+            assert run(["train"] + dataset_flags(d)
+                       + ["--method", kind, "--test-year", "2007", "--epochs", "1",
+                          "--toy-widths", "--batch-size", "16", "--out", str(run_dir)]) == 0
+            assert run(["evaluate", "--checkpoint", str(run_dir / "checkpoint.ckpt")]
+                       + dataset_flags(d) + ["--early", "--out", str(eval_dir)]) == 0
+            outputs.append((_outputs(run_dir), _outputs(eval_dir)))
+        assert outputs[0] == outputs[1], kind
+
+    # a save over the store leaves the old file to the maps still alive,
+    # here a smaller store that would cut the old maps short
+    old = {b: getattr(loaded, b) for b in data_module.BLOCKS}
+    want = {b: a.tobytes() for b, a in old.items()}
+    data_module.save_dataset(data_module.generate_synthetic(9, 6, 3, seed=4), store)
+    assert paths[0].stat().st_size < len(b"".join(want.values()))
+    assert {b: a.tobytes() for b, a in old.items()} == want
+    assert load_dataset(*paths).counties == [f"{i:05d}" for i in range(9)]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A 16-county synth and a ridge-1y checkpoint for its 2009 test year."""
@@ -637,12 +674,22 @@ def trained(tmp_path_factory):
 
 
 def _copy_with(data, tmp, name, edit):
-    """Copy of the dataset directory with ``edit(text) -> text`` applied to one file."""
+    """Copy of the dataset directory in the CSV import form, with
+    ``edit(text) -> text`` applied to one of its files."""
     out = tmp / "edited"
+    save_csv_dataset(load_dataset(*dataset_flags(data)[1::2]), out)
+    (out / name).write_text(edit((out / name).read_text(encoding="utf-8")), encoding="utf-8")
+    return out
+
+
+def _store_copy(data, tmp, edit):
+    """Copy of the dataset directory with ``edit(bytes) -> bytes`` applied
+    to its store."""
+    out = tmp / "edited-store"
     out.mkdir(exist_ok=True)
-    for f in ("features.csv", "yields.csv", "adjacency.tsv"):
-        text = (data / f).read_text(encoding="utf-8")
-        (out / f).write_text(edit(text) if f == name else text, encoding="utf-8")
+    for f in ("features.npys", "yields.csv", "adjacency.tsv"):
+        raw = (data / f).read_bytes()
+        (out / f).write_bytes(edit(raw) if f == "features.npys" else raw)
     return out
 
 
@@ -715,6 +762,10 @@ _ERROR_TABLE = {
         _copy_with(d, t, "features.csv", lambda s: _set_cell(s, "abc")), o), None),
     "inf-cell": (DataFormatError, 2, lambda d, c, t, o: _train_on(
         _copy_with(d, t, "features.csv", lambda s: _set_cell(s, "inf")), o), None),
+    "store-bad-magic": (DataFormatError, 2, lambda d, c, t, o: _train_on(
+        _store_copy(d, t, lambda raw: raw.replace(b"store 1", b"store 9", 1)), o), None),
+    "store-truncated": (DataFormatError, 2, lambda d, c, t, o: _train_on(
+        _store_copy(d, t, lambda raw: raw[:-9]), o), None),
     "geo-format": (GeoFormatError, 2, lambda d, c, t, o: [
         "aggregate", "--rasters", str(t), "--weights", str(d / "yields.csv"),
         "--manifest", str(t / "m.csv"), "--year", "2000", "--out", str(o / "f.csv")], None),
@@ -747,7 +798,7 @@ _ERROR_TABLE = {
     "file-not-found": (FileNotFoundError, 2, lambda d, c, t, o: _train_on(t / "absent", o),
                        None),
     "not-a-directory": (NotADirectoryError, 2, lambda d, c, t, o: synth_args(
-        d / "features.csv" / "sub"), None),
+        d / "features.npys" / "sub"), None),
     "value": (ValueError, 2, lambda d, c, t, o: synth_args(o, counties=10), None),
     "key": (KeyError, 2, lambda d, c, t, o: _evaluate(d, c, o),
             KeyError("county 00000 has no record for 2009")),

@@ -1,14 +1,22 @@
 import hashlib
 import itertools
 import math
+import mmap
+import os
+import re
+import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldgraph import data
 from yieldgraph.data import (
     BLOCK_SHAPES,
+    BLOCKS,
     CROPS,
     DataFormatError,
     Dataset,
@@ -23,7 +31,9 @@ from yieldgraph.data import (
     normalize,
     save_dataset,
 )
+from yieldgraph.evaluation import build_masking_plan, mask_dataset_year
 from yieldgraph.graph import CountyGraph
+from tests.helpers import save_csv_dataset
 
 
 def make_dataset(counties=("00000", "00001"), years=(2000, 2001, 2002), seed=0,
@@ -83,7 +93,7 @@ def test_roundtrip_preserves_missing_cells(tmp_path):
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", "NaN"])
 def test_load_rejects_non_finite_cell_text(tmp_path, text):
     ds = make_dataset()
-    fpath, ypath, apath = save_dataset(ds, tmp_path / "nf")
+    fpath, ypath, apath = save_csv_dataset(ds, tmp_path / "nf")
     lines = open(fpath, encoding="utf-8").read().splitlines()
     for row in (4, 2):  # file lines 5 and 3; the header is line 1
         cells = lines[row].split(",")
@@ -97,7 +107,7 @@ def test_load_rejects_non_finite_cell_text(tmp_path, text):
 
 def test_load_rejects_wrong_week_count(tmp_path):
     ds = make_dataset()
-    fpath, ypath, apath = save_dataset(ds, tmp_path / "bad")
+    fpath, ypath, apath = save_csv_dataset(ds, tmp_path / "bad")
     lines = open(fpath, encoding="utf-8").read().splitlines()
     header = lines[0].split(",")
     header.remove("w_precip_51")  # 51-week layout
@@ -109,7 +119,7 @@ def test_load_rejects_wrong_week_count(tmp_path):
 
 def test_load_reports_line_number_for_malformed_row(tmp_path):
     ds = make_dataset()
-    fpath, ypath, apath = save_dataset(ds, tmp_path / "mal")
+    fpath, ypath, apath = save_csv_dataset(ds, tmp_path / "mal")
     with open(fpath, "a", encoding="utf-8") as f:
         f.write("00000,2003,1.0\n")
     with pytest.raises(DataFormatError) as e:
@@ -368,9 +378,11 @@ def _sha256(path):
 
 
 def test_save_dataset_golden_bytes(tmp_path):
-    """The three saved files, byte for byte: shortest round-trip floats over
-    a wide range of magnitudes, -0.0, a blank for a NaN cell, no row for an
-    absent record, and a county id csv.writer must quote."""
+    """The saved files, byte for byte: the store and the two text files of
+    ``save_dataset``, and the CSV import form of the test helper (shortest
+    round-trip floats over a wide range of magnitudes, -0.0, a blank for a
+    NaN cell, no row for an absent record, and a county id csv.writer must
+    quote). Both forms load to the dataset's values, NaN and -0.0 included."""
     counties = ["00001", "19153", 'a,"b']
     ds = make_dataset(counties=counties, years=(2000, 2001), seed=5,
                       edges=[("00001", "19153"), ("19153", 'a,"b')],
@@ -385,19 +397,234 @@ def test_save_dataset_golden_bytes(tmp_path):
     for block in (ds.weather, ds.land, ds.soil, ds.extras):
         block[1, 0] = np.nan
     paths = save_dataset(ds, tmp_path / "golden")
+    assert [os.path.basename(p) for p in paths] == ["features.npys", "yields.csv",
+                                                    "adjacency.tsv"]
     assert [_sha256(p) for p in paths] == [
-        "6bae5d1a2cbba09d01f8aa76d0ed6a43ede5a84a09e67a93a976319921f6f8c1",
+        "6e40c7b606bd0cdf28c0f5322cad1987c8cecb45eee0e49e75855b97c96cff01",
         "921a5365e3b58b7488481de47ea85e14e01680f8bbd79cba33735c35490ecb5d",
         "c200d5d2771f75429d97731d1b04b8045fd80eee75e1bdd91e790da3fd60ce45",
     ]
-    loaded = load_dataset(*paths)
-    assert loaded.counties == counties and loaded.years == ds.years
-    assert np.array_equal(loaded.present, ds.present)
-    for a, b in ((loaded.weather, ds.weather), (loaded.land, ds.land),
-                 (loaded.soil, ds.soil), (loaded.extras, ds.extras)):
-        assert np.array_equal(a, b, equal_nan=True)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
-    assert loaded.yields.entries == ds.yields.entries
+    csv_paths = save_csv_dataset(ds, tmp_path / "csv")
+    assert _sha256(csv_paths[0]) == (
+        "6bae5d1a2cbba09d01f8aa76d0ed6a43ede5a84a09e67a93a976319921f6f8c1")
+    for loaded in (load_dataset(*paths), load_dataset(*csv_paths)):
+        assert loaded.counties == counties and loaded.years == ds.years
+        assert np.array_equal(loaded.present, ds.present)
+        for a, b in ((loaded.weather, ds.weather), (loaded.land, ds.land),
+                     (loaded.soil, ds.soil), (loaded.extras, ds.extras)):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert loaded.yields.entries == ds.yields.entries
+
+
+def _same_dataset(a, b):
+    """Equal ids, years, yields and graph, and blocks equal bit for bit
+    (NaN cells and -0.0 included)."""
+    assert a.counties == b.counties and a.years == b.years
+    assert all(type(c) is str for c in a.counties) and all(type(y) is int for y in a.years)
+    for name in BLOCKS + ("present",):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.yields.entries == b.yields.entries
+    assert _edges(a.graph) == _edges(b.graph)
+
+
+def _edges(graph):
+    return {(graph.node_ids[i], graph.node_ids[j])
+            for i, nbrs in enumerate(graph.neighbors) for j in nbrs}
+
+
+# county ids a CSV row must quote, in no sorted order, and none the
+# adjacency file cannot hold (a tab, a line break, a leading '#', or outer
+# spaces)
+_IDS = st.lists(st.text(alphabet='09ab,"\u00e9 ', min_size=1, max_size=4)
+                .filter(lambda c: c == c.strip()), min_size=2, max_size=4, unique=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(counties=_IDS, years=st.lists(st.integers(1950, 2050), min_size=1, max_size=4,
+                                     unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_store_round_trip_is_exact(counties, years, seed):
+    rng = np.random.default_rng(seed)
+    years = sorted(years)  # non-contiguous as drawn
+    edges = [(counties[0], counties[1])] + [
+        (a, b) for a, b in itertools.combinations(counties, 2) if rng.random() < 0.3]
+    yields = {(c, y, k): float(10.0 ** rng.uniform(-3, 3))
+              for c in counties for y in years for k in CROPS if rng.random() < 0.5}
+    ds = make_dataset(counties=counties, years=years, seed=seed % 1000, edges=edges,
+                      yields=yields)
+    absent = rng.random(ds.present.shape) < 0.25
+    # each county keeps a present record: the CSV form has no row for the others
+    absent[np.arange(len(counties)), rng.integers(len(years), size=len(counties))] = False
+    ds.present[absent] = False
+    for b in BLOCKS:
+        block = getattr(ds, b)
+        block *= 10.0 ** rng.integers(-9, 23, size=block.shape)
+        block[rng.random(block.shape) < 0.05] = np.nan
+        block[rng.random(block.shape) < 0.05] = -0.0
+        block[absent] = np.nan
+    with tempfile.TemporaryDirectory() as d:
+        loaded = load_dataset(*save_dataset(ds, os.path.join(d, "store")))
+        _same_dataset(loaded, ds)
+        # CSV import -> store -> load gives load(CSV)'s dataset
+        from_csv = load_dataset(*save_csv_dataset(ds, os.path.join(d, "csv")))
+        _same_dataset(load_dataset(*save_dataset(from_csv, os.path.join(d, "again"))),
+                      from_csv)
+
+
+def _edit_store(ds=None, raw=None):
+    """A store edit: ``ds(dataset)`` changes the dataset before the save,
+    ``raw(bytes) -> bytes`` the saved file."""
+    return ds, raw
+
+
+def _set(name, value):
+    return lambda ds: setattr(ds, name, value)
+
+
+def _poke(block, index, value):
+    def edit(ds):
+        getattr(ds, block)[index] = value
+    return edit
+
+
+# case -> (edit, message pattern); the store holds 3 counties x 3 years
+_BAD_STORES = {
+    "bad-magic": (_edit_store(raw=lambda r: r.replace(b"store 1\n", b"store 2\n", 1)),
+                  "bad magic"),
+    "plain-npy-file": (_edit_store(raw=lambda r: r[64:]), "bad magic"),
+    "truncated-block": (_edit_store(raw=lambda r: r[:-100]), "extras: truncated"),
+    "truncated-header": (_edit_store(raw=lambda r: r[:100]), "counties: bad array header"),
+    "trailing-bytes": (_edit_store(raw=lambda r: r + b"\0"), "1 bytes after the last array"),
+    "unbalanced-header": (_edit_store(raw=lambda r: r.replace(
+        b"'shape': (3,), }", b"'shape': ((3,),}", 1)), "counties: bad array header"),
+    "lost-first-byte": (_edit_store(raw=lambda r: b"\xff" + r[1:]), "codec can't decode"),
+    "npy-version": (_edit_store(raw=lambda r: r.replace(b"\x93NUMPY\x01", b"\x93NUMPY\x09", 1)),
+                    "unsupported .npy version"),
+    "object-dtype": (_edit_store(raw=lambda r: r.replace(b"'<U5'", b"'|O' ", 1)),
+                     "counties: object"),
+    "zero-width-ids": (_edit_store(raw=lambda r: r.replace(
+        b"'<U5', 'fortran_order': False, 'shape': (3,)",
+        b"'<U0', 'fortran_order': False, 'shape': (0,)", 1)), r"counties: <U0 \(0,\) array"),
+    "fortran-order": (_edit_store(raw=lambda r: r.replace(
+        b"'fortran_order': False", b"'fortran_order': True ", 1)), "fortran order True"),
+    "negative-shape": (_edit_store(raw=lambda r: r.replace(
+        b"'shape': (3,), }", b"'shape': (-3,),}", 1)), r"\(-3,\) array"),
+    "years-dtype": (_edit_store(raw=lambda r: r.replace(b"'<i8'", b"'<f8'", 1)),
+                    r"years is a float64 \(3,\) array, expected int64"),
+    "block-dtype": (_edit_store(raw=lambda r: r.replace(b"'<f8'", b"'<i8'", 1)),
+                    "weather is a int64 .* expected float64"),
+    "block-byte-order": (_edit_store(raw=lambda r: r.replace(b"'<f8'", b"'>f8'", 1)),
+                         "weather is a >f8 .* expected float64"),
+    "block-shape": (_edit_store(ds=lambda ds: setattr(ds, "land", ds.land[..., :51])),
+                    r"land is a float64 \(3, 3, 16, 51\) array, expected float64 "
+                    r"\(3, 3, 16, 52\)"),
+    "present-shape": (_edit_store(ds=lambda ds: setattr(ds, "present", ds.present[:, :2])),
+                      r"present is a bool \(3, 2\) array"),
+    "inf-cell": (_edit_store(ds=_poke("land", (1, 2, 3, 4), -np.inf)),
+                 "land of 00001/2002: an infinite cell"),
+    "finite-absent-cell": (_edit_store(ds=_poke("present", (2, 0), False)),
+                           "weather of 00002/2000: a finite cell in an absent record"),
+    "duplicate-county": (_edit_store(ds=_set("counties", ["00000", "00001", "00000"])),
+                         "duplicate county id '00000'"),
+    "unsorted-years": (_edit_store(ds=_set("years", [2000, 2002, 2001])),
+                       "years are not strictly ascending"),
+    "repeated-year": (_edit_store(ds=_set("years", [2000, 2001, 2001])),
+                      "years are not strictly ascending"),
+}
+
+
+def _bad_store(tmp_path, case):
+    (edit_ds, edit_raw), _ = _BAD_STORES[case]
+    ds = make_dataset(counties=("00000", "00001", "00002"), years=(2000, 2001, 2002))
+    if edit_ds is not None:
+        edit_ds(ds)
+    paths = save_dataset(ds, tmp_path / case)
+    if edit_raw is not None:
+        with open(paths[0], "rb") as f:
+            raw = f.read()
+        edited = edit_raw(raw)
+        assert edited != raw
+        with open(paths[0], "wb") as f:
+            f.write(edited)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_STORES))
+def test_load_rejects_a_bad_store_naming_it(tmp_path, case):
+    paths = _bad_store(tmp_path, case)
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{paths[0]}: ") + ".*" + _BAD_STORES[case][1]):
+        load_dataset(*paths)
+
+
+def test_load_rejects_a_store_cut_anywhere(tmp_path):
+    fpath, ypath, apath = save_dataset(make_dataset(), tmp_path / "cut")
+    with open(fpath, "rb") as f:
+        raw = f.read()
+    for cut in range(1, len(raw), 97):
+        with open(fpath, "wb") as f:
+            f.write(raw[:cut])
+        with pytest.raises(DataFormatError, match=re.escape(str(fpath))):
+            load_dataset(fpath, ypath, apath)
+
+
+def _owner(a):
+    """The object whose memory the array views."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_every_reader_works_on_a_read_only_map(tmp_path):
+    counties = [f"{i:05d}" for i in range(6)]
+    years = tuple(range(2000, 2006))
+    yields = {(c, y, "corn"): 100.0 + i + y % 7
+              for i, c in enumerate(counties) for y in years}
+    ds = make_dataset(counties=counties, years=years, seed=9, yields=yields)
+    ds.weather[0, 2, 1, 3] = np.nan
+    ds.present[1, 4] = False
+    for b in BLOCKS:
+        getattr(ds, b)[1, 4] = np.nan
+    loaded = load_dataset(*save_dataset(ds, tmp_path / "ro"))
+    mapped = {b: getattr(loaded, b) for b in BLOCKS}
+    before = {b: a.tobytes() for b, a in mapped.items()}
+    for b, a in mapped.items():
+        assert type(a) is np.ndarray and not a.flags.writeable, b
+        assert isinstance(_owner(a), mmap.mmap), b
+    assert loaded.present.flags.owndata  # a normalized dataset shares it, not the map
+    with pytest.raises(ValueError):
+        loaded.weather[0, 0, 0, 0] = 1.0
+
+    split = YearSplit(test_year=2005)
+    for year, dt in ((2002, 0), (2005, 3), (2005, 3), (2004, 1)):
+        assert loaded.window_mask(year, dt).tolist() == ds.window_mask(year, dt).tolist()
+    part = loaded.year_range(2001, 2003)
+    assert all(np.shares_memory(getattr(part, b), mapped[b]) for b in mapped)
+    assert part.window_mask(2003, 2).tolist() == ds.window_mask(2003, 2).tolist()
+    normed, stats = normalize(loaded, split)
+    want, want_stats = normalize(ds, split)
+    for b in BLOCKS:
+        assert getattr(normed, b).tobytes() == getattr(want, b).tobytes(), b
+        assert stats.mean[b].tobytes() == want_stats.mean[b].tobytes(), b
+    plan = build_masking_plan(loaded, split, stats)
+    want_plan = build_masking_plan(ds, split, want_stats)
+    assert plan.weather.tobytes() == want_plan.weather.tobytes()
+    masked = mask_dataset_year(loaded, plan, 2005)
+    assert masked.land.tobytes() == mask_dataset_year(ds, want_plan, 2005).land.tobytes()
+    assert {b: a.tobytes() for b, a in mapped.items()} == before
+
+
+def test_a_normalized_dataset_keeps_no_map_of_the_store(tmp_path):
+    # so the raw blocks' file pages leave the process with the raw dataset
+    loaded = load_dataset(*save_dataset(make_dataset(years=(2000, 2001, 2002, 2003)),
+                                        tmp_path / "m"))
+    the_map = weakref.ref(_owner(loaded.weather))
+    normed, _ = normalize(loaded, YearSplit(test_year=2003))
+    del loaded
+    assert the_map() is None and normed.n_records == 8
 
 
 @pytest.mark.parametrize("chunk", [3, 256])
