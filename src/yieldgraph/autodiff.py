@@ -19,6 +19,7 @@ in gradients.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
@@ -273,30 +274,28 @@ def _binary(a, b, fwd, da, db):
     return apply_op(fwd(ad, bd), (a, b), vjp)
 
 
-# False inside no_grad(); read by apply_op. Process-wide, and safe as one
-# flag: the package's only other thread, the conv worker of layers.conv1d,
-# runs apply_op only inside layers.in_lanes, which runs on two threads only
-# under the caller's no_grad() and returns once both have finished, so the
-# worker's ops record nothing, as the caller's do. Otherwise the worker
-# runs numpy calls and finiteness checks on arrays alone (in the backward
-# pass it forms a block's weight and bias gradients behind the caller,
-# which walks on down the tape), so every taped op is recorded on the
-# thread that set the mode.
-_recording = True
+# False inside no_grad(); read by apply_op. A context variable, so the mode
+# belongs to the code that set it: a job of layers.in_lanes runs in a copy
+# of its caller's context, on the caller or on the conv worker, and records
+# tape nodes exactly when its caller would, while a no_grad() inside one
+# job leaves the other lane's ops recorded. Tape nodes may thus be made on
+# either thread; backward orders its sweep by the creation graph alone,
+# not by the thread or the time a node was made, so the gradients keep
+# their bits.
+_recording = contextvars.ContextVar("yieldgraph_recording", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Inference mode: operations inside record no tape node and return
-    untracked tensors. Finiteness checks still run. Nests, and restores
-    the previous mode however the block exits."""
-    global _recording
-    saved = _recording
-    _recording = False
+    untracked tensors. Finiteness checks still run. Nests, restores the
+    previous mode however the block exits, and holds only in the current
+    context (thread or ``in_lanes`` job)."""
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = saved
+        _recording.reset(token)
 
 
 def apply_op(data, inputs, vjp):
@@ -304,7 +303,7 @@ def apply_op(data, inputs, vjp):
     any input is tracked and no_grad() is not active. ``vjp(g)`` must
     return one gradient array (or None) per input, in order."""
     out = Tensor(data)
-    if _recording and any(t.requires_grad for t in inputs):
+    if _recording.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = _Node(tuple(inputs), vjp)
     return out

@@ -488,7 +488,19 @@ def save_dataset(dataset, out_dir):
     and each ``BLOCKS`` block, each in numpy's .npy format, C order, at a
     multiple of 64 bytes. It is written under a temporary name and renamed
     over the old store, so a map an earlier load still holds keeps the old
-    file. Yields use shortest round-trip float text."""
+    file. Yields use shortest round-trip float text.
+
+    ``graph.load_graph`` strips each adjacency line, skips a line that
+    starts with ``#`` and splits at tabs, so an edge endpoint's id must be
+    non-empty, with no outer whitespace, no leading ``#`` and no tab, CR
+    or LF. An endpoint that breaks this raises ``DataFormatError`` before
+    any file is written; an isolated county may have any id."""
+    for county, nbrs in zip(dataset.graph.node_ids, dataset.graph.neighbors):
+        if nbrs.size and (not county or county != county.strip() or county[0] == "#"
+                          or any(ch in county for ch in "\t\r\n")):
+            raise DataFormatError(f"county id {county!r} cannot be an edge endpoint in "
+                                  "adjacency.tsv: it must be non-empty, with no outer "
+                                  "whitespace, no leading '#' and no tab, CR or LF")
     os.makedirs(out_dir, exist_ok=True)
     fpath = os.path.join(out_dir, "features.npys")
     arrays = [
@@ -703,6 +715,8 @@ def generate_synthetic(n_counties, n_years, grid_side, seed, start_year=2000):
     """
     if grid_side**2 != n_counties:
         raise ValueError(f"n_counties={n_counties} is not grid_side^2={grid_side**2}")
+    if grid_side < 2:
+        raise ValueError(f"need a grid of at least 2 x 2 = 4 counties, got {n_counties}")
     if n_years < 6:
         raise ValueError(f"need at least 6 years, got {n_years}")
     rng = np.random.default_rng(seed)

@@ -33,17 +33,21 @@ the backward pass the worker, once started, forms every block's weight
 and bias gradients behind the caller, which forms the input gradient and
 walks on down the tape, and ``autodiff.backward`` waits for them once
 the sweep is done. There the worker runs numpy calls and finiteness
-checks only, on arrays the caller hands it; the tape stays on the calling
-thread.
+checks only, on arrays the caller hands it.
 
-At inference, under ``no_grad()``, whole jobs run on the two threads
-instead: ``in_lanes`` hands a model's independent embedder calls (and a
-graph model's per-year SAGE stacks) to the caller and the worker, which
-each take the next job as they come free. A split block inside a job runs
-its halves one after the other on the thread that runs the job, and never
-posts to the worker, so predictions keep their bits. While a tape is
-recorded, ``in_lanes`` runs its jobs in order on the caller, so training
-keeps its split blocks and its tape on one thread.
+Whole jobs run on the two threads too, in training and at inference
+alike: ``in_lanes`` hands a model's independent embedder calls (and a
+graph model's per-year SAGE stacks, each once its year's embeds are done)
+to the caller and the worker, which each take the next job as they come
+free. A split block inside a job runs its halves one after the other on
+the thread that runs the job, and never posts to the worker, so every
+job makes the same GEMM calls on the same rows as anywhere else. A job
+records tape nodes exactly when its caller would (the recording mode,
+``autodiff._recording``, is a context variable, and each job runs in a
+copy of its caller's context), so while a tape is recorded both threads
+add nodes to it. The backward sweep is ordered by the creation graph
+alone, so the gradients keep the bits of running the jobs in order on
+one thread.
 
 A block's tape node holds its input, its relu mask and its output, in
 every process. Its im2col, the largest array of the block, is a transient
@@ -188,30 +192,55 @@ def _in_parallel(here, there):
         raise err
 
 
-def in_lanes(jobs):
-    """``[job() for job in jobs]``, in job order, with the jobs run on two
-    lanes, the caller and the conv worker, each taking the next job as it
-    comes free. The jobs must not depend on one another. Each lane marks
-    its own jobs (``_lanes``), so a conv block inside a job runs its halves
-    one after the other on that lane's thread (see ``_in_parallel``), with
-    the bits they have anywhere else.
+def in_lanes(jobs, needs=None):
+    """The jobs' results, in job order, with the jobs run on two lanes, the
+    caller and the conv worker, each taking the next job as it comes free.
+    A job is called with no argument, or, when ``needs[i]`` lists earlier
+    job indices, with the list of their results once those jobs are done:
+    a lane that takes it waits for them first, which the other lane is
+    running, since the lanes take the jobs in order. The jobs must not
+    depend on one another otherwise. Each lane runs in a copy of the
+    caller's context: a job records tape nodes exactly when the caller
+    would (outside ``no_grad()``), and a mode it sets stays in its lane.
+    Each lane marks its own jobs (``_lanes``), so a conv block inside a job
+    runs its halves one after the other on that lane's thread (see
+    ``_in_parallel``), with the bits they have anywhere else.
 
-    The jobs run in order on the caller instead while a tape is recorded
-    (outside ``no_grad()``; the tape is built on the calling thread) and
-    with fewer than two jobs. With one CPU, or inside another call's jobs,
-    ``_in_parallel`` runs both lanes on the calling thread, the first of
-    which takes every job in order. Then no worker is started.
+    The lanes share what the jobs read. A ``Dataset``'s per-year caches
+    (``_usable``, ``_prev_mean_cache``) compute a value, then store it, so
+    two lanes may both compute one entry; they store the same value,
+    whichever store wins.
 
-    After a job fails, neither lane takes another; once both have stopped,
-    the failure of the lowest failed job index is raised, which is the one
-    a run in order would raise. The worker is then idle, so the next call
-    starts afresh."""
-    if autodiff._recording or len(jobs) < 2:
-        return [job() for job in jobs]
+    With fewer than two jobs that need none (the other lane could only
+    wait), the jobs run in order on the caller. With one CPU, or inside
+    another call's jobs, ``_in_parallel`` runs both lanes on the calling
+    thread, the first of which takes every job in order. Then no worker is
+    started.
+
+    After a job fails, neither lane takes another, and a job whose needs
+    include it does not run; once both lanes have stopped, the failure of
+    the lowest failed job index is raised, which is the one a run in order
+    would raise. The worker is then idle, so the next call starts afresh."""
+    needs = needs or [()] * len(jobs)
+    if sum(not need for need in needs) < 2:
+        results = []
+        for job, need in zip(jobs, needs):
+            results.append(job([results[j] for j in need]) if need else job())
+        return results
     todo = queue.SimpleQueue()
     for i in range(len(jobs)):
         todo.put(i)
     results, failures = [None] * len(jobs), {}
+    finished = [threading.Event() for _ in jobs]
+
+    def run(i):
+        if not needs[i]:
+            return jobs[i]()
+        for j in needs[i]:
+            finished[j].wait()
+        if any(j in failures for j in needs[i]):
+            return None  # a lower index failed; its failure is raised
+        return jobs[i]([results[j] for j in needs[i]])
 
     def take_jobs():
         _lanes.set(True)
@@ -221,9 +250,11 @@ def in_lanes(jobs):
             except queue.Empty:
                 return
             try:
-                results[i] = jobs[i]()
+                results[i] = run(i)
             except BaseException as err:
                 failures[i] = err
+            finally:
+                finished[i].set()
 
     def lane():  # in a context of its own, so the mark stays with the lane's jobs
         contextvars.copy_context().run(take_jobs)

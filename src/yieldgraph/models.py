@@ -322,11 +322,14 @@ class GnnModel(_Model):
     each window year over the whole block, then the cell and the head.
     Inference embeds the input rows EMBED_CHUNK_ROWS at a time; training
     embeds them in one call per year. The embedder calls of all years,
-    then the years' SAGE stacks, go to ``layers.in_lanes``: at inference
-    they run on two threads, and in training in order on the caller. The
-    backward sweep's order follows the tape's graph, not the order its
-    nodes were made in, so training keeps the bits of embedding and
-    refining one year after the other.
+    then the years' SAGE stacks, are the jobs of one ``layers.in_lanes``
+    call, which runs them on two threads in training and at inference
+    alike. A year's stack needs only that year's embeds, so one lane
+    refines the years already embedded while the other embeds the last.
+    In training both threads record tape nodes; the backward sweep's order
+    follows the tape's graph, not the thread or the order its nodes were
+    made in, so training keeps the bits of embedding and refining one year
+    after the other on one thread.
     """
 
     def __init__(self, spec, rng):
@@ -353,11 +356,12 @@ class GnnModel(_Model):
         input_ids = [ds.graph.node_ids[i] for i in block.input_nodes]
         rows = len(input_ids) if training else EMBED_CHUNK_ROWS
         chunks = [input_ids[start : start + rows] for start in range(0, len(input_ids), rows)]
-        parts = in_lanes([functools.partial(self._embed_chunk, ds, chunk, y)
-                          for y in years for chunk in chunks])
+        embeds = [functools.partial(self._embed_chunk, ds, chunk, y)
+                  for y in years for chunk in chunks]
         n = len(chunks)
-        zs = in_lanes([functools.partial(self._refine, block, parts[i : i + n])
-                       for i in range(0, len(parts), n)])
+        needs = [()] * len(embeds) + [range(i, i + n) for i in range(0, len(embeds), n)]
+        zs = in_lanes(embeds + [functools.partial(self._refine, block)] * len(years),
+                      needs)[len(embeds):]
         return self.head(_reorder(block, ds, counties, _over_years(self.cell, zs)))
 
     def _block(self, ds, counties, years, training, rng):

@@ -800,6 +800,7 @@ _ERROR_TABLE = {
     "not-a-directory": (NotADirectoryError, 2, lambda d, c, t, o: synth_args(
         d / "features.npys" / "sub"), None),
     "value": (ValueError, 2, lambda d, c, t, o: synth_args(o, counties=10), None),
+    "synth-one-county": (ValueError, 2, lambda d, c, t, o: synth_args(o, counties=1), None),
     "key": (KeyError, 2, lambda d, c, t, o: _evaluate(d, c, o),
             KeyError("county 00000 has no record for 2009")),
     "cli": (CliError, 2, lambda d, c, t, o: synth_args(o)[:3] + ["--out", str(o)], None),
@@ -845,6 +846,15 @@ def test_bad_input_maps_to_exit_code_without_traceback(tmp_path, trained, monkey
     assert err.startswith("numerical abort: " if code == 3 else "error: ")
     assert "Traceback" not in out + err
     assert not (tmp_path / "second" / "metrics.txt").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("counties", [0, 1])
+def test_synth_below_four_counties_names_the_minimum(tmp_path, capsys, counties):
+    assert run(synth_args(tmp_path / "x", counties=counties)) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: need a grid of at least 2 x 2 = 4 counties, got {counties}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_evaluate_year_outside_dataset_same_error_with_and_without_early(tmp_path, trained,

@@ -474,6 +474,26 @@ def test_store_round_trip_is_exact(counties, years, seed):
                       from_csv)
 
 
+# ids that graph.load_graph cannot read back from an edge line
+_EDGELESS_IDS = [" 01", "01 ", "\u00a001", "#01", "0\t1", "0\r1", "0\n1", ""]
+
+
+@pytest.mark.parametrize("bad", _EDGELESS_IDS)
+def test_store_save_rejects_an_edge_id_the_adjacency_file_cannot_hold(tmp_path, bad):
+    ds = make_dataset(counties=("a", bad, "b"), edges=[("a", "b"), (bad, "b")])
+    with pytest.raises(DataFormatError, match=re.escape(repr(bad))):
+        save_dataset(ds, tmp_path / "store")
+    assert not (tmp_path / "store").exists()  # no file written
+
+
+@pytest.mark.parametrize("bad", _EDGELESS_IDS)
+def test_store_round_trip_keeps_an_isolated_county_of_any_id(tmp_path, bad):
+    ds = make_dataset(counties=("a", bad, "b"), edges=[("a", "b")])
+    loaded = load_dataset(*save_dataset(ds, tmp_path / "store"))
+    _same_dataset(loaded, ds)
+    assert bad in loaded.county_index and loaded.graph.neighbors[loaded.graph.index[bad]].size == 0
+
+
 def _edit_store(ds=None, raw=None):
     """A store edit: ``ds(dataset)`` changes the dataset before the save,
     ``raw(bytes) -> bytes`` the saved file."""
